@@ -13,6 +13,12 @@ import json
 
 import jsonschema
 
+from .irls import IrlsConfig
+
+# The irls section's limits live in IrlsConfig alone; the schema below only
+# types its fields, and validate_config builds the IrlsConfig to check them.
+_IRLS_DEFAULTS = {"d": 6, "lambda_c": 1.0, "lambda_b": 0.01}
+
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 SCHEMA = {
@@ -42,14 +48,13 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "d": {"type": "integer", "minimum": 1},
-                "lambda_c": _POSITIVE,
-                "lambda_b": _POSITIVE,
-                "epsilon": _POSITIVE,
-                "rho": {"type": "number", "exclusiveMinimum": 0,
-                        "maximum": 2},
-                "max_iter": {"type": "integer", "minimum": 1},
-                "tol": _POSITIVE,
+                "d": {"type": "integer"},
+                "lambda_c": {"type": "number"},
+                "lambda_b": {"type": "number"},
+                "epsilon": {"type": "number"},
+                "rho": {"type": "number"},
+                "max_iter": {"type": "integer"},
+                "tol": {"type": "number"},
                 "normalize": {"type": "boolean"},
             },
         },
@@ -91,7 +96,7 @@ SCHEMA = {
 
 
 def validate_config(cfg):
-    """Validate a configuration dict against the schema.
+    """Validate a configuration dict against the schema and solver limits.
 
     Returns the dict unchanged on success, raises ValueError otherwise.
     """
@@ -101,7 +106,16 @@ def validate_config(cfg):
         path = "".join(f"[{p!r}]" for p in exc.absolute_path)
         raise ValueError(f"invalid config{path and ' at ' + path}: "
                          f"{exc.message}") from exc
+    try:
+        irls_config(cfg)
+    except ValueError as exc:
+        raise ValueError(f"invalid config at ['irls']: {exc}") from exc
     return cfg
+
+
+def irls_config(cfg):
+    """Solver settings of a validated config: its irls section over defaults."""
+    return IrlsConfig(**{**_IRLS_DEFAULTS, **cfg.get("irls", {})})
 
 
 def config_hash(cfg):

@@ -51,8 +51,8 @@ class IrlsConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.lambda_c < 0 or self.lambda_b < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        if not (0 <= self.lambda_c < np.inf and 0 <= self.lambda_b < np.inf):
+            raise ValueError("penalty weights must be finite and nonnegative")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.rho <= 1 and self.rho != 2.0:

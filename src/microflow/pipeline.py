@@ -19,8 +19,8 @@ import numpy as np
 
 from . import config as config_mod
 from . import formats, metrics, svdfilt, unfolded
-from .casorati import FrameSequence, to_casorati
-from .irls import IrlsConfig, run_irls
+from .casorati import FrameSequence, SolverError, to_casorati
+from .irls import run_irls
 from .phantom import imaging
 from .phantom import scene as phantom_scene
 
@@ -42,8 +42,6 @@ _SIM_DEFAULTS = {
     "snr_db": 25.0,
     "frame_rate": 1000.0,
 }
-
-_IRLS_DEFAULTS = {"d": 6, "lambda_c": 1.0, "lambda_b": 0.01}
 
 _TRAIN_DEFAULTS = {
     "k_layers": 10,
@@ -148,13 +146,23 @@ def _write_truth(outdir, truth):
             "truth_tissue_mask": "truth_tissue_mask.csv"}
 
 
+def _read_input(path):
+    """Input stage: read a dataset file and reject non-finite voxels."""
+    try:
+        seq = formats.read_dataset(path)
+    except (OSError, ValueError) as exc:
+        raise PipelineError("input", str(exc)) from exc
+    bad = int(np.count_nonzero(~np.isfinite(seq.voxels)))
+    if bad:
+        raise PipelineError("input", f"dataset {path} holds {bad} "
+                                     f"non-finite voxel values")
+    return seq
+
+
 def _acquire(cfg, verbose=False):
     """Input stage: read a dataset file or synthesize one."""
     if "input" in cfg:
-        try:
-            seq = formats.read_dataset(cfg["input"])
-        except (OSError, ValueError) as exc:
-            raise PipelineError("input", str(exc)) from exc
+        seq = _read_input(cfg["input"])
         truth = _load_truth(cfg["truth"]) if "truth" in cfg else None
         return seq, truth, False
     if "simulate" in cfg:
@@ -169,10 +177,10 @@ def _train_network(d_mat, cfg, verbose=False):
     """Train stage: initialize from the data and fit the layer parameters."""
     tr = dict(_TRAIN_DEFAULTS)
     tr.update(cfg.get("train", {}))
-    irls_cfg = _irls_config(cfg)
     try:
         net = unfolded.init_network(d_mat, tr["k_layers"], tr["d"],
-                                    tr["lambda_b_init"], irls_cfg)
+                                    tr["lambda_b_init"],
+                                    config_mod.irls_config(cfg))
         tcfg = unfolded.TrainConfig(
             learning_rate=tr["learning_rate"],
             wc_learning_rate=tr["wc_learning_rate"],
@@ -185,12 +193,6 @@ def _train_network(d_mat, cfg, verbose=False):
     except (ValueError, RuntimeError) as exc:
         raise PipelineError("train", str(exc)) from exc
     return net, history
-
-
-def _irls_config(cfg):
-    merged = dict(_IRLS_DEFAULTS)
-    merged.update(cfg.get("irls", {}))
-    return IrlsConfig(**merged)
 
 
 def _filter(d_mat, cfg, outdir, verbose=False):
@@ -216,7 +218,7 @@ def _filter(d_mat, cfg, outdir, verbose=False):
             blood = svdfilt.svd_clutter_filter(d_mat, cut)
             extra_report["svd_low_cut"] = int(low)
         elif method == "irls":
-            decomp, trace = run_irls(d_mat, _irls_config(cfg),
+            decomp, trace = run_irls(d_mat, config_mod.irls_config(cfg),
                                      verbose=verbose)
             blood = decomp.blood_b
             extra_report["irls_iterations"] = int(trace.iterations)
@@ -244,7 +246,7 @@ def _filter(d_mat, cfg, outdir, verbose=False):
             raise ValueError(f"unknown method {method!r}")
     except PipelineError:
         raise
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError, SolverError) as exc:
         raise PipelineError("filter", str(exc)) from exc
     return blood, extra_report, extra_artifacts
 
@@ -381,10 +383,7 @@ def run_train(cfg, verbose=False):
         raise PipelineError("config", "an output model path is required")
     if "input" not in cfg:
         raise PipelineError("config", "an input dataset is required")
-    try:
-        seq = formats.read_dataset(cfg["input"])
-    except (OSError, ValueError) as exc:
-        raise PipelineError("input", str(exc)) from exc
+    seq = _read_input(cfg["input"])
     net, history = _train_network(to_casorati(seq), cfg, verbose=verbose)
     model_path = Path(cfg["output"])
     model_path.parent.mkdir(parents=True, exist_ok=True)
@@ -408,10 +407,7 @@ def run_evaluate(cfg, verbose=False):
         raise PipelineError("config", "an input blood dataset is required")
     if "truth" not in cfg:
         raise PipelineError("config", "a truth directory is required")
-    try:
-        seq = formats.read_dataset(cfg["input"])
-    except (OSError, ValueError) as exc:
-        raise PipelineError("input", str(exc)) from exc
+    seq = _read_input(cfg["input"])
     truth = _load_truth(cfg["truth"])
     if truth["velocity"].shape != (seq.nz, seq.nx):
         raise PipelineError("evaluate",

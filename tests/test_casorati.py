@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microflow import casorati
 
@@ -121,6 +127,56 @@ class TestHermitianSolve:
         a = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(casorati.SolverError, match="definite"):
             casorati.hermitian_solve(a, np.ones((3, 1)))
+
+
+def hermitian_matrix(r, eigenvalues):
+    q, _ = np.linalg.qr(crandn(r, (eigenvalues.size, eigenvalues.size)))
+    a = (q * eigenvalues) @ q.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+class TestHermitianSolveProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 32), n=st.integers(1, 500),
+           log_cond=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_refined_residual(self, d, n, log_cond, seed):
+        r = rng(seed)
+        scale = 10.0 ** r.uniform(-3, 3)
+        a = hermitian_matrix(r, scale * 10.0 ** r.uniform(0, log_cond, d))
+        rhs = crandn(r, (d, n), scale=10.0 ** r.uniform(-3, 3))
+        x = casorati.hermitian_solve(a, rhs)
+        assert np.linalg.norm(a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 32), n_negative=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1))
+    def test_indefinite_rejected(self, d, n_negative, seed):
+        r = rng(seed)
+        w = r.uniform(1e-2, 1.0, d)
+        w[:min(n_negative, d)] *= -1.0
+        with pytest.raises(casorati.SolverError, match="definite"):
+            casorati.hermitian_solve(hermitian_matrix(r, w), crandn(r, (d, 3)))
+
+
+def test_package_never_loads_scipy_linalg():
+    """All dense linear algebra goes through numpy's one BLAS thread pool.
+
+    scipy ships its own OpenBLAS; mixing the two libraries puts two thread
+    pools on the same cores. The check runs in a fresh interpreter so this
+    process's imports cannot mask or cause a failure.
+    """
+    probe = (
+        "import importlib, pkgutil, sys, microflow\n"
+        "for m in pkgutil.walk_packages(microflow.__path__, 'microflow.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print('microflow.pipeline' in sys.modules)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(casorati.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["True", "False"]
 
 
 class TestSvd:

@@ -292,6 +292,42 @@ class TestCli:
         report = json.loads((outdir / "report.json").read_text())
         assert report["config"]["method"] == "svd"
 
+    def test_rank_deficient_irls_is_filter_exit_code(self, tmp_path, capsys):
+        frame = np.random.default_rng(1).standard_normal((8, 6, 1))
+        seq = FrameSequence(voxels=np.repeat(frame, 20, axis=2) + 0j,
+                            frame_rate=1000.0, center_freq=7.5e6, prf=5000.0)
+        path = tmp_path / "constant.umi"
+        formats.write_dataset(seq, path)
+        rc = cli.main(["filter", "--input", str(path),
+                       "--output", str(tmp_path / "o"), "--method", "irls"])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert "rank deficient" in err and err.count("\n") == 1
+
+    def test_non_finite_voxel_is_input_exit_code(self, tmp_path, capsys):
+        path, seq = tiny_dataset(tmp_path)
+        voxels = seq.voxels.copy()
+        voxels[2, 3, 4] = np.nan
+        formats.write_dataset(FrameSequence(
+            voxels=voxels, frame_rate=seq.frame_rate,
+            center_freq=seq.center_freq, prf=seq.prf), path)
+        rc = cli.main(["filter", "--input", str(path),
+                       "--output", str(tmp_path / "o"), "--method", "svd"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "non-finite" in err and err.count("\n") == 1
+
+    def test_solver_limit_is_config_exit_code(self, tmp_path, capsys):
+        path, _ = tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"irls": {"rho": 1.5}}))
+        rc = cli.main(["filter", "--config", str(cfg_path),
+                       "--input", str(path), "--output", str(tmp_path / "o"),
+                       "--method", "irls"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "rho" in err and err.count("\n") == 1
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main(["defragment"])

@@ -82,6 +82,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             config.validate_config({"irls": {"d": 0}})
 
+    @pytest.mark.parametrize("section", [{"rho": 1.5}, {"rho": 0.0},
+                                         {"lambda_c": float("nan")},
+                                         {"lambda_b": float("inf")},
+                                         {"epsilon": 0.0}])
+    def test_irls_limits_come_from_solver_config(self, section):
+        with pytest.raises(ValueError, match=r"\['irls'\]"):
+            config.validate_config({"irls": section})
+
+    def test_irls_rho_two_still_accepted(self):
+        cfg = {"irls": {"rho": 2.0}}
+        assert config.validate_config(cfg) == cfg
+        assert config.irls_config(cfg).rho == 2.0
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             config.validate_config([1, 2, 3])
