@@ -9,7 +9,10 @@ with the axial index fastest within each frame.
 Model files (``.u2m``) hold the unconstrained parameters of an unfolded
 network: magic ``U2M1``, uint32 version / layer count / subspace dimension,
 float64 epsilon, then per layer one float64 theta_lambda followed by d
-float64 theta_w entries.
+float64 theta_w entries. Layout ``U2M2`` (version 2) adds, right after
+epsilon, a uint32 normalize flag (0 or 1) and a uint64 n_space (0 when the
+row count is unknown). U2M1 files stand for normalize=True and no n_space;
+networks with those defaults are still written as U2M1.
 
 Rendered images go out either as 16-bit binary PGM (log-compressed with a
 configurable dynamic range) or as headerless CSV with full float64
@@ -24,9 +27,8 @@ from .casorati import FrameSequence
 from .unfolded import LayerParams, UnfoldedNetwork
 
 _DATASET_MAGIC = b"UMI1"
-_MODEL_MAGIC = b"U2M1"
 _DATASET_VERSION = 1
-_MODEL_VERSION = 1
+_MODEL_HEADERS = {b"U2M1": (1, 24), b"U2M2": (2, 36)}  # magic: (version, size)
 _HEADER_SIZE = 44  # magic + 4 uint32 + 3 float64
 _MAX_DIM = 2 ** 32 - 1
 
@@ -95,11 +97,21 @@ def read_dataset(path):
 
 
 def write_model(net, path):
-    """Write an unfolded network's parameters to a U2M1 file."""
+    """Write an unfolded network's parameters to a .u2m file.
+
+    Networks with normalize=True and no n_space are written as U2M1, all
+    others as U2M2, which also stores both of those fields.
+    """
     d = net.d
-    blob = _MODEL_MAGIC
-    blob += struct.pack("<3I", _MODEL_VERSION, len(net.layers), d)
+    n_space = 0 if net.n_space is None else int(net.n_space)
+    if not 0 <= n_space < 2 ** 64:
+        raise ValueError(f"n_space {n_space} does not fit the header")
+    magic = b"U2M1" if net.normalize and n_space == 0 else b"U2M2"
+    version = _MODEL_HEADERS[magic][0]
+    blob = magic + struct.pack("<3I", version, len(net.layers), d)
     blob += struct.pack("<d", float(net.epsilon))
+    if version == 2:
+        blob += struct.pack("<IQ", int(bool(net.normalize)), n_space)
     for layer in net.layers:
         theta_w = np.asarray(layer.theta_w, dtype=float)
         if theta_w.shape != (d,):
@@ -112,18 +124,32 @@ def write_model(net, path):
 
 
 def read_model(path):
-    """Read a U2M1 file back into an UnfoldedNetwork."""
+    """Read a U2M1 or U2M2 file back into an UnfoldedNetwork."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 24:
         raise ValueError("truncated header: file shorter than 24 bytes")
-    if raw[:4] != _MODEL_MAGIC:
-        raise ValueError(f"bad magic {raw[:4]!r}, expected {_MODEL_MAGIC!r}")
+    if raw[:4] not in _MODEL_HEADERS:
+        raise ValueError(f"bad magic {raw[:4]!r}, expected one of "
+                         f"{sorted(_MODEL_HEADERS)!r}")
+    want_version, header = _MODEL_HEADERS[raw[:4]]
+    if len(raw) < header:
+        raise ValueError(f"truncated header: file shorter than {header} bytes")
     version, k, d = struct.unpack_from("<3I", raw, 4)
-    if version != _MODEL_VERSION:
+    if version != want_version:
         raise ValueError(f"unsupported model version {version}")
     (epsilon,) = struct.unpack_from("<d", raw, 16)
-    expected = 24 + k * (1 + d) * 8
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon is {epsilon}, expected a positive finite value")
+    normalize, n_space = True, None
+    if version == 2:
+        flag, rows = struct.unpack_from("<IQ", raw, 24)
+        if flag > 1:
+            raise ValueError(f"normalize flag is {flag}, expected 0 or 1")
+        if 0 < rows < d:
+            raise ValueError(f"n_space {rows} is smaller than d={d}")
+        normalize, n_space = bool(flag), (rows or None)
+    expected = header + k * (1 + d) * 8
     if len(raw) < expected:
         raise ValueError(f"truncated payload: expected {expected} bytes, "
                          f"got {len(raw)}")
@@ -131,7 +157,7 @@ def read_model(path):
         raise ValueError(f"trailing bytes: expected {expected}, "
                          f"got {len(raw)}")
     layers = []
-    offset = 24
+    offset = header
     for _ in range(k):
         (theta_lambda,) = struct.unpack_from("<d", raw, offset)
         offset += 8
@@ -139,7 +165,8 @@ def read_model(path):
                                 offset=offset).astype(float)
         offset += 8 * d
         layers.append(LayerParams(theta_lambda, theta_w))
-    return UnfoldedNetwork(layers=layers, d=d, epsilon=epsilon)
+    return UnfoldedNetwork(layers=layers, d=d, epsilon=epsilon,
+                           normalize=normalize, n_space=n_space)
 
 
 def write_pgm(image, path, dynamic_range_db=30.0, comment=None):

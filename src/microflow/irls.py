@@ -87,7 +87,9 @@ class IrlsTrace:
         objective: objective value after each iteration's block updates,
             evaluated with that iteration's weights.
         objective_pre: objective value before the same updates with the same
-            weights; objective <= objective_pre certifies block descent.
+            weights; objective <= objective_pre certifies block descent. Its
+            fit term is carried over from the previous iteration's objective,
+            which was evaluated on the same state.
         w_c_history: diagonal of the column weight matrix used by each
             iteration's factor updates.
     """
@@ -114,6 +116,11 @@ def sparse_weights(b, epsilon):
     return (np.abs(b) ** 2 + epsilon) ** -0.5
 
 
+def _column_energy(u, v):
+    """Joint squared norm of each factor column pair, summed over both factors."""
+    return (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0)
+
+
 def lowrank_weights(u, v, epsilon, rho=1.0):
     """Column weights from the joint energy of each factor column pair.
 
@@ -128,8 +135,7 @@ def lowrank_weights(u, v, epsilon, rho=1.0):
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    energy = (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0) + epsilon
-    return energy ** (rho / 2.0 - 1.0)
+    return (_column_energy(u, v) + epsilon) ** (rho / 2.0 - 1.0)
 
 
 def update_blood(d_mat, u, v, w_b, lambda_b):
@@ -140,6 +146,12 @@ def update_blood(d_mat, u, v, w_b, lambda_b):
     """
     resid = d_mat - u @ v.conj().T
     return resid / (1.0 + 2.0 * lambda_b * w_b)
+
+
+def _factor_solve(f, rhs, w_diag):
+    """X with X (F^H F + diag(w_diag)) = rhs^H: the shared factor update."""
+    gram = f.conj().T @ f + np.diag(w_diag)
+    return hermitian_solve(gram, rhs).conj().T
 
 
 def update_coeffs(d_mat, b, u, w_c, lambda_c):
@@ -155,28 +167,62 @@ def update_coeffs(d_mat, b, u, w_c, lambda_c):
     Returns:
         Updated coefficient matrix, shape (n_frames, d).
     """
-    gram = u.conj().T @ u + np.diag(2.0 * lambda_c * np.asarray(w_c, dtype=float))
-    rhs = u.conj().T @ (d_mat - b)
-    return hermitian_solve(gram, rhs).conj().T
+    w_diag = 2.0 * lambda_c * np.asarray(w_c, dtype=float)
+    return _factor_solve(u, u.conj().T @ (d_mat - b), w_diag)
 
 
 def update_basis(d_mat, b, v, w_c, lambda_c):
     """Exact minimizer for U: solves U (V^H V + 2 lambda_c W_c) = (D-B) V."""
-    gram = v.conj().T @ v + np.diag(2.0 * lambda_c * np.asarray(w_c, dtype=float))
-    rhs = ((d_mat - b) @ v).conj().T
-    return hermitian_solve(gram, rhs).conj().T
+    w_diag = 2.0 * lambda_c * np.asarray(w_c, dtype=float)
+    return _factor_solve(v, ((d_mat - b) @ v).conj().T, w_diag)
 
 
-def convergence_metric(t_now, b_now, t_prev, b_prev):
-    """Squared relative change of the denoised estimate T + B between iterates."""
-    prev = t_prev + b_prev
-    den = np.linalg.norm(prev) ** 2
-    num = np.linalg.norm(t_now + b_now - prev) ** 2
+def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
+    """One solver iteration, which is also one unfolded network layer.
+
+    Refreshes the blood weights from the entering B, then updates B, V and U
+    in turn. The residual R = D - B is formed once and feeds both factor
+    updates.
+
+    Args:
+        d_mat: data matrix D.
+        u: basis entering the step.
+        resid: D - U V^H for the entering factors. The step overwrites it:
+            its buffer becomes the new B.
+        b_sq: |B|^2 of the entering blood matrix.
+        lambda_b: blood penalty weight.
+        w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
+            solver, the learned weight diagonal in a network layer.
+        epsilon: positive blood-weight regularizer.
+
+    Returns:
+        (u, v, b, w_b): the updated factors and blood matrix, and the blood
+        weights the step used.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    w_b = (b_sq + epsilon) ** -0.5
+    b = np.divide(resid, 1.0 + 2.0 * lambda_b * w_b, out=resid)
+    r = d_mat - b
+    v = _factor_solve(u, u.conj().T @ r, w_diag)
+    u = _factor_solve(v, (r @ v).conj().T, w_diag)
+    return u, v, b, w_b
+
+
+def _relative_change(num, den):
+    """num / den, where den is the squared norm of the previous estimate."""
     if den == 0.0:
         if num == 0.0:
             return 0.0
         raise ValueError("previous iterate is zero; relative change undefined")
     return num / den
+
+
+def convergence_metric(t_now, b_now, t_prev, b_prev):
+    """Squared relative change of the denoised estimate T + B between iterates."""
+    prev = t_prev + b_prev
+    return _relative_change(np.linalg.norm(t_now + b_now - prev) ** 2,
+                            np.linalg.norm(prev) ** 2)
 
 
 def _init_state(d_mat, d):
@@ -194,15 +240,16 @@ def _init_state(d_mat, d):
     return u0, v0
 
 
-def _objective(d_mat, u, v, b, w_b, w_c, lambda_c, lambda_b):
-    fit = 0.5 * np.linalg.norm(d_mat - u @ v.conj().T - b) ** 2
-    col = float(np.dot(w_c, (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0)))
-    spr = float((w_b * np.abs(b) ** 2).sum())
-    return fit + lambda_c * col + lambda_b * spr
-
-
 def run_irls(d_mat, cfg, verbose=False):
     """Run the alternating reweighted solver to convergence.
+
+    Each iteration is one update_step. The full-matrix quantities around it
+    are formed once and carried: T = U V^H feeds the objective's fit term,
+    the estimate S = T + B and the next blood update; |B|^2 feeds the
+    objective's penalty and the next blood weights; S and ||S||^2 feed the
+    next convergence metric. The state entering an iteration is the one the
+    previous objective was evaluated on, so objective_pre reuses that fit
+    term and only its penalty terms (with the fresh weights) are new.
 
     Args:
         d_mat: complex Casorati matrix, shape (n_space, n_frames).
@@ -228,30 +275,46 @@ def run_irls(d_mat, cfg, verbose=False):
             scale = peak
             work = d_mat / peak
 
+    def objective(fit, energy, w_c, w_b, b_sq):
+        col = float(np.dot(w_c, energy))
+        spr = float((w_b * b_sq).sum())
+        return fit + cfg.lambda_c * col + cfg.lambda_b * spr
+
     u, v = _init_state(work, cfg.d)
-    b = np.zeros_like(work)
+    s = u @ v.conj().T                  # S = T + B with B = 0
+    resid = work - s                    # D - U V^H
+    fit = 0.5 * np.linalg.norm(resid) ** 2
+    s_sq = np.linalg.norm(s) ** 2
+    b_sq = np.zeros(work.shape)
+    energy = _column_energy(u, v)
     w_c = lowrank_weights(u, v, cfg.epsilon, cfg.rho)
-    prev_t, prev_b = u @ v.conj().T, b
 
     conv, obj, obj_pre, wc_hist = [], [], [], []
     iterations = 0
     for k in range(1, cfg.max_iter + 1):
-        w_b = sparse_weights(b, cfg.epsilon)
-        obj_pre.append(_objective(work, u, v, b, w_b, w_c, cfg.lambda_c, cfg.lambda_b))
         wc_hist.append(w_c.copy())
+        b = None  # the entering B lives on only as |B|^2 and S
+        u, v, b, w_b = update_step(work, u, resid, b_sq, cfg.lambda_b,
+                                   2.0 * cfg.lambda_c * w_c, cfg.epsilon)
+        obj_pre.append(objective(fit, energy, w_c, w_b, b_sq))
 
-        b = update_blood(work, u, v, w_b, cfg.lambda_b)
-        v = update_coeffs(work, b, u, w_c, cfg.lambda_c)
-        u = update_basis(work, b, v, w_c, cfg.lambda_c)
-
-        obj.append(_objective(work, u, v, b, w_b, w_c, cfg.lambda_c, cfg.lambda_b))
+        # T's buffer becomes the new S and the old S's buffer its change,
+        # so neither needs a full matrix of its own
+        t = u @ v.conj().T
+        resid = work - t
+        s_now = np.add(t, b, out=t)
+        change = np.linalg.norm(np.subtract(s_now, s, out=s)) ** 2
+        s = s_now
+        fit = 0.5 * np.linalg.norm(resid - b) ** 2
+        energy = _column_energy(u, v)
+        b_sq = np.abs(b) ** 2
+        obj.append(objective(fit, energy, w_c, w_b, b_sq))
         if not (np.isfinite(obj[-1]) and np.all(np.isfinite(b))):
             raise SolverError(f"non-finite iterate at iteration {k}")
 
-        t = u @ v.conj().T
-        metric = convergence_metric(t, b, prev_t, prev_b)
+        metric = _relative_change(change, s_sq)
+        s_sq = np.linalg.norm(s) ** 2
         conv.append(metric)
-        prev_t, prev_b = t, b
         w_c = lowrank_weights(u, v, cfg.epsilon, cfg.rho)
 
         iterations = k

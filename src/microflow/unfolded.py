@@ -2,10 +2,10 @@
 
 Each solver iteration becomes one network layer with two learnable pieces:
 the blood penalty scalar and the diagonal column-weight matrix of the factor
-updates (the column penalty weight is absorbed into the latter). Layers run
-the same update chain as the baseline solver, so with parameters frozen to a
-recorded baseline run the network reproduces it exactly. Training minimizes
-the layer-averaged data-consistency loss
+updates (the column penalty weight is absorbed into the latter). Each layer
+calls the baseline solver's update step (irls.update_step), so with
+parameters frozen to a recorded baseline run the network reproduces it
+exactly. Training minimizes the layer-averaged data-consistency loss
 
     (1/K) * sum_k ||D - B_k - U_k V_k^H||_F^2
 
@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import expit
 
 from . import irls
-from .casorati import hermitian_solve
 from .irls import Decomposition
 
 
@@ -83,8 +82,6 @@ class UnfoldedNetwork:
         layers: LayerParams per layer.
         d: inner dimension of the factorization.
         epsilon: regularizer for the elementwise blood weights.
-        seu: optional hook mapping each layer's blood matrix to the version
-            fed into the factor updates; None means identity.
         normalize: scale inputs by 1/max|D| inside forward passes and scale
             outputs back (mirrors the baseline solver's setting).
         n_space: row count the network was initialized with, when known;
@@ -94,7 +91,6 @@ class UnfoldedNetwork:
     layers: list
     d: int
     epsilon: float
-    seu: object = None
     normalize: bool = True
     n_space: int | None = None
 
@@ -191,31 +187,23 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
                            normalize=cfg.normalize, n_space=d_mat.shape[0])
 
 
-def layer_forward(state, params, d_mat, epsilon=1e-8, seu=None):
-    """One layer: refresh blood weights, update B, then V, then U.
+def layer_forward(state, params, d_mat, epsilon=1e-8):
+    """One layer: the solver's update step with this layer's parameters.
 
     Args:
         state: (u, v, b) triple entering the layer.
-        params: LayerParams.
+        params: LayerParams; lambda_b is the blood penalty and w_c the
+            diagonal added to both Gram matrices.
         d_mat: data matrix (same scaling as the state).
         epsilon: blood-weight regularizer.
-        seu: optional hook applied to the fresh blood matrix before the
-            factor updates.
 
     Returns:
         (u, v, b) leaving the layer.
     """
     u, v, b = state
-    w_b = irls.sparse_weights(b, epsilon)
-    b_new = irls.update_blood(d_mat, u, v, w_b, params.lambda_b)
-    z = b_new if seu is None else seu(b_new)
-    r = d_mat - z
-    w_c = params.w_c
-    gram_v = u.conj().T @ u + np.diag(w_c)
-    v_new = hermitian_solve(gram_v, u.conj().T @ r).conj().T
-    gram_u = v_new.conj().T @ v_new + np.diag(w_c)
-    u_new = hermitian_solve(gram_u, (r @ v_new).conj().T).conj().T
-    return u_new, v_new, b_new
+    u, v, b, _ = irls.update_step(d_mat, u, d_mat - u @ v.conj().T, np.abs(b) ** 2,
+                                  params.lambda_b, params.w_c, epsilon)
+    return u, v, b
 
 
 def _normalized(net, d_mat):
@@ -243,8 +231,7 @@ def _forward_internal(net, work, init_state=None):
     b = np.zeros_like(work)
     states = []
     for params in net.layers:
-        u_new, v_new, b_new = layer_forward((u, v, b), params, work,
-                                            epsilon=net.epsilon, seu=net.seu)
+        u_new, v_new, b_new = layer_forward((u, v, b), params, work, epsilon=net.epsilon)
         states.append((u, v, b, u_new, v_new, b_new))
         u, v, b = u_new, v_new, b_new
     return states
@@ -255,8 +242,7 @@ def _stream_forward(net, work):
     u, v = irls._init_state(work, net.d)
     b = np.zeros_like(work)
     for params in net.layers:
-        u, v, b = layer_forward((u, v, b), params, work,
-                                epsilon=net.epsilon, seu=net.seu)
+        u, v, b = layer_forward((u, v, b), params, work, epsilon=net.epsilon)
         yield u, v, b
 
 
@@ -323,7 +309,7 @@ def _with_parameters(net, theta):
     for k in range(len(net.layers)):
         chunk = theta[k * stride:(k + 1) * stride]
         layers.append(LayerParams(float(chunk[0]), np.array(chunk[1:], dtype=float)))
-    return UnfoldedNetwork(layers=layers, d=net.d, epsilon=net.epsilon, seu=net.seu,
+    return UnfoldedNetwork(layers=layers, d=net.d, epsilon=net.epsilon,
                            normalize=net.normalize, n_space=net.n_space)
 
 

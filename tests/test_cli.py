@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from microflow import cli, config, formats, pipeline
+from microflow import cli, config, formats, pipeline, unfolded
 from microflow.casorati import FrameSequence, to_casorati
 
 
@@ -303,6 +303,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 5
         assert "rank deficient" in err and err.count("\n") == 1
+
+    def test_malformed_u2m2_model_is_input_exit_code(self, tmp_path, capsys):
+        path, seq = tiny_dataset(tmp_path)
+        irls_cfg = config.irls_config({"irls": {"d": 2, "normalize": False}})
+        net = unfolded.init_network(to_casorati(seq), k=2, d=2,
+                                    lambda_b_init=1.0, cfg=irls_cfg)
+        model = tmp_path / "net.u2m"
+        formats.write_model(net, model)
+        raw = bytearray(model.read_bytes())
+        assert raw[:4] == b"U2M2"
+        raw[24] = 9  # normalize flag must be 0 or 1
+        model.write_bytes(bytes(raw))
+        rc = cli.main(["infer", "--model", str(model), "--input", str(path),
+                       "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "normalize flag" in err and err.count("\n") == 1
 
     def test_non_finite_voxel_is_input_exit_code(self, tmp_path, capsys):
         path, seq = tiny_dataset(tmp_path)

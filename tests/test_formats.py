@@ -1,4 +1,4 @@
-"""File formats: dataset (UMI1), model (U2M1), PGM and CSV renders.
+"""File formats: dataset (UMI1), model (U2M1, U2M2), PGM and CSV renders.
 
 Golden files are assembled by hand with struct/tobytes and additionally
 pinned as frozen hex strings, so a silent change in endianness, field
@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from microflow import formats, unfolded
+from microflow import formats, irls, unfolded
 from microflow.casorati import FrameSequence
 
 GOLDEN_UMI1_HEX = (
@@ -165,6 +165,66 @@ class TestModel:
         path = tmp_path / "short.u2m"
         path.write_bytes(bytes.fromhex(GOLDEN_U2M1_HEX)[:-4])
         with pytest.raises(ValueError, match="truncat"):
+            formats.read_model(path)
+
+    def initialized_net(self, normalize):
+        rng = np.random.default_rng(5)
+        d_mat = rng.standard_normal((30, 12)) + 1j * rng.standard_normal((30, 12))
+        cfg = irls.IrlsConfig(d=2, lambda_c=0.05, lambda_b=0.5, normalize=normalize)
+        net = unfolded.init_network(d_mat, k=2, d=2, lambda_b_init=0.5, cfg=cfg)
+        return net, 3.0 * d_mat
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_u2m2_round_trip_keeps_inference(self, tmp_path, normalize):
+        net, d_mat = self.initialized_net(normalize)
+        path = tmp_path / "net.u2m"
+        formats.write_model(net, path)
+        raw = path.read_bytes()
+        assert raw[:4] == b"U2M2"
+        assert struct.unpack_from("<3I", raw, 4) == (2, 2, 2)
+        assert struct.unpack_from("<IQ", raw, 24) == (int(normalize), 30)
+        back = formats.read_model(path)
+        assert (back.normalize, back.n_space) == (normalize, 30)
+        np.testing.assert_array_equal(unfolded.pack_parameters(back),
+                                      unfolded.pack_parameters(net))
+        want, got = unfolded.infer(net, d_mat), unfolded.infer(back, d_mat)
+        assert np.array_equal(got.blood_b, want.blood_b)
+        assert np.array_equal(got.basis_u, want.basis_u)
+        assert np.array_equal(got.coeffs_v, want.coeffs_v)
+        with pytest.raises(ValueError, match="rows"):
+            unfolded.infer(back, d_mat[:29])
+        rewritten = tmp_path / "again.u2m"
+        formats.write_model(back, rewritten)
+        assert rewritten.read_bytes() == raw
+
+    def test_u2m2_without_rows_reads_back_none(self, tmp_path):
+        net, _ = self.initialized_net(normalize=False)
+        net.n_space = None
+        path = tmp_path / "net.u2m"
+        formats.write_model(net, path)
+        back = formats.read_model(path)
+        assert back.n_space is None and back.normalize is False
+
+    @pytest.mark.parametrize("offset, fmt, value, match", [
+        (24, "<I", 2, "normalize flag"), (28, "<Q", 1, "smaller than d"),
+        (4, "<I", 7, "version"), (16, "<d", 0.0, "epsilon"),
+        (16, "<d", float("nan"), "epsilon")])
+    def test_u2m2_malformed_header(self, tmp_path, offset, fmt, value, match):
+        net, _ = self.initialized_net(normalize=False)
+        path = tmp_path / "net.u2m"
+        formats.write_model(net, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=match):
+            formats.read_model(path)
+
+    def test_u2m2_truncated_header(self, tmp_path):
+        net, _ = self.initialized_net(normalize=False)
+        path = tmp_path / "net.u2m"
+        formats.write_model(net, path)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(ValueError, match="truncated header"):
             formats.read_model(path)
 
 

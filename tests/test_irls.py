@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from microflow import irls
+from microflow import irls, unfolded
 from microflow.casorati import SolverError
 
 
@@ -261,3 +263,103 @@ class TestRunIrls:
             irls.IrlsConfig(d=2, lambda_c=0.1, lambda_b=0.1, tol=-1.0)
         with pytest.raises(ValueError):
             irls.run_irls(np.ones((3, 2), dtype=complex), make_config(d=3))
+
+
+def reference_irls(d_mat, cfg):
+    """The solver loop as written before the fused step, from the public helpers.
+
+    Every iteration recomputes U V^H, D - B and |B|^2 where it needs them;
+    run_irls must return the same bits.
+    """
+    def objective(u, v, b, w_b, w_c):
+        fit = 0.5 * np.linalg.norm(d_work - u @ v.conj().T - b) ** 2
+        col = float(np.dot(w_c, (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0)))
+        spr = float((w_b * np.abs(b) ** 2).sum())
+        return fit + cfg.lambda_c * col + cfg.lambda_b * spr
+
+    d_mat = np.asarray(d_mat, dtype=np.complex128)
+    scale, d_work = 1.0, d_mat
+    if cfg.normalize and np.abs(d_mat).max() > 0.0:
+        scale = float(np.abs(d_mat).max())
+        d_work = d_mat / scale
+    u, v = irls._init_state(d_work, cfg.d)
+    b = np.zeros_like(d_work)
+    w_c = irls.lowrank_weights(u, v, cfg.epsilon, cfg.rho)
+    prev_t, prev_b = u @ v.conj().T, b
+    conv, obj, obj_pre, wc_hist = [], [], [], []
+    for k in range(1, cfg.max_iter + 1):
+        w_b = irls.sparse_weights(b, cfg.epsilon)
+        obj_pre.append(objective(u, v, b, w_b, w_c))
+        wc_hist.append(w_c.copy())
+        b = irls.update_blood(d_work, u, v, w_b, cfg.lambda_b)
+        v = irls.update_coeffs(d_work, b, u, w_c, cfg.lambda_c)
+        u = irls.update_basis(d_work, b, v, w_c, cfg.lambda_c)
+        obj.append(objective(u, v, b, w_b, w_c))
+        t = u @ v.conj().T
+        conv.append(irls.convergence_metric(t, b, prev_t, prev_b))
+        prev_t, prev_b = t, b
+        w_c = irls.lowrank_weights(u, v, cfg.epsilon, cfg.rho)
+        if conv[-1] < cfg.tol:
+            break
+    dec = irls.Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)
+    return dec, irls.IrlsTrace(iterations=k, convergence=np.asarray(conv),
+                               objective=np.asarray(obj),
+                               objective_pre=np.asarray(obj_pre), w_c_history=wc_hist)
+
+
+def equivalence_cases():
+    from test_acceptance import recovery_instance
+    criterion_1 = irls.IrlsConfig(d=6, lambda_c=1.0, lambda_b=0.005)
+    cases = [pytest.param(recovery_instance(seed)[1], criterion_1, id=f"criterion1-seed{seed}")
+             for seed in range(10)]
+    t, b0 = lowrank_sparse_instance(seed=103, ns=2000, nt=40)
+    cases.append(pytest.param(t + b0, irls.IrlsConfig(d=4, lambda_c=0.5, lambda_b=0.02,
+                                                      max_iter=30), id="tall-2000x40"))
+    t, b0 = lowrank_sparse_instance(seed=104, ns=300, nt=40, rank=4)
+    cases.append(pytest.param(t + b0, irls.IrlsConfig(d=5, lambda_c=0.3, lambda_b=0.01, rho=0.5,
+                                                      normalize=False, max_iter=40),
+                              id="rho0.5-unnormalized"))
+    return cases
+
+
+class TestFusedStepEquivalence:
+    @pytest.mark.parametrize("d_mat, cfg", equivalence_cases())
+    def test_run_irls_matches_reference_loop(self, d_mat, cfg):
+        want_dec, want = reference_irls(d_mat, cfg)
+        got_dec, got = irls.run_irls(d_mat, cfg)
+        assert got.iterations == want.iterations
+        for field in ("basis_u", "coeffs_v", "blood_b"):
+            assert np.array_equal(getattr(got_dec, field), getattr(want_dec, field)), field
+        for field in ("convergence", "objective", "objective_pre"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert len(got.w_c_history) == len(want.w_c_history)
+        assert all(np.array_equal(a, b) for a, b in zip(got.w_c_history, want.w_c_history))
+
+    def test_solver_iterations_equal_layers(self):
+        t, b0 = lowrank_sparse_instance(seed=105, ns=90, nt=30)
+        d_mat = t + b0
+        cfg = make_config(d=4, lambda_c=0.2, lambda_b=0.03, max_iter=3, tol=1e-300,
+                          normalize=False)
+        dec, trace = irls.run_irls(d_mat, cfg)
+        u, v = irls._init_state(d_mat, cfg.d)
+        b = np.zeros_like(d_mat)
+        for w_c in trace.w_c_history:
+            params = SimpleNamespace(lambda_b=cfg.lambda_b, w_c=2.0 * cfg.lambda_c * w_c)
+            u, v, b = unfolded.layer_forward((u, v, b), params, d_mat, epsilon=cfg.epsilon)
+        assert np.array_equal(u, dec.basis_u)
+        assert np.array_equal(v, dec.coeffs_v)
+        assert np.array_equal(b, dec.blood_b)
+
+    def test_step_leaves_blood_in_the_residual_buffer(self):
+        r = np.random.default_rng(19)
+        d_mat = crandn(r, (20, 8))
+        u, v = irls._init_state(d_mat, 2)
+        resid = d_mat - u @ v.conj().T
+        want = irls.update_blood(d_mat, u, v, irls.sparse_weights(np.zeros_like(d_mat), 1e-8), 0.1)
+        _, _, b, w_b = irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1,
+                                        np.ones(2), 1e-8)
+        assert b is resid
+        assert np.array_equal(b, want)
+        assert np.array_equal(w_b, np.full(d_mat.shape, 1e-8 ** -0.5))
+        with pytest.raises(ValueError):
+            irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1, np.ones(2), 0.0)

@@ -282,7 +282,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_loss_aborts_with_history(self):
         net, d_mat = tiny_net_and_data(seed=20, ns=16, nt=40)
-        net.seu = lambda b: b * np.inf
+        net.layers[0].theta_lambda = np.nan
         cfg = unfolded.TrainConfig(learning_rate=0.01, batch_frames=20, max_epochs=3,
                                    patience=3, seed=0, grad_mode="analytic")
         with pytest.raises(RuntimeError) as excinfo:
