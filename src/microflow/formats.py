@@ -138,6 +138,8 @@ def read_model(path):
     version, k, d = struct.unpack_from("<3I", raw, 4)
     if version != want_version:
         raise ValueError(f"unsupported model version {version}")
+    if k < 1 or d < 1:
+        raise ValueError(f"layer count {k} and d={d} must both be at least 1")
     (epsilon,) = struct.unpack_from("<d", raw, 16)
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon is {epsilon}, expected a positive finite value")

@@ -225,6 +225,31 @@ def convergence_metric(t_now, b_now, t_prev, b_prev):
                             np.linalg.norm(prev) ** 2)
 
 
+def prepare_input(d_mat, d, normalize):
+    """Check a Casorati matrix and scale it for a solve with inner dimension d.
+
+    Args:
+        d_mat: data matrix, shape (n_space, n_frames); converted to complex128.
+        d: inner dimension, which must lie in [1, min(shape)].
+        normalize: divide by the peak magnitude max|D|; a zero matrix is left
+            as it is.
+
+    Returns:
+        (work, scale) with work = D / scale; scale is 1.0 when nothing was
+        divided out.
+    """
+    d_mat = np.asarray(d_mat, dtype=np.complex128)
+    if d_mat.ndim != 2:
+        raise ValueError("expected a 2-d Casorati matrix")
+    if not 1 <= d <= min(d_mat.shape):
+        raise ValueError(f"d={d} outside [1, {min(d_mat.shape)}] for shape {d_mat.shape}")
+    if normalize:
+        peak = float(np.abs(d_mat).max())
+        if peak > 0.0:
+            return d_mat / peak, peak
+    return d_mat, 1.0
+
+
 def _init_state(d_mat, d):
     """Factor initialization: U0 spans the leading frames, V0 = D^H U0.
 
@@ -260,20 +285,7 @@ def run_irls(d_mat, cfg, verbose=False):
         (Decomposition, IrlsTrace) pair. Stops when the relative-change
         metric falls below cfg.tol or after cfg.max_iter iterations.
     """
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
-    if d_mat.ndim != 2:
-        raise ValueError("expected a 2-d Casorati matrix")
-    ns, nt = d_mat.shape
-    if not 1 <= cfg.d <= min(ns, nt):
-        raise ValueError(f"d={cfg.d} outside [1, {min(ns, nt)}] for shape {d_mat.shape}")
-
-    scale = 1.0
-    work = d_mat
-    if cfg.normalize:
-        peak = float(np.abs(d_mat).max())
-        if peak > 0.0:
-            scale = peak
-            work = d_mat / peak
+    work, scale = prepare_input(d_mat, cfg.d, cfg.normalize)
 
     def objective(fit, energy, w_c, w_b, b_sq):
         col = float(np.dot(w_c, energy))

@@ -102,6 +102,8 @@ class PhantomScene:
             parabolic profile v(r) = v_max (1 - (r/R)^2), re-entering at
             the inlet on exit, and ride the same strain field.
         """
+        if t < 0:
+            raise ValueError("time must be nonnegative")
         eps = self.strain_at(t)
         stretch = np.array([1.0 + 0.5 * eps, 1.0 - eps])
         tissue = self.tissue_pos * stretch
@@ -116,13 +118,6 @@ class PhantomScene:
         base = self.edge_start[idx] + s[:, None] * dirs \
             + self.flow_r[:, None] * normal
         return tissue, base * stretch
-
-
-def advance_scene(scene, t):
-    """Scatterer positions of the scene at time t seconds (tissue, flow)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return scene.positions_at(t)
 
 
 def _sample_in_ellipse(rng, semi_x, semi_z, count):

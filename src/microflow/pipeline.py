@@ -208,15 +208,10 @@ def _filter(d_mat, cfg, outdir, verbose=False):
     try:
         if method == "svd":
             svd_cfg = cfg.get("svd", {})
-            low = svd_cfg.get("low_cut")
-            if low is None:
-                spectrum = np.linalg.svd(d_mat, compute_uv=False)
-                low = svdfilt.estimate_low_cut(
-                    spectrum, svd_cfg.get("fraction", 0.01))
-            cut = svdfilt.SvdCutoffs(low_cut=int(low),
-                                     high_cut=svd_cfg.get("high_cut"))
-            blood = svdfilt.svd_clutter_filter(d_mat, cut)
-            extra_report["svd_low_cut"] = int(low)
+            blood, low = svdfilt.band_filter(
+                d_mat, svd_cfg.get("low_cut"), svd_cfg.get("high_cut"),
+                svd_cfg.get("fraction", 0.01))
+            extra_report["svd_low_cut"] = low
         elif method == "irls":
             decomp, trace = run_irls(d_mat, config_mod.irls_config(cfg),
                                      verbose=verbose)

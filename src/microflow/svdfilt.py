@@ -17,14 +17,25 @@ class SvdCutoffs:
 
 def svd_clutter_filter(d_mat, cut):
     """Reconstruct d_mat from singular components low_cut+1 .. high_cut (1-indexed)."""
-    d_mat = np.asarray(d_mat)
-    rank = min(d_mat.shape)
-    hi = rank if cut.high_cut is None else cut.high_cut
-    if not 0 <= cut.low_cut < hi <= rank:
-        raise ValueError(f"cutoff band ({cut.low_cut}, {hi}] invalid for rank {rank}")
+    return band_filter(d_mat, cut.low_cut, cut.high_cut)[0]
+
+
+def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
+    """svd_clutter_filter from one SVD, which also picks low_cut when it is None.
+
+    A missing low_cut is estimate_low_cut(s, fraction) of that SVD's spectrum
+    s, so the data is factorized once. Integral float cutoffs are accepted.
+
+    Returns:
+        (blood, low_cut): the band reconstruction and the low cut it used.
+    """
     u, s, v = svd(d_mat)
-    band = slice(cut.low_cut, hi)
-    return (u[:, band] * s[band]) @ v[:, band].conj().T
+    low_cut = estimate_low_cut(s, fraction) if low_cut is None else int(low_cut)
+    hi = s.size if high_cut is None else int(high_cut)
+    if not 0 <= low_cut < hi <= s.size:
+        raise ValueError(f"cutoff band ({low_cut}, {hi}] invalid for rank {s.size}")
+    band = slice(low_cut, hi)
+    return (u[:, band] * s[band]) @ v[:, band].conj().T, low_cut
 
 
 def estimate_low_cut(singular_values, fraction=0.01):

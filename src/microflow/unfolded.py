@@ -18,7 +18,6 @@ through softplus; the unconstrained values are what the optimizer sees and
 what the model file stores.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,14 +99,12 @@ class ForwardTrace:
     """Per-layer outputs of a forward pass, in input units.
 
     residual[k] is the data-consistency norm ||D - B_k - U_k V_k^H||_F.
-    scale is the normalization factor that was divided out internally.
     """
 
     basis: list
     coeffs: list
     blood: list
     residual: list
-    scale: float
 
 
 @dataclass
@@ -166,25 +163,16 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     Returns:
         UnfoldedNetwork.
     """
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
-    if d_mat.ndim != 2:
-        raise ValueError("expected a 2-d Casorati matrix")
+    work, _ = irls.prepare_input(d_mat, d, cfg.normalize)
     if k < 1:
         raise ValueError("need at least one layer")
-    if not 1 <= d <= min(d_mat.shape):
-        raise ValueError(f"d={d} outside [1, {min(d_mat.shape)}]")
     if lambda_b_init < 0:
         raise ValueError("lambda_b_init must be nonnegative")
-    work = d_mat
-    if cfg.normalize:
-        peak = float(np.abs(d_mat).max())
-        if peak > 0:
-            work = d_mat / peak
     u0, v0 = irls._init_state(work, d)
     w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(u0, v0, cfg.epsilon, cfg.rho)
     layers = [LayerParams.from_values(lambda_b_init, w_init) for _ in range(k)]
     return UnfoldedNetwork(layers=layers, d=d, epsilon=cfg.epsilon,
-                           normalize=cfg.normalize, n_space=d_mat.shape[0])
+                           normalize=cfg.normalize, n_space=work.shape[0])
 
 
 def layer_forward(state, params, d_mat, epsilon=1e-8):
@@ -206,53 +194,18 @@ def layer_forward(state, params, d_mat, epsilon=1e-8):
     return u, v, b
 
 
-def _normalized(net, d_mat):
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
-    if d_mat.ndim != 2:
-        raise ValueError("expected a 2-d Casorati matrix")
-    if not 1 <= net.d <= min(d_mat.shape):
-        raise ValueError(f"network d={net.d} does not fit data shape {d_mat.shape}")
-    scale = 1.0
-    work = d_mat
-    if net.normalize:
-        peak = float(np.abs(d_mat).max())
-        if peak > 0:
-            scale = peak
-            work = d_mat / peak
-    return work, scale
-
-
-def _forward_internal(net, work, init_state=None):
-    """All layer states in the normalized domain: list of (u_in, v_in, b_in, u, v, b)."""
-    if init_state is None:
-        u, v = irls._init_state(work, net.d)
-    else:
-        u, v = init_state
-    b = np.zeros_like(work)
-    states = []
-    for params in net.layers:
-        u_new, v_new, b_new = layer_forward((u, v, b), params, work, epsilon=net.epsilon)
-        states.append((u, v, b, u_new, v_new, b_new))
-        u, v, b = u_new, v_new, b_new
-    return states
-
-
-def _stream_forward(net, work):
-    """Yield per-layer normalized (u, v, b), holding only the current state."""
-    u, v = irls._init_state(work, net.d)
+def _layers(net, work, init_state=None):
+    """Yield each layer's (u, v, b) in the normalized domain, holding only the current state."""
+    u, v = irls._init_state(work, net.d) if init_state is None else init_state
     b = np.zeros_like(work)
     for params in net.layers:
         u, v, b = layer_forward((u, v, b), params, work, epsilon=net.epsilon)
         yield u, v, b
 
 
-def _mean_data_loss(net, d_mat):
-    """Layer-averaged data-consistency loss without retaining the trace."""
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
-    work, scale = _normalized(net, d_mat)
-    vals = [np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T) ** 2
-            for u, v, b in _stream_forward(net, work)]
-    return float(np.mean(vals))
+def _misfit(d_mat, u, v, b):
+    """Data-consistency norm ||D - B - U V^H||_F of one layer's output."""
+    return np.linalg.norm(d_mat - b - u @ v.conj().T)
 
 
 def network_forward(net, d_mat, init_state=None):
@@ -268,23 +221,30 @@ def network_forward(net, d_mat, init_state=None):
         ForwardTrace with per-layer outputs rescaled to input units.
     """
     d_mat = np.asarray(d_mat, dtype=np.complex128)
-    work, scale = _normalized(net, d_mat)
-    states = _forward_internal(net, work, init_state)
-    basis = [s[3] for s in states]
-    coeffs = [s[4] * scale for s in states]
-    blood = [s[5] * scale for s in states]
-    residual = [float(np.linalg.norm(d_mat - b - u @ v.conj().T))
-                for u, v, b in zip(basis, coeffs, blood)]
-    return ForwardTrace(basis=basis, coeffs=coeffs, blood=blood,
-                        residual=residual, scale=scale)
+    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
+    trace = ForwardTrace(basis=[], coeffs=[], blood=[], residual=[])
+    for u, v, b in _layers(net, work, init_state):
+        v, b = v * scale, b * scale
+        trace.basis.append(u)
+        trace.coeffs.append(v)
+        trace.blood.append(b)
+        trace.residual.append(float(_misfit(d_mat, u, v, b)))
+    return trace
 
 
 def loss(trace, d_mat):
     """Layer-averaged squared data-consistency error of a forward trace."""
     d_mat = np.asarray(d_mat)
-    vals = [np.linalg.norm(d_mat - b - u @ v.conj().T) ** 2
-            for u, v, b in zip(trace.basis, trace.coeffs, trace.blood)]
-    return float(np.mean(vals))
+    return float(np.mean([_misfit(d_mat, u, v, b) ** 2
+                          for u, v, b in zip(trace.basis, trace.coeffs, trace.blood)]))
+
+
+def _mean_data_loss(net, d_mat, init_state=None):
+    """loss(network_forward(net, d_mat, init_state), d_mat) without retaining the trace."""
+    d_mat = np.asarray(d_mat, dtype=np.complex128)
+    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
+    return float(np.mean([_misfit(d_mat, u, v * scale, b * scale) ** 2
+                          for u, v, b in _layers(net, work, init_state)]))
 
 
 def pack_parameters(net):
@@ -319,10 +279,11 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     The pass runs in the normalized domain; since the loss is quadratic in
     the data scale, the gradient (and loss) are multiplied by scale**2.
     """
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
-    work, scale = _normalized(net, d_mat)
-    states = _forward_internal(net, work, init_state)
-    n_layers = len(states)
+    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
+    u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
+    # entry k holds layer k's input, entry k + 1 its output
+    states = [(u0, v0, 0.0)] + list(_layers(net, work, (u0, v0)))
+    n_layers = len(net.layers)
     c = 1.0 / n_layers
 
     loss_norm = 0.0
@@ -332,8 +293,9 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     g_b_next = None
     stride = 1 + net.d
     for k in range(n_layers - 1, -1, -1):
-        u_in, v_in, b_in, u, v, b = states[k]
-        states[k] = None
+        u_in, v_in, b_in = states[k]
+        u, v, b = states[k + 1]
+        states[k + 1] = None
         params = net.layers[k]
         lam = params.lambda_b
         w_b = irls.sparse_weights(b_in, net.epsilon)
@@ -405,9 +367,9 @@ def parameter_gradient(net, d_mat, cfg, init_state=None, fd_step=None):
         h = base * (1.0 + abs(theta0[i]))
         probe = theta0.copy()
         probe[i] = theta0[i] + h
-        lp = loss(network_forward(_with_parameters(net, probe), d_mat, init_state), d_mat)
+        lp = _mean_data_loss(_with_parameters(net, probe), d_mat, init_state)
         probe[i] = theta0[i] - h
-        lm = loss(network_forward(_with_parameters(net, probe), d_mat, init_state), d_mat)
+        lm = _mean_data_loss(_with_parameters(net, probe), d_mat, init_state)
         if not (np.isfinite(lp) and np.isfinite(lm)):
             raise RuntimeError(f"non-finite loss while perturbing parameter {i}")
         grad[i] = (lp - lm) / (2.0 * h)
@@ -418,8 +380,7 @@ def _batch_loss_grad(net, theta, batch, cfg):
     cand = _with_parameters(net, theta)
     if cfg.grad_mode == "analytic":
         return _analytic_loss_grad(cand, batch)
-    val = loss(network_forward(cand, batch), batch)
-    return val, parameter_gradient(cand, batch, cfg)
+    return _mean_data_loss(cand, batch), parameter_gradient(cand, batch, cfg)
 
 
 def train(net, train_data, val_data, cfg, verbose=False):
@@ -441,9 +402,7 @@ def train(net, train_data, val_data, cfg, verbose=False):
         RuntimeError: when any loss turns non-finite; the partial history is
             attached to the exception as .history.
     """
-    data = np.asarray(train_data, dtype=np.complex128)
-    if data.ndim != 2:
-        raise ValueError("expected a 2-d training matrix")
+    data, _ = irls.prepare_input(train_data, net.d, normalize=False)
     if val_data is None:
         n_val = max(1, int(round(0.2 * data.shape[1])))
         if data.shape[1] - n_val < 1:
@@ -523,11 +482,9 @@ def train(net, train_data, val_data, cfg, verbose=False):
 
 def infer(net, d_mat_new):
     """Frozen-parameter forward pass; returns the final-layer decomposition."""
-    d_mat_new = np.asarray(d_mat_new, dtype=np.complex128)
-    if net.n_space is not None and d_mat_new.shape[0] != net.n_space:
-        raise ValueError(
-            f"input has {d_mat_new.shape[0]} rows, network expects {net.n_space}")
-    work, scale = _normalized(net, d_mat_new)
-    for u, v, b in _stream_forward(net, work):
+    work, scale = irls.prepare_input(d_mat_new, net.d, net.normalize)
+    if net.n_space is not None and work.shape[0] != net.n_space:
+        raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
+    for u, v, b in _layers(net, work):
         pass
     return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)

@@ -1,11 +1,12 @@
 """Pipeline orchestration and the command line front end."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from microflow import cli, config, formats, pipeline, unfolded
+from microflow import cli, config, formats, pipeline, svdfilt, unfolded
 from microflow.casorati import FrameSequence, to_casorati
 
 
@@ -40,6 +41,31 @@ class TestRunPipeline:
         d = to_casorati(seq)
         rel = np.linalg.norm(result.blood - d) / np.linalg.norm(d)
         assert rel <= 1e-10
+
+    def test_auto_low_cut_from_the_filter_factorization(self, tmp_path):
+        rng = np.random.default_rng(3)
+        tissue = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 16))
+        voxels = (50.0 * tissue + rng.standard_normal((30, 16))
+                  + 1j * rng.standard_normal((30, 16))).reshape(6, 5, 16, order="F")
+        path = tmp_path / "in.umi"
+        formats.write_dataset(FrameSequence(voxels=voxels, frame_rate=1000.0,
+                                            center_freq=7.5e6, prf=5000.0), path)
+        d_mat = to_casorati(formats.read_dataset(path))
+        cfg = {"method": "svd", "input": str(path), "output": str(tmp_path / "out")}
+        result = pipeline.run_pipeline(cfg)
+        low = svdfilt.estimate_low_cut(np.linalg.svd(d_mat, compute_uv=False))
+        assert result.report["svd_low_cut"] == low == 3
+        want = svdfilt.svd_clutter_filter(d_mat, svdfilt.SvdCutoffs(low))
+        assert np.linalg.norm(result.blood - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_integral_float_cutoffs_accepted(self, tmp_path):
+        path, seq = tiny_dataset(tmp_path)
+        cfg = {"method": "svd", "svd": {"low_cut": 1.0, "high_cut": 5.0},
+               "input": str(path), "output": str(tmp_path / "out")}
+        result = pipeline.run_pipeline(cfg)
+        want = svdfilt.svd_clutter_filter(to_casorati(seq), svdfilt.SvdCutoffs(1, 5))
+        assert np.array_equal(result.blood, want)
+        assert result.report["svd_low_cut"] == 1
 
     def test_report_contents_without_truth(self, tmp_path):
         path, _ = tiny_dataset(tmp_path)
@@ -320,6 +346,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 3
         assert "normalize flag" in err and err.count("\n") == 1
+
+    def test_zero_layer_model_is_input_exit_code(self, tmp_path, capsys):
+        path, _ = tiny_dataset(tmp_path)
+        model = tmp_path / "net.u2m"
+        model.write_bytes(b"U2M1" + struct.pack("<3Id", 1, 0, 2, 1e-8))
+        rc = cli.main(["infer", "--model", str(model), "--input", str(path),
+                       "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "layer count 0" in err and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_non_finite_voxel_is_input_exit_code(self, tmp_path, capsys):
         path, seq = tiny_dataset(tmp_path)

@@ -208,7 +208,8 @@ class TestModel:
     @pytest.mark.parametrize("offset, fmt, value, match", [
         (24, "<I", 2, "normalize flag"), (28, "<Q", 1, "smaller than d"),
         (4, "<I", 7, "version"), (16, "<d", 0.0, "epsilon"),
-        (16, "<d", float("nan"), "epsilon")])
+        (16, "<d", float("nan"), "epsilon"), (8, "<I", 0, "layer count"),
+        (12, "<I", 0, "at least 1")])
     def test_u2m2_malformed_header(self, tmp_path, offset, fmt, value, match):
         net, _ = self.initialized_net(normalize=False)
         path = tmp_path / "net.u2m"

@@ -117,24 +117,28 @@ class TestBuildPhantom:
 class TestAdvanceScene:
     def test_time_zero_is_initial(self):
         sc = mini_scene()
-        tissue0, flow0 = scene.advance_scene(sc, 0.0)
-        tissue1, flow1 = scene.advance_scene(sc, 0.0)
+        tissue0, flow0 = sc.positions_at(0.0)
+        tissue1, flow1 = sc.positions_at(0.0)
         np.testing.assert_array_equal(tissue0, tissue1)
         np.testing.assert_array_equal(flow0, flow1)
         np.testing.assert_array_equal(tissue0, sc.tissue_pos)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mini_scene().positions_at(-1e-3)
+
     def test_tissue_periodicity(self):
         sc = mini_scene()
-        base, _ = scene.advance_scene(sc, 0.0)
-        cycled, _ = scene.advance_scene(sc, 3.0)
+        base, _ = sc.positions_at(0.0)
+        cycled, _ = sc.positions_at(3.0)
         assert np.max(np.abs(cycled - base)) <= 1e-9
         # mid-cycle is genuinely displaced
-        mid, _ = scene.advance_scene(sc, 1.5)
+        mid, _ = sc.positions_at(1.5)
         assert np.max(np.abs(mid - base)) > 1e-3
 
     def test_compression_direction(self):
         sc = mini_scene()
-        mid, _ = scene.advance_scene(sc, 1.5)  # peak strain 2%
+        mid, _ = sc.positions_at(1.5)  # peak strain 2%
         z0 = sc.tissue_pos[:, 1]
         x0 = sc.tissue_pos[:, 0]
         np.testing.assert_allclose(mid[:, 1], z0 * (1.0 - 0.02), rtol=1e-12)
@@ -146,8 +150,8 @@ class TestAdvanceScene:
         sc.flow_r = np.array([0.0])
         sc.flow_amp = np.array([0.05])
         sc.flow_edge_idx = np.array([0])
-        _, p0 = scene.advance_scene(sc, 0.0)
-        _, p1 = scene.advance_scene(sc, 0.05)
+        _, p0 = sc.positions_at(0.0)
+        _, p1 = sc.positions_at(0.05)
         moved = p1[0] - p0[0]
         np.testing.assert_allclose(moved, 25.0 * 0.05 * sc.edge_dir[0],
                                    atol=1e-12)
@@ -158,8 +162,8 @@ class TestAdvanceScene:
         sc.flow_r = np.array([0.0, 1.25 / 2.0])
         sc.flow_amp = np.array([0.05, 0.05])
         sc.flow_edge_idx = np.array([0, 0])
-        _, p0 = scene.advance_scene(sc, 0.0)
-        _, p1 = scene.advance_scene(sc, 0.1)
+        _, p0 = sc.positions_at(0.0)
+        _, p1 = sc.positions_at(0.1)
         dz_center = p1[0, 1] - p0[0, 1]
         dz_half = p1[1, 1] - p0[1, 1]
         assert dz_half == pytest.approx(dz_center * (1.0 - 0.25), rel=1e-12)
@@ -170,7 +174,7 @@ class TestAdvanceScene:
         sc.flow_r = np.array([0.0])
         sc.flow_amp = np.array([0.05])
         sc.flow_edge_idx = np.array([0])
-        _, pos = scene.advance_scene(sc, 0.1)  # 5.0 + 2.5 -> wraps to 1.5
+        _, pos = sc.positions_at(0.1)  # 5.0 + 2.5 -> wraps to 1.5
         expected = sc.edge_start[0] + 1.5 * sc.edge_dir[0]
         np.testing.assert_allclose(pos[0], expected, atol=1e-12)
 

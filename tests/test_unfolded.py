@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microflow import irls, unfolded
 
@@ -160,8 +162,7 @@ class TestLoss:
         v = crandn(r, (6, 2))
         b = crandn(r, (10, 6), 0.1)
         d_mat = u @ v.conj().T + b
-        trace = unfolded.ForwardTrace(basis=[u], coeffs=[v], blood=[b],
-                                      residual=[0.0], scale=1.0)
+        trace = unfolded.ForwardTrace(basis=[u], coeffs=[v], blood=[b], residual=[0.0])
         assert unfolded.loss(trace, d_mat) == pytest.approx(0.0, abs=1e-25)
 
     def test_scalar_case(self):
@@ -170,7 +171,7 @@ class TestLoss:
             basis=[np.zeros((1, 1), dtype=complex)],
             coeffs=[np.zeros((1, 1), dtype=complex)],
             blood=[np.zeros((1, 1), dtype=complex)],
-            residual=[1.0], scale=1.0)
+            residual=[1.0])
         assert unfolded.loss(trace, d_mat) == pytest.approx(1.0)
 
     def test_matches_recompute(self):
@@ -289,6 +290,15 @@ class TestTrain:
             unfolded.train(net, d_mat, None, cfg)
         assert hasattr(excinfo.value, "history")
 
+    def test_losses_are_the_forward_loss(self):
+        net, d_mat = tiny_net_and_data(seed=24, ns=16, nt=40)
+        cfg = unfolded.TrainConfig(batch_frames=10, max_epochs=1, patience=1)
+        _, hist = unfolded.train(net, d_mat, None, cfg)
+        val, batch = d_mat[:, 32:], d_mat[:, :10]
+        assert hist.val_loss[0] == unfolded.loss(unfolded.network_forward(net, val), val)
+        got, _ = unfolded._batch_loss_grad(net, unfolded.pack_parameters(net), batch, cfg)
+        assert got == unfolded.loss(unfolded.network_forward(net, batch), batch)
+
     def test_batch_larger_than_data_rejected(self):
         net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
         cfg = unfolded.TrainConfig(batch_frames=500, max_epochs=1, patience=1, seed=0)
@@ -322,3 +332,32 @@ class TestInfer:
         net = unfolded.init_network(d_mat, k=2, d=2, lambda_b_init=1.0, cfg=cfg_net)
         with pytest.raises(ValueError):
             unfolded.infer(net, lowrank_sparse(24, 30, 15))
+
+
+class TestSharedNormalization:
+    """Solver and network divide by the same peak, so power-of-two scaling is exact."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-30, 30),
+           ns=st.integers(2, 40), nt=st.integers(2, 20))
+    def test_power_of_two_scaling(self, seed, j, ns, nt):
+        r = np.random.default_rng(seed)
+        d = int(r.integers(1, min(ns, nt) + 1))
+        d_mat, c = crandn(r, (ns, nt)), 2.0 ** j
+        cfg = irls.IrlsConfig(d=d, lambda_c=0.05, lambda_b=0.1, max_iter=20)
+        dec, _ = irls.run_irls(d_mat, cfg)
+        dec_c, _ = irls.run_irls(c * d_mat, cfg)
+        assert np.array_equal(dec_c.blood_b, c * dec.blood_b)
+        assert np.array_equal(dec_c.basis_u, dec.basis_u)
+        net = unfolded.init_network(d_mat, k=2, d=d, lambda_b_init=0.1, cfg=cfg)
+        net_c = unfolded.init_network(c * d_mat, k=2, d=d, lambda_b_init=0.1, cfg=cfg)
+        assert np.array_equal(unfolded.pack_parameters(net_c), unfolded.pack_parameters(net))
+        assert np.array_equal(unfolded.infer(net, c * d_mat).blood_b,
+                              c * unfolded.infer(net, d_mat).blood_b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ns=st.integers(1, 30), nt=st.integers(1, 12), normalize=st.booleans())
+    def test_zero_input_gives_zero_blood(self, ns, nt, normalize):
+        cfg = irls.IrlsConfig(d=min(ns, nt), lambda_c=0.05, lambda_b=0.1, normalize=normalize)
+        dec, _ = irls.run_irls(np.zeros((ns, nt), dtype=complex), cfg)
+        assert np.all(dec.blood_b == 0)
