@@ -1,8 +1,9 @@
 """Run configuration: JSON schema validation and content hashing.
 
-A run configuration is a plain JSON object. Every key is optional (the
-pipeline applies defaults and reports missing required inputs itself), but
-unknown keys are rejected so typos fail before anything executes. The
+A run configuration is a plain JSON object. Every key is optional (each
+setting's default lives with the function or settings object that takes
+it, and the pipeline reports missing required inputs itself), but unknown
+keys are rejected so typos fail before anything executes. The
 configuration hash is the SHA-256 of the canonical JSON encoding (sorted
 keys, no whitespace) and is embedded in run artifacts so outputs can be
 traced back to the exact settings that produced them.
@@ -14,10 +15,14 @@ import json
 import jsonschema
 
 from .irls import IrlsConfig
+from .unfolded import TrainConfig
 
-# The irls section's limits live in IrlsConfig alone; the schema below only
-# types its fields, and validate_config builds the IrlsConfig to check them.
+# The irls and train sections' limits live in IrlsConfig and TrainConfig
+# alone; the schema below only types their fields, and validate_config builds
+# both objects to check them. The defaults here have no other home: the
+# solver's required fields and the network shape handed to init_network.
 _IRLS_DEFAULTS = {"d": 6, "lambda_c": 1.0, "lambda_b": 0.01}
+NETWORK_DEFAULTS = {"k_layers": 10, "d": 10, "lambda_b_init": 6.0}
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
@@ -71,17 +76,16 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "k_layers": {"type": "integer", "minimum": 1},
-                "d": {"type": "integer", "minimum": 1},
-                "lambda_b_init": _POSITIVE,
-                "learning_rate": _POSITIVE,
-                "wc_learning_rate": {"type": ["number", "null"],
-                                     "exclusiveMinimum": 0},
-                "batch_frames": {"type": "integer", "minimum": 2},
-                "max_epochs": {"type": "integer", "minimum": 1},
-                "patience": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "grad_mode": {"enum": ["finite_difference", "analytic"]},
+                "k_layers": {"type": "integer"},
+                "d": {"type": "integer"},
+                "lambda_b_init": {"type": "number"},
+                "learning_rate": {"type": "number"},
+                "wc_learning_rate": {"type": ["number", "null"]},
+                "batch_frames": {"type": "integer"},
+                "max_epochs": {"type": "integer"},
+                "patience": {"type": "integer"},
+                "seed": {"type": "integer"},
+                "grad_mode": {"type": "string"},
             },
         },
         "render": {
@@ -106,16 +110,23 @@ def validate_config(cfg):
         path = "".join(f"[{p!r}]" for p in exc.absolute_path)
         raise ValueError(f"invalid config{path and ' at ' + path}: "
                          f"{exc.message}") from exc
-    try:
-        irls_config(cfg)
-    except ValueError as exc:
-        raise ValueError(f"invalid config at ['irls']: {exc}") from exc
+    for section, build in (("irls", irls_config), ("train", train_config)):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            raise ValueError(f"invalid config at [{section!r}]: {exc}") from exc
     return cfg
 
 
 def irls_config(cfg):
     """Solver settings of a validated config: its irls section over defaults."""
     return IrlsConfig(**{**_IRLS_DEFAULTS, **cfg.get("irls", {})})
+
+
+def train_config(cfg):
+    """Optimizer settings of a config: its train section minus the network shape."""
+    return TrainConfig(**{key: value for key, value in cfg.get("train", {}).items()
+                          if key not in NETWORK_DEFAULTS})
 
 
 def config_hash(cfg):

@@ -143,7 +143,7 @@ def solve_pressures(a_h, a_nh, c, p_h):
     return p_nh
 
 
-def edge_velocities(c, dp_e, radii, mu=BLOOD_VISCOSITY):
+def edge_velocities(c, dp_e, radii):
     """Peak parabolic-profile velocity per edge, in mm/s.
 
     The flow Q = C dp relates to the centerline peak through the parabolic
@@ -158,8 +158,6 @@ def edge_velocities(c, dp_e, radii, mu=BLOOD_VISCOSITY):
         Edge pressure differences, Pa.
     radii : ndarray
         Edge radii, m.
-    mu : float
-        Accepted for signature symmetry with the conductance builder.
 
     Returns
     -------
@@ -184,7 +182,7 @@ def build_network(unit, mu=BLOOD_VISCOSITY, inlet_pressure=1.0):
     dp_e = a_h @ p_h + a_nh @ p_nh
     q_e = c * dp_e
     radii = np.array([v.radius for v in unit.vessels]) * 1e-3
-    v_max = -edge_velocities(c, dp_e, radii, mu)
+    v_max = -edge_velocities(c, dp_e, radii)
     return FlowNetwork(unit=unit, a=a, a_h=a_h, a_nh=a_nh, hanging=hanging,
                        interior=interior, c=c, p_h=p_h, p_nh=p_nh, dp_e=dp_e,
                        q_e=q_e, v_max=v_max, mu=mu)

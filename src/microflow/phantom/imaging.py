@@ -81,12 +81,21 @@ def _render_frame(positions, amplitudes, scene):
     return img_re + 1j * img_im
 
 
-def _flow_truth(scene):
-    """Flow mask and toward-probe velocity map from the vessel geometry."""
+def _vessel_walk(scene, clearance_mm=0.0):
+    """Rasterize every vessel on the pixel grid in one pass.
+
+    Returns
+    -------
+    (grid_x, grid_z, flow_mask, velocity, near)
+        Pixel coordinates in mm, the lumen mask, the toward-probe velocity
+        map, and the pixels within clearance_mm of any vessel beyond its
+        radius and ends.
+    """
     xs = scene.x0 + np.arange(scene.nx) * scene.pixel_mm
     zs = scene.z0 + np.arange(scene.nz) * scene.pixel_mm
     grid_x, grid_z = np.meshgrid(xs, zs)
     mask = np.zeros((scene.nz, scene.nx), dtype=bool)
+    near = np.zeros_like(mask)
     velocity = np.zeros((scene.nz, scene.nx))
     for e in range(len(scene.edge_len)):
         dx, dz = scene.edge_dir[e]
@@ -101,7 +110,10 @@ def _flow_truth(scene):
         take = inside & (np.abs(toward_probe) > np.abs(velocity))
         velocity[take] = toward_probe[take]
         mask |= inside
-    return mask, velocity
+        near |= (s >= -clearance_mm) \
+            & (s <= scene.edge_len[e] + clearance_mm) \
+            & (np.abs(r) <= scene.edge_radius[e] + clearance_mm)
+    return grid_x, grid_z, mask, velocity, near
 
 
 def roi_masks(scene, clearance_mm=1.0, boundary_margin_mm=2.0):
@@ -132,27 +144,11 @@ def roi_masks(scene, clearance_mm=1.0, boundary_margin_mm=2.0):
     if ax <= 0 or az <= 0:
         raise ValueError("boundary margin swallows the whole ellipse")
 
-    xs = scene.x0 + np.arange(scene.nx) * scene.pixel_mm
-    zs = scene.z0 + np.arange(scene.nz) * scene.pixel_mm
-    grid_x, grid_z = np.meshgrid(xs, zs)
-
-    near = np.zeros((scene.nz, scene.nx), dtype=bool)
-    for e in range(len(scene.edge_len)):
-        dx, dz = scene.edge_dir[e]
-        rel_x = grid_x - scene.edge_start[e, 0]
-        rel_z = grid_z - scene.edge_start[e, 1]
-        s = rel_x * dx + rel_z * dz
-        r = rel_x * (-dz) + rel_z * dx
-        near |= (s >= -clearance_mm) \
-            & (s <= scene.edge_len[e] + clearance_mm) \
-            & (np.abs(r) <= scene.edge_radius[e] + clearance_mm)
-
+    grid_x, grid_z, blood, _, near = _vessel_walk(scene, clearance_mm)
     theta = np.deg2rad(scene.rotation_deg)
     local_x = grid_x * np.cos(theta) + grid_z * np.sin(theta)
     local_z = -grid_x * np.sin(theta) + grid_z * np.cos(theta)
     inside = (local_x / ax) ** 2 + (local_z / az) ** 2 <= 1.0
-
-    blood, _ = _flow_truth(scene)
     return blood, inside & ~near
 
 
@@ -203,7 +199,7 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
 
     seq = FrameSequence(voxels=emitted, frame_rate=rate,
                         center_freq=scene.center_freq, prf=scene.prf)
-    mask, velocity = _flow_truth(scene)
+    _, _, mask, velocity, _ = _vessel_walk(scene)
     truth = GroundTruth(flow_mask=mask, axial_velocity=velocity,
                         tissue_casorati=to_casorati(tissue),
                         flow_casorati=to_casorati(flow),

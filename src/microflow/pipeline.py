@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import formats, metrics, svdfilt, unfolded
-from .casorati import FrameSequence, SolverError, to_casorati
+from .casorati import SolverError, from_casorati, to_casorati
 from .irls import run_irls
 from .phantom import imaging
 from .phantom import scene as phantom_scene
@@ -34,30 +34,12 @@ STAGE_EXIT_CODES = {
     "render": 8,
 }
 
-_SIM_DEFAULTS = {
-    "n_units": 8,
-    "frames": 200,
-    "cylinder_radius_mm": 17.5,
-    "pixel_mm": 0.2,
-    "snr_db": 25.0,
-    "frame_rate": 1000.0,
-}
-
-_TRAIN_DEFAULTS = {
-    "k_layers": 10,
-    "d": 10,
-    "lambda_b_init": 6.0,
-    "learning_rate": 0.01,
-    "wc_learning_rate": None,
-    "batch_frames": 200,
-    "max_epochs": 50,
-    "patience": 5,
-    "seed": 0,
-    "grad_mode": "analytic",
-}
-
 _METRIC_KEYS = ("cnr_db", "snr_db", "psl_db", "r_squared", "slope",
                 "intercept")
+
+_TRUTH_FILES = {"velocity": "truth_velocity.csv",
+                "flow_mask": "truth_flow_mask.csv",
+                "tissue_mask": "truth_tissue_mask.csv"}
 
 
 class PipelineError(RuntimeError):
@@ -100,18 +82,18 @@ def simulate_dataset(cfg, verbose=False):
     Returns (FrameSequence, truth dict); the truth dict carries the
     axial-velocity map plus the blood and tissue evaluation masks.
     """
-    sim = dict(_SIM_DEFAULTS)
-    sim.update(cfg.get("simulate", {}))
-    snr_db = np.inf if sim["snr_db"] is None else float(sim["snr_db"])
+    sim = cfg.get("simulate", {})
     seed = int(cfg.get("seed", 0))
     try:
         scene, _ = phantom_scene.build_phantom(
-            seed, n_units=sim["n_units"],
-            cylinder_radius_mm=sim["cylinder_radius_mm"],
-            pixel_mm=sim["pixel_mm"], verbose=verbose)
-        scene = dataclasses.replace(scene, snr_db=snr_db,
-                                    frame_rate=float(sim["frame_rate"]))
-        seq, gt = imaging.synthesize_iq(scene, sim["frames"], verbose=verbose)
+            seed, **{key: sim[key] for key in ("n_units", "cylinder_radius_mm",
+                                               "pixel_mm") if key in sim},
+            verbose=verbose)
+        snr_db = sim.get("snr_db", scene.snr_db)
+        seq, gt = imaging.synthesize_iq(
+            scene, sim.get("frames", 200), frame_rate=sim.get("frame_rate"),
+            noise_snr_db=np.inf if snr_db is None else snr_db,
+            verbose=verbose)
         blood_mask, tissue_mask = imaging.roi_masks(scene)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise PipelineError("simulate", str(exc)) from exc
@@ -121,13 +103,9 @@ def simulate_dataset(cfg, verbose=False):
 
 
 def _load_truth(dirpath):
-    base = Path(dirpath)
-    names = {"velocity": "truth_velocity.csv",
-             "flow_mask": "truth_flow_mask.csv",
-             "tissue_mask": "truth_tissue_mask.csv"}
     truth = {}
-    for key, name in names.items():
-        path = base / name
+    for key, name in _TRUTH_FILES.items():
+        path = Path(dirpath) / name
         if not path.exists():
             raise PipelineError("input", f"truth file {path} not found")
         img = formats.read_csv(path)
@@ -136,14 +114,9 @@ def _load_truth(dirpath):
 
 
 def _write_truth(outdir, truth):
-    formats.write_csv(truth["velocity"], outdir / "truth_velocity.csv")
-    formats.write_csv(truth["flow_mask"].astype(float),
-                      outdir / "truth_flow_mask.csv")
-    formats.write_csv(truth["tissue_mask"].astype(float),
-                      outdir / "truth_tissue_mask.csv")
-    return {"truth_velocity": "truth_velocity.csv",
-            "truth_flow_mask": "truth_flow_mask.csv",
-            "truth_tissue_mask": "truth_tissue_mask.csv"}
+    for key, name in _TRUTH_FILES.items():
+        formats.write_csv(truth[key].astype(float), outdir / name)
+    return {f"truth_{key}": name for key, name in _TRUTH_FILES.items()}
 
 
 def _read_input(path):
@@ -175,21 +148,14 @@ def _acquire(cfg, verbose=False):
 
 def _train_network(d_mat, cfg, verbose=False):
     """Train stage: initialize from the data and fit the layer parameters."""
-    tr = dict(_TRAIN_DEFAULTS)
-    tr.update(cfg.get("train", {}))
+    shape = {**config_mod.NETWORK_DEFAULTS, **cfg.get("train", {})}
     try:
-        net = unfolded.init_network(d_mat, tr["k_layers"], tr["d"],
-                                    tr["lambda_b_init"],
+        net = unfolded.init_network(d_mat, shape["k_layers"], shape["d"],
+                                    shape["lambda_b_init"],
                                     config_mod.irls_config(cfg))
-        tcfg = unfolded.TrainConfig(
-            learning_rate=tr["learning_rate"],
-            wc_learning_rate=tr["wc_learning_rate"],
-            batch_frames=tr["batch_frames"],
-            max_epochs=tr["max_epochs"],
-            patience=tr["patience"],
-            seed=tr["seed"],
-            grad_mode=tr["grad_mode"])
-        net, history = unfolded.train(net, d_mat, None, tcfg, verbose=verbose)
+        net, history = unfolded.train(net, d_mat, None,
+                                      config_mod.train_config(cfg),
+                                      verbose=verbose)
     except (ValueError, RuntimeError) as exc:
         raise PipelineError("train", str(exc)) from exc
     return net, history
@@ -207,10 +173,7 @@ def _filter(d_mat, cfg, outdir, verbose=False):
     extra_artifacts = {}
     try:
         if method == "svd":
-            svd_cfg = cfg.get("svd", {})
-            blood, low = svdfilt.band_filter(
-                d_mat, svd_cfg.get("low_cut"), svd_cfg.get("high_cut"),
-                svd_cfg.get("fraction", 0.01))
+            blood, low = svdfilt.band_filter(d_mat, **cfg.get("svd", {}))
             extra_report["svd_low_cut"] = low
         elif method == "irls":
             decomp, trace = run_irls(d_mat, config_mod.irls_config(cfg),
@@ -277,9 +240,23 @@ def _evaluate(blood, seq, truth, cfg):
     return power.values, velocity, scalars
 
 
-def _write_report(outdir, report):
+def _write_report(outdir, cfg, seq, **entries):
+    """Write report.json: the config, its hash, the dataset summary and entries.
+
+    Returns the report dict.
+    """
+    report = {
+        "config": cfg,
+        "config_hash": config_mod.config_hash(cfg),
+        "dataset": {"nz": int(seq.nz), "nx": int(seq.nx), "nt": int(seq.nt),
+                    "frame_rate": float(seq.frame_rate),
+                    "center_freq": float(seq.center_freq),
+                    "prf": float(seq.prf)},
+        **entries,
+    }
     blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
     (outdir / "report.json").write_text(blob)
+    return report
 
 
 def run_pipeline(cfg, verbose=False):
@@ -289,7 +266,6 @@ def run_pipeline(cfg, verbose=False):
     PipelineError with the failing stage attached.
     """
     cfg = _validated(cfg)
-    cfg_hash = config_mod.config_hash(cfg)
     outdir = _output_dir(cfg)
 
     seq, truth, simulated = _acquire(cfg, verbose=verbose)
@@ -304,15 +280,14 @@ def run_pipeline(cfg, verbose=False):
             formats.write_dataset(seq, outdir / "dataset.umi")
             artifacts["dataset"] = "dataset.umi"
             artifacts.update(_write_truth(outdir, truth))
-        blood_voxels = blood.reshape(seq.nz, seq.nx, seq.nt, order="F")
         formats.write_dataset(
-            FrameSequence(voxels=blood_voxels, frame_rate=seq.frame_rate,
-                          center_freq=seq.center_freq, prf=seq.prf),
+            dataclasses.replace(seq, voxels=from_casorati(blood, seq.nz,
+                                                          seq.nx)),
             outdir / "blood.umi")
         formats.write_csv(power, outdir / "power.csv")
         formats.write_pgm(power, outdir / "power.pgm",
-                          dynamic_range_db=_dynamic_range(cfg),
-                          comment=f"cfg:{cfg_hash}")
+                          comment=f"cfg:{config_mod.config_hash(cfg)}",
+                          **cfg.get("render", {}))
         formats.write_csv(velocity, outdir / "velocity.csv")
     except (OSError, ValueError) as exc:
         raise PipelineError("render", str(exc)) from exc
@@ -321,35 +296,16 @@ def run_pipeline(cfg, verbose=False):
                       "velocity_csv": "velocity.csv",
                       "report": "report.json"})
 
-    report = {
-        "config": cfg,
-        "config_hash": cfg_hash,
-        "dataset": _dataset_summary(seq),
-        "method": cfg["method"],
-        "metrics": scalars,
-        "artifacts": artifacts,
-    }
-    report.update(extra_report)
-    _write_report(outdir, report)
+    report = _write_report(outdir, cfg, seq, method=cfg["method"],
+                           metrics=scalars, artifacts=artifacts,
+                           **extra_report)
     return PipelineResult(report=report, blood=blood, power=power,
                           velocity=velocity, output_dir=outdir)
-
-
-def _dynamic_range(cfg):
-    return float(cfg.get("render", {}).get("dynamic_range_db", 30.0))
-
-
-def _dataset_summary(seq):
-    return {"nz": int(seq.nz), "nx": int(seq.nx), "nt": int(seq.nt),
-            "frame_rate": float(seq.frame_rate),
-            "center_freq": float(seq.center_freq),
-            "prf": float(seq.prf)}
 
 
 def run_simulate(cfg, verbose=False):
     """Simulate subcommand: dataset plus truth bundle plus report."""
     cfg = _validated(cfg)
-    cfg_hash = config_mod.config_hash(cfg)
     outdir = _output_dir(cfg)
     seq, truth = simulate_dataset(cfg, verbose=verbose)
     try:
@@ -358,14 +314,7 @@ def run_simulate(cfg, verbose=False):
         artifacts.update(_write_truth(outdir, truth))
     except (OSError, ValueError) as exc:
         raise PipelineError("simulate", str(exc)) from exc
-    report = {
-        "config": cfg,
-        "config_hash": cfg_hash,
-        "dataset": _dataset_summary(seq),
-        "artifacts": artifacts,
-    }
-    _write_report(outdir, report)
-    return report
+    return _write_report(outdir, cfg, seq, artifacts=artifacts)
 
 
 def run_train(cfg, verbose=False):
@@ -396,7 +345,6 @@ def run_evaluate(cfg, verbose=False):
     holding the truth bundle written by simulate.
     """
     cfg = _validated(cfg)
-    cfg_hash = config_mod.config_hash(cfg)
     outdir = _output_dir(cfg)
     if "input" not in cfg:
         raise PipelineError("config", "an input blood dataset is required")
@@ -416,17 +364,10 @@ def run_evaluate(cfg, verbose=False):
         formats.write_csv(velocity, outdir / "velocity.csv")
     except OSError as exc:
         raise PipelineError("render", str(exc)) from exc
-    report = {
-        "config": cfg,
-        "config_hash": cfg_hash,
-        "dataset": _dataset_summary(seq),
-        "metrics": scalars,
-        "artifacts": {"power_csv": "power.csv",
-                      "velocity_csv": "velocity.csv",
-                      "report": "report.json"},
-    }
-    _write_report(outdir, report)
-    return report
+    return _write_report(outdir, cfg, seq, metrics=scalars,
+                         artifacts={"power_csv": "power.csv",
+                                    "velocity_csv": "velocity.csv",
+                                    "report": "report.json"})
 
 
 def run_render(cfg, mode, verbose=False):
@@ -445,8 +386,8 @@ def run_render(cfg, mode, verbose=False):
     try:
         if mode == "pgm":
             formats.write_pgm(image, out,
-                              dynamic_range_db=_dynamic_range(cfg),
-                              comment=f"cfg:{config_mod.config_hash(cfg)}")
+                              comment=f"cfg:{config_mod.config_hash(cfg)}",
+                              **cfg.get("render", {}))
         elif mode == "csv":
             formats.write_csv(image, out)
         else:

@@ -93,6 +93,11 @@ class UnfoldedNetwork:
     normalize: bool = True
     n_space: int | None = None
 
+    def __post_init__(self):
+        if not self.layers or self.d < 1:
+            raise ValueError(f"a network needs at least one layer and d >= 1, "
+                             f"got {len(self.layers)} layers and d={self.d}")
+
 
 @dataclass
 class ForwardTrace:
@@ -109,7 +114,7 @@ class ForwardTrace:
 
 @dataclass
 class TrainConfig:
-    """Optimizer settings.
+    """Optimizer settings; the only place their limits are checked.
 
     Args:
         learning_rate: step size for the blood-penalty parameters.
@@ -120,7 +125,7 @@ class TrainConfig:
         patience: early stopping after this many epochs without validation
             improvement.
         seed: batch-order shuffle seed.
-        grad_mode: "finite_difference" or "analytic".
+        grad_mode: "analytic" (adjoint pass) or "finite_difference".
     """
 
     learning_rate: float = 0.01
@@ -128,14 +133,17 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    grad_mode: str = "finite_difference"
+    grad_mode: str = "analytic"
     wc_learning_rate: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        wc_rate = self.learning_rate if self.wc_learning_rate is None else self.wc_learning_rate
+        if not (0 <= self.learning_rate < np.inf and 0 <= wc_rate < np.inf):
+            raise ValueError("learning rates must be finite and nonnegative")
         if self.batch_frames < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_frames, max_epochs and patience must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.grad_mode not in ("finite_difference", "analytic"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
 
@@ -164,10 +172,8 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
         UnfoldedNetwork.
     """
     work, _ = irls.prepare_input(d_mat, d, cfg.normalize)
-    if k < 1:
-        raise ValueError("need at least one layer")
-    if lambda_b_init < 0:
-        raise ValueError("lambda_b_init must be nonnegative")
+    if not 0 <= lambda_b_init < np.inf:
+        raise ValueError("lambda_b_init must be finite and nonnegative")
     u0, v0 = irls._init_state(work, d)
     w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(u0, v0, cfg.epsilon, cfg.rho)
     layers = [LayerParams.from_values(lambda_b_init, w_init) for _ in range(k)]

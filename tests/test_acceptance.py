@@ -247,7 +247,7 @@ def test_criterion_6_hydraulic_network():
                                  angle=0.0, radius=1.25)])
     c = hydraulics.edge_conductance(short, mu=0.004)
     v_peak = hydraulics.edge_velocities(c, np.array([1.0]),
-                                        np.array([1.25e-3]), 0.004)[0]
+                                        np.array([1.25e-3]))[0]
     v_ok = v_peak == pytest.approx(97.65625, rel=1e-12)
 
     ok = worst_residual <= 1e-10 and split_err <= 1e-12 and xi_ok and v_ok

@@ -382,6 +382,16 @@ class TestCli:
         assert rc == 2
         assert "rho" in err and err.count("\n") == 1
 
+    def test_non_finite_learning_rate_is_config_exit_code(self, tmp_path, capsys):
+        path, _ = tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"train": {"learning_rate": NaN}}')
+        rc = cli.main(["train", "--config", str(cfg_path), "--input", str(path),
+                       "--output", str(tmp_path / "model.u2m")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "['train']" in err and err.count("\n") == 1
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main(["defragment"])

@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from microflow import config
+from microflow import config, unfolded
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def full_config():
@@ -95,9 +101,61 @@ class TestValidation:
         assert config.validate_config(cfg) == cfg
         assert config.irls_config(cfg).rho == 2.0
 
+    @pytest.mark.parametrize("section", [{"learning_rate": float("nan")},
+                                         {"learning_rate": float("inf")},
+                                         {"learning_rate": -0.1},
+                                         {"wc_learning_rate": -1.0},
+                                         {"wc_learning_rate": float("nan")},
+                                         {"seed": -1}, {"max_epochs": 0},
+                                         {"batch_frames": 0}, {"patience": 0},
+                                         {"grad_mode": "autodiff"}])
+    def test_train_limits_come_from_train_config(self, section):
+        with pytest.raises(ValueError, match=r"\['train'\]"):
+            config.validate_config({"train": section})
+
+    def test_train_config_limits_are_the_only_ones(self):
+        cfg = {"train": {"learning_rate": 0, "batch_frames": 1}}
+        assert config.validate_config(cfg) == cfg
+        assert config.train_config(cfg) == unfolded.TrainConfig(
+            learning_rate=0, batch_frames=1)
+
+    def test_network_shape_is_not_a_train_setting(self):
+        cfg = {"train": {"k_layers": 3, "d": 2, "lambda_b_init": 0.5}}
+        assert config.train_config(cfg) == unfolded.TrainConfig()
+        assert config.train_config(cfg).grad_mode == "analytic"
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             config.validate_config([1, 2, 3])
+
+    def test_readme_example_validates(self):
+        example = re.search(r"`run\.json` holds.*?```json\n(.*?)```",
+                            README.read_text(), re.S)
+        cfg = json.loads(example.group(1))
+        assert config.validate_config(cfg) == cfg
+
+
+_FUZZ_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from(["analytic", "finite_difference", ""]))
+_FUZZ_KEYS = {
+    "train": ["k_layers", "d", "lambda_b_init", "learning_rate",
+              "wc_learning_rate", "batch_frames", "max_epochs", "patience",
+              "seed", "grad_mode"],
+    "svd": ["low_cut", "high_cut", "fraction"],
+    "render": ["dynamic_range_db"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({
+    section: st.dictionaries(st.sampled_from(keys), _FUZZ_VALUE)
+    for section, keys in _FUZZ_KEYS.items()}))
+def test_fuzzed_sections_validate_or_raise_value_error(cfg):
+    try:
+        config.validate_config(cfg)
+    except ValueError:
+        pass
 
 
 class TestHash:

@@ -264,13 +264,13 @@ class TestVelocities:
         unit = manual_unit([(None, 1.0, 0.0, 1.25)])
         c = hydraulics.edge_conductance(unit, 0.004)
         v = hydraulics.edge_velocities(c, np.array([1.0]),
-                                       np.array([1.25e-3]), 0.004)
+                                       np.array([1.25e-3]))
         assert v[0] == pytest.approx(97.65625, rel=1e-12)
 
     def test_zero_drop_is_zero(self):
         unit = manual_unit([(None, 1.0, 0.0, 1.25)])
         c = hydraulics.edge_conductance(unit, 0.004)
-        v = hydraulics.edge_velocities(c, np.array([0.0]), np.array([1.25e-3]), 0.004)
+        v = hydraulics.edge_velocities(c, np.array([0.0]), np.array([1.25e-3]))
         assert v[0] == 0.0
 
     def test_flow_velocity_consistency(self):

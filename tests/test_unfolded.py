@@ -77,6 +77,22 @@ class TestInitNetwork:
         for layer in net.layers:
             assert np.allclose(layer.w_c, want, rtol=1e-9)
 
+    @pytest.mark.parametrize("k, lambda_b_init", [(0, 1.0), (2, float("nan")),
+                                                  (2, float("inf")), (2, -1.0)])
+    def test_bad_shape_or_penalty_rejected(self, k, lambda_b_init):
+        d_mat = crandn(np.random.default_rng(3), (12, 8))
+        cfg = irls.IrlsConfig(d=2, lambda_c=0.05, lambda_b=1.0)
+        with pytest.raises(ValueError):
+            unfolded.init_network(d_mat, k=k, d=2, lambda_b_init=lambda_b_init, cfg=cfg)
+
+
+class TestNetworkConstruction:
+    @pytest.mark.parametrize("n_layers, d", [(0, 2), (1, 0)])
+    def test_empty_network_rejected(self, n_layers, d):
+        layers = [unfolded.LayerParams(0.0, np.zeros(max(d, 1)))] * n_layers
+        with pytest.raises(ValueError, match="at least one layer"):
+            unfolded.UnfoldedNetwork(layers=layers, d=d, epsilon=1e-8)
+
 
 class TestLayerForward:
     def test_matches_one_baseline_iteration(self):
@@ -292,7 +308,8 @@ class TestTrain:
 
     def test_losses_are_the_forward_loss(self):
         net, d_mat = tiny_net_and_data(seed=24, ns=16, nt=40)
-        cfg = unfolded.TrainConfig(batch_frames=10, max_epochs=1, patience=1)
+        cfg = unfolded.TrainConfig(batch_frames=10, max_epochs=1, patience=1,
+                                   grad_mode="finite_difference")
         _, hist = unfolded.train(net, d_mat, None, cfg)
         val, batch = d_mat[:, 32:], d_mat[:, :10]
         assert hist.val_loss[0] == unfolded.loss(unfolded.network_forward(net, val), val)
