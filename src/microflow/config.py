@@ -1,4 +1,4 @@
-"""Run configuration: JSON schema validation and content hashing.
+"""Run configuration: typed validation and content hashing.
 
 A run configuration is a plain JSON object. Every key is optional (each
 setting's default lives with the function or settings object that takes
@@ -11,105 +11,95 @@ traced back to the exact settings that produced them.
 
 import hashlib
 import json
-
-import jsonschema
+from typing import NamedTuple
 
 from .irls import IrlsConfig
 from .unfolded import TrainConfig
 
 # The irls and train sections' limits live in IrlsConfig and TrainConfig
-# alone; the schema below only types their fields, and validate_config builds
-# both objects to check them. The defaults here have no other home: the
-# solver's required fields and the network shape handed to init_network.
+# alone; validate_config builds both objects to check them. The defaults here
+# have no other home: the solver's required fields and the network shape
+# handed to init_network.
 _IRLS_DEFAULTS = {"d": 6, "lambda_c": 1.0, "lambda_b": 0.01}
 NETWORK_DEFAULTS = {"k_layers": 10, "d": 10, "lambda_b_init": 6.0}
 
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "method": {"enum": ["svd", "irls", "unfolded"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "input": {"type": "string"},
-        "output": {"type": "string"},
-        "model": {"type": "string"},
-        "truth": {"type": "string"},
-        "ensemble": {"type": "integer", "minimum": 2},
-        "simulate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_units": {"type": "integer", "minimum": 1},
-                "frames": {"type": "integer", "minimum": 1},
-                "cylinder_radius_mm": _POSITIVE,
-                "pixel_mm": _POSITIVE,
-                "snr_db": {"type": ["number", "null"]},
-                "frame_rate": _POSITIVE,
-            },
-        },
-        "irls": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d": {"type": "integer"},
-                "lambda_c": {"type": "number"},
-                "lambda_b": {"type": "number"},
-                "epsilon": {"type": "number"},
-                "rho": {"type": "number"},
-                "max_iter": {"type": "integer"},
-                "tol": {"type": "number"},
-                "normalize": {"type": "boolean"},
-            },
-        },
-        "svd": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "low_cut": {"type": ["integer", "null"], "minimum": 0},
-                "high_cut": {"type": ["integer", "null"], "minimum": 1},
-                "fraction": _POSITIVE,
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "k_layers": {"type": "integer"},
-                "d": {"type": "integer"},
-                "lambda_b_init": {"type": "number"},
-                "learning_rate": {"type": "number"},
-                "wc_learning_rate": {"type": ["number", "null"]},
-                "batch_frames": {"type": "integer"},
-                "max_epochs": {"type": "integer"},
-                "patience": {"type": "integer"},
-                "seed": {"type": "integer"},
-                "grad_mode": {"type": "string"},
-            },
-        },
-        "render": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dynamic_range_db": _POSITIVE,
-            },
-        },
-    },
+class Field(NamedTuple):
+    """One config value's type: int, float (any number), str, bool or a tuple of
+    allowed strings. minimum is set only where no callee checks a limit."""
+
+    kind: object
+    nullable: bool = False
+    minimum: int | None = None
+
+
+_INT, _NUM, _STR = Field(int), Field(float), Field(str)
+
+FIELDS = {
+    "method": Field(("svd", "irls", "unfolded")),
+    "seed": Field(int, minimum=0),
+    "input": _STR, "output": _STR, "model": _STR, "truth": _STR,
+    "ensemble": Field(int, minimum=2),
+    "simulate": {"n_units": _INT, "frames": _INT, "cylinder_radius_mm": _NUM,
+                 "pixel_mm": _NUM, "snr_db": Field(float, nullable=True),
+                 "frame_rate": _NUM},
+    "irls": {"d": _INT, "lambda_c": _NUM, "lambda_b": _NUM, "epsilon": _NUM,
+             "rho": _NUM, "max_iter": _INT, "tol": _NUM,
+             "normalize": Field(bool)},
+    "svd": {"low_cut": Field(int, nullable=True),
+            "high_cut": Field(int, nullable=True), "fraction": _NUM},
+    "train": {"k_layers": _INT, "d": _INT, "lambda_b_init": _NUM,
+              "learning_rate": _NUM,
+              "wc_learning_rate": Field(float, nullable=True),
+              "batch_frames": _INT, "max_epochs": _INT, "patience": _INT,
+              "seed": _INT, "grad_mode": _STR},
+    "render": {"dynamic_range_db": _NUM},
 }
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+
+
+def _typed(value, field, prefix):
+    """value checked against its field; an integral float becomes int."""
+    kind = field.kind
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if value is None or isinstance(kind, tuple):
+        ok = field.nullable if value is None else value in kind
+    else:  # booleans are not numbers
+        ok = (isinstance(value, bool) == (kind is bool)
+              and isinstance(value, (int, float) if kind is float else kind))
+    if not ok:
+        want = _KIND_NAMES.get(kind) or f"one of {kind}"
+        raise ValueError(f"{prefix} must be {want}"
+                         f"{' or null' if field.nullable else ''}, got {value!r}")
+    if field.minimum is not None and value < field.minimum:
+        raise ValueError(f"{prefix} must be at least {field.minimum}, got {value}")
+    return value
+
+
+def _checked(values, fields, where="invalid config"):
+    """A copy of one config level with each value checked against fields."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where}: expected an object, got {values!r}")
+    out = {}
+    for key, value in values.items():
+        field = fields.get(key)
+        if field is None:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        out[key] = (_checked(value, field, f"invalid config at [{key!r}]")
+                    if isinstance(field, dict)
+                    else _typed(value, field, f"{where}: {key}"))
+    return out
 
 
 def validate_config(cfg):
-    """Validate a configuration dict against the schema and solver limits.
+    """Check a configuration dict against FIELDS and the solver limits.
 
-    Returns the dict unchanged on success, raises ValueError otherwise.
+    Returns a copy with integral floats in integer fields made ints; raises
+    ValueError otherwise.
     """
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise ValueError(f"invalid config{path and ' at ' + path}: "
-                         f"{exc.message}") from exc
+    cfg = _checked(cfg, FIELDS)
     for section, build in (("irls", irls_config), ("train", train_config)):
         try:
             build(cfg)

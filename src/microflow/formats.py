@@ -185,8 +185,8 @@ def write_pgm(image, path, dynamic_range_db=30.0, comment=None):
         raise ValueError("image contains non-finite values")
     if np.any(image < 0):
         raise ValueError("PGM output requires nonnegative values")
-    if dynamic_range_db <= 0:
-        raise ValueError("dynamic_range_db must be positive")
+    if not 0 < dynamic_range_db < np.inf:
+        raise ValueError(f"dynamic_range_db must be positive and finite, got {dynamic_range_db}")
     peak = image.max()
     if peak == 0:
         levels = np.zeros(image.shape, dtype=">u2")

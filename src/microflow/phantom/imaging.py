@@ -12,7 +12,6 @@ scatterer positions, amplitudes and carrier phases.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..casorati import FrameSequence, to_casorati
 
@@ -52,6 +51,7 @@ class GroundTruth:
 
 def _render_frame(positions, amplitudes, scene):
     """Deposit scatterers bilinearly and blur with the separable PSF."""
+    from scipy import ndimage  # here, so importing microflow never loads scipy
     nz, nx = scene.nz, scene.nx
     acc_re = np.zeros(nz * nx)
     acc_im = np.zeros(nz * nx)
@@ -175,6 +175,8 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
     if frames < 1:
         raise ValueError("need at least one frame")
     rate = scene.frame_rate if frame_rate is None else float(frame_rate)
+    if not 0 < rate < np.inf:
+        raise ValueError(f"frame_rate must be positive and finite, got {rate}")
     snr_db = scene.snr_db if noise_snr_db is None else float(noise_snr_db)
 
     tissue = np.zeros((scene.nz, scene.nx, frames), dtype=np.complex128)

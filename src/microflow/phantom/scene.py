@@ -158,6 +158,9 @@ def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2,
     -------
     (PhantomScene, list of FlowNetwork)
     """
+    if n_units < 1 or not (0 < cylinder_radius_mm < np.inf and 0 < pixel_mm < np.inf):
+        raise ValueError("n_units must be at least 1, and cylinder_radius_mm and "
+                         "pixel_mm positive and finite")
     placement = np.random.default_rng([seed, 0])
     rotation_deg = placement.uniform(-10.0, 10.0)
     variants = placement.integers(1, 9, size=n_units)

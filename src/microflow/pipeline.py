@@ -83,7 +83,7 @@ def simulate_dataset(cfg, verbose=False):
     axial-velocity map plus the blood and tissue evaluation masks.
     """
     sim = cfg.get("simulate", {})
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     try:
         scene, _ = phantom_scene.build_phantom(
             seed, **{key: sim[key] for key in ("n_units", "cylinder_radius_mm",
@@ -211,7 +211,7 @@ def _filter(d_mat, cfg, outdir, verbose=False):
 
 def _evaluate(blood, seq, truth, cfg):
     """Evaluate stage: power and velocity images plus scalar metrics."""
-    ensemble = min(int(cfg.get("ensemble", 200)), blood.shape[1])
+    ensemble = min(cfg.get("ensemble", 200), blood.shape[1])
     b_ens = blood[:, blood.shape[1] - ensemble:]
     try:
         power = metrics.power_doppler(b_ens, seq.nz, seq.nx)

@@ -24,14 +24,14 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
     """svd_clutter_filter from one SVD, which also picks low_cut when it is None.
 
     A missing low_cut is estimate_low_cut(s, fraction) of that SVD's spectrum
-    s, so the data is factorized once. Integral float cutoffs are accepted.
+    s, so the data is factorized once.
 
     Returns:
         (blood, low_cut): the band reconstruction and the low cut it used.
     """
     u, s, v = svd(d_mat)
-    low_cut = estimate_low_cut(s, fraction) if low_cut is None else int(low_cut)
-    hi = s.size if high_cut is None else int(high_cut)
+    low_cut = estimate_low_cut(s, fraction) if low_cut is None else low_cut
+    hi = s.size if high_cut is None else high_cut
     if not 0 <= low_cut < hi <= s.size:
         raise ValueError(f"cutoff band ({low_cut}, {hi}] invalid for rank {s.size}")
     band = slice(low_cut, hi)
@@ -40,6 +40,8 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
 
 def estimate_low_cut(singular_values, fraction=0.01):
     """Count of leading components to drop: first spot the spectrum falls below fraction*s1."""
+    if not 0 < fraction < np.inf:
+        raise ValueError(f"fraction must be positive and finite, got {fraction}")
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
         raise ValueError("empty singular value list")

@@ -21,7 +21,6 @@ what the model file stores.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import irls
 from .irls import Decomposition
@@ -285,6 +284,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     The pass runs in the normalized domain; since the loss is quadratic in
     the data scale, the gradient (and loss) are multiplied by scale**2.
     """
+    from scipy.special import expit  # here, so importing microflow never loads scipy
     work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # entry k holds layer k's input, entry k + 1 its output

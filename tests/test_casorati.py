@@ -179,6 +179,33 @@ def test_package_never_loads_scipy_linalg():
     assert out == ["True", "False"]
 
 
+def test_package_loads_only_numpy_and_the_standard_library():
+    """Importing every module loads no third-party package but numpy.
+
+    scipy.ndimage and scipy.special are imported by the two functions that
+    use them, so a CLI call that neither simulates nor trains with the
+    analytic gradient never pays for scipy; the config table needs no
+    schema library. Modules the interpreter loaded before the probe ran
+    (site hooks) are not counted.
+    """
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import importlib, pkgutil, microflow\n"
+        "for m in pkgutil.walk_packages(microflow.__path__, 'microflow.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(len([m for m in sys.modules if m.startswith('microflow.')]))\n"
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "             - set(sys.stdlib_module_names)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(casorati.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert int(out[0]) >= 14
+    assert out[1] == "['microflow', 'numpy']"
+
+
 class TestSvd:
     def test_diagonal(self):
         u, s, v = casorati.svd(np.diag([3.0, 1.0]).astype(complex))

@@ -392,6 +392,59 @@ class TestCli:
         assert rc == 2
         assert "['train']" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, section, key, value",
+                             [("train", "train", "batch_frames", 4),
+                              ("train", "train", "k_layers", 2),
+                              ("filter", "irls", "max_iter", 5)])
+    def test_integral_float_setting_matches_integer_spelling(
+            self, tmp_path, command, section, key, value):
+        path, _ = tiny_dataset(tmp_path)
+        written = []
+        for spelling in (value, float(value)):
+            cfg = {"irls": {"d": 2, "max_iter": 5},
+                   "train": {"k_layers": 2, "d": 2, "batch_frames": 4,
+                             "max_epochs": 1, "patience": 1}}
+            cfg[section][key] = spelling
+            cfg_path = tmp_path / f"{spelling!r}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out-{spelling!r}"
+            args = [command, "--config", str(cfg_path), "--input", str(path)]
+            if command == "train":
+                args += ["--output", str(out / "net.u2m")]
+            else:
+                args += ["--output", str(out), "--method", "irls",
+                         "--ensemble", "4"]
+            assert cli.main(args) == 0
+            written.append((out / ("net.u2m" if command == "train"
+                                   else "blood.umi")).read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("value", ["4.5", "true"])
+    def test_non_integral_setting_is_config_exit_code(self, tmp_path, capsys,
+                                                      value):
+        path, _ = tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"train": {"batch_frames": %s}}' % value)
+        rc = cli.main(["train", "--config", str(cfg_path), "--input", str(path),
+                       "--output", str(tmp_path / "model.u2m")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "invalid config at ['train']: batch_frames" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, rc", [('"render": {"dynamic_range_db": NaN}', 8),
+                                             ('"svd": {"fraction": NaN}', 5)])
+    def test_nan_limit_fails_in_its_stage(self, tmp_path, capsys, section, rc):
+        path, _ = tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("{%s}" % section)
+        outdir = tmp_path / "o"
+        assert cli.main(["filter", "--config", str(cfg_path), "--input", str(path),
+                         "--output", str(outdir), "--method", "svd"]) == rc
+        err = capsys.readouterr().err
+        assert "nan" in err and err.count("\n") == 1
+        assert not (outdir / "power.pgm").exists()
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main(["defragment"])

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microflow import config, unfolded
@@ -135,27 +135,110 @@ class TestValidation:
         assert config.validate_config(cfg) == cfg
 
 
+class TestTyping:
+    INT_FIELDS = [(section, key) for section, fields in config.FIELDS.items()
+                  if isinstance(fields, dict)
+                  for key, field in fields.items() if field.kind is int]
+
+    @pytest.mark.parametrize("section, key", INT_FIELDS)
+    def test_integral_float_becomes_int(self, section, key):
+        cfg = {section: {key: 4.0}}
+        out = config.validate_config(cfg)
+        assert out == cfg and type(out[section][key]) is int
+        assert type(cfg[section][key]) is float  # the input is left alone
+
+    @pytest.mark.parametrize("section, key", INT_FIELDS)
+    @pytest.mark.parametrize("value", [4.5, True, float("nan"), float("inf"), "4"])
+    def test_integer_fields_refuse_other_values(self, section, key, value):
+        with pytest.raises(ValueError, match=rf"at \['{section}'\]: {key} must be"):
+            config.validate_config({section: {key: value}})
+
+    @pytest.mark.parametrize("cfg", [{"irls": {"lambda_c": True}},
+                                     {"render": {"dynamic_range_db": False}},
+                                     {"irls": {"normalize": 1}},
+                                     {"train": {"grad_mode": 0}},
+                                     {"input": 3}, {"method": None}])
+    def test_booleans_are_not_numbers_and_types_are_exact(self, cfg):
+        with pytest.raises(ValueError, match="must be"):
+            config.validate_config(cfg)
+
+    def test_null_only_where_allowed(self):
+        cfg = {"simulate": {"snr_db": None}, "train": {"wc_learning_rate": None},
+               "svd": {"low_cut": None, "high_cut": None}}
+        assert config.validate_config(cfg) == cfg
+        for section, key in (("simulate", "frames"), ("irls", "tol"),
+                             ("render", "dynamic_range_db")):
+            with pytest.raises(ValueError, match="must be"):
+                config.validate_config({section: {key: None}})
+
+    @pytest.mark.parametrize("cfg", [{"seed": -1}, {"ensemble": 1},
+                                     {"ensemble": 1.0}])
+    def test_seed_and_ensemble_limits_stay_in_the_table(self, cfg):
+        with pytest.raises(ValueError, match="must be at least"):
+            config.validate_config(cfg)
+
+    @pytest.mark.parametrize("cfg", [{"svd": {"fraction": float("nan")}},
+                                     {"render": {"dynamic_range_db": -1.0}},
+                                     {"simulate": {"n_units": 0,
+                                                   "pixel_mm": float("nan"),
+                                                   "frame_rate": float("inf")}},
+                                     {"svd": {"low_cut": -1}}])
+    def test_other_limits_belong_to_the_callees(self, cfg):
+        assert config.validate_config(cfg) == cfg
+
+
 _FUZZ_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
+                        st.integers(-3, 300).map(float),
                         st.floats(allow_nan=True, allow_infinity=True),
-                        st.sampled_from(["analytic", "finite_difference", ""]))
-_FUZZ_KEYS = {
-    "train": ["k_layers", "d", "lambda_b_init", "learning_rate",
-              "wc_learning_rate", "batch_frames", "max_epochs", "patience",
-              "seed", "grad_mode"],
-    "svd": ["low_cut", "high_cut", "fraction"],
-    "render": ["dynamic_range_db"],
-}
+                        st.sampled_from(["svd", "irls", "analytic",
+                                         "finite_difference", "", "x"]))
+_FUZZ_OWN = {int: st.integers(1, 40).flatmap(lambda i: st.sampled_from([i, float(i)])),
+             float: st.floats(0.0, 2.0), bool: st.booleans(),
+             str: st.sampled_from(["analytic", "finite_difference", "in.umi"])}
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.fixed_dictionaries({
-    section: st.dictionaries(st.sampled_from(keys), _FUZZ_VALUE)
-    for section, keys in _FUZZ_KEYS.items()}))
+def _fuzz_level(fields):
+    """Any subset of the known keys and an unknown one, with fuzzed values."""
+    def value(field):
+        if isinstance(field, dict):
+            return st.one_of(_fuzz_level(field), _FUZZ_VALUE)
+        own = (st.sampled_from(field.kind) if isinstance(field.kind, tuple)
+               else _FUZZ_OWN[field.kind])
+        return st.one_of(own, _FUZZ_VALUE)
+    return st.fixed_dictionaries({}, optional={
+        **{key: value(field) for key, field in fields.items()},
+        "no_such_key": _FUZZ_VALUE})
+
+
+def _integral_floats(cfg):
+    """cfg with every integer setting spelled as a float."""
+    return {key: _integral_floats(value) if isinstance(value, dict)
+            else float(value) if type(value) is int else value
+            for key, value in cfg.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzz_level(config.FIELDS))
+@example(_integral_floats(full_config()))
 def test_fuzzed_sections_validate_or_raise_value_error(cfg):
     try:
-        config.validate_config(cfg)
-    except ValueError:
-        pass
+        out = config.validate_config(cfg)
+    except ValueError as exc:
+        assert str(exc).startswith("invalid config")
+        return
+    assert out == cfg
+    levels = [(out, config.FIELDS)] + [(out.get(name, {}), fields)
+                                       for name, fields in config.FIELDS.items()
+                                       if isinstance(fields, dict)]
+    for values, fields in levels:
+        for key, value in values.items():
+            if getattr(fields[key], "kind", None) is int:
+                assert value is None or type(value) is int, key
+    for section, built in (("irls", config.irls_config(out)),
+                           ("train", config.train_config(out))):
+        for key, field in config.FIELDS[section].items():
+            if field.kind is int and hasattr(built, key):
+                assert type(getattr(built, key)) is int, (section, key)
 
 
 class TestHash:

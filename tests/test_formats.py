@@ -276,6 +276,14 @@ class TestPgm:
         with pytest.raises(ValueError):
             formats.write_pgm(np.array([[1.0, np.nan]]), tmp_path / "nan.pgm")
 
+    @pytest.mark.parametrize("dynamic_range_db", [0.0, -30.0, np.nan, np.inf])
+    def test_dynamic_range_must_be_positive_and_finite(self, tmp_path,
+                                                        dynamic_range_db):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="dynamic_range_db"):
+            formats.write_pgm(self.golden_image(), path, dynamic_range_db)
+        assert not path.exists()
+
 
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -64,6 +64,14 @@ class TestBuildPhantom:
         for na, nb in zip(nets_a, nets_b):
             np.testing.assert_array_equal(na.q_e, nb.q_e)
 
+    @pytest.mark.parametrize("sizes", [{"n_units": 0},
+                                       {"cylinder_radius_mm": np.nan},
+                                       {"cylinder_radius_mm": np.inf},
+                                       {"pixel_mm": 0.0}, {"pixel_mm": np.nan}])
+    def test_sizes_must_be_positive_and_finite(self, sizes):
+        with pytest.raises(ValueError, match="positive and finite"):
+            scene.build_phantom(3, **sizes)
+
     def test_slab_thickness_frozen(self):
         assert scene.slab_thickness_mm() == pytest.approx(0.2091548937560069,
                                                           rel=1e-12)
@@ -193,6 +201,11 @@ class TestSynthesizeIq:
         d = casorati.to_casorati(seq)
         total = truth.tissue_casorati + truth.flow_casorati + truth.noise_casorati
         np.testing.assert_array_equal(d, total)
+
+    @pytest.mark.parametrize("frame_rate", [0.0, -1000.0, np.nan, np.inf])
+    def test_frame_rate_must_be_positive_and_finite(self, frame_rate):
+        with pytest.raises(ValueError, match="frame_rate"):
+            imaging.synthesize_iq(mini_scene(), 2, frame_rate)
 
     def test_infinite_snr_is_noise_free(self):
         sc = mini_scene()

@@ -72,6 +72,11 @@ class TestEstimateLowCut:
         assert svdfilt.estimate_low_cut(s, fraction=0.5) == 2
         assert svdfilt.estimate_low_cut(s, fraction=0.02) == 3
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, np.nan, np.inf])
+    def test_fraction_must_be_positive_and_finite(self, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            svdfilt.estimate_low_cut(np.array([100.0, 50.0, 0.5]), fraction)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             svdfilt.estimate_low_cut(np.array([]))
