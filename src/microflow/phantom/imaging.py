@@ -178,6 +178,10 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
     if not 0 < rate < np.inf:
         raise ValueError(f"frame_rate must be positive and finite, got {rate}")
     snr_db = scene.snr_db if noise_snr_db is None else float(noise_snr_db)
+    try:
+        noise_ratio = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db={snr_db} is too low: the noise power overflows") from None
 
     tissue = np.zeros((scene.nz, scene.nx, frames), dtype=np.complex128)
     flow = np.zeros_like(tissue)
@@ -192,7 +196,7 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
     noise = np.zeros_like(signal)
     if not np.isinf(snr_db):
         power = np.mean(np.abs(signal) ** 2)
-        sigma = np.sqrt(power * 10.0 ** (-snr_db / 10.0) / 2.0)
+        sigma = np.sqrt(power * noise_ratio / 2.0)
         for k in range(frames):
             rng = np.random.default_rng([scene.seed, _NOISE_STREAM, k])
             noise[:, :, k] = sigma * (rng.standard_normal((scene.nz, scene.nx))

@@ -95,7 +95,7 @@ def simulate_dataset(cfg, verbose=False):
             noise_snr_db=np.inf if snr_db is None else snr_db,
             verbose=verbose)
         blood_mask, tissue_mask = imaging.roi_masks(scene)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
         raise PipelineError("simulate", str(exc)) from exc
     truth = {"velocity": gt.axial_velocity, "flow_mask": blood_mask,
              "tissue_mask": tissue_mask}

@@ -191,21 +191,21 @@ def layer_forward(state, params, d_mat, epsilon=1e-8):
         epsilon: blood-weight regularizer.
 
     Returns:
-        (u, v, b) leaving the layer.
+        (u, v, b, w_b): the state leaving the layer and the real blood
+        weights the layer divided by, B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b).
     """
     u, v, b = state
-    u, v, b, _ = irls.update_step(d_mat, u, d_mat - u @ v.conj().T, np.abs(b) ** 2,
-                                  params.lambda_b, params.w_c, epsilon)
-    return u, v, b
+    return irls.update_step(d_mat, u, d_mat - u @ v.conj().T, np.abs(b) ** 2,
+                            params.lambda_b, params.w_c, epsilon)
 
 
 def _layers(net, work, init_state=None):
-    """Yield each layer's (u, v, b) in the normalized domain, holding only the current state."""
+    """Yield each layer's (u, v, b, w_b) in the normalized domain, holding only the current state."""
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
     b = np.zeros_like(work)
     for params in net.layers:
-        u, v, b = layer_forward((u, v, b), params, work, epsilon=net.epsilon)
-        yield u, v, b
+        u, v, b, w_b = layer_forward((u, v, b), params, work, epsilon=net.epsilon)
+        yield u, v, b, w_b
 
 
 def _misfit(d_mat, u, v, b):
@@ -228,7 +228,7 @@ def network_forward(net, d_mat, init_state=None):
     d_mat = np.asarray(d_mat, dtype=np.complex128)
     work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
     trace = ForwardTrace(basis=[], coeffs=[], blood=[], residual=[])
-    for u, v, b in _layers(net, work, init_state):
+    for u, v, b, _ in _layers(net, work, init_state):
         v, b = v * scale, b * scale
         trace.basis.append(u)
         trace.coeffs.append(v)
@@ -249,7 +249,7 @@ def _mean_data_loss(net, d_mat, init_state=None):
     d_mat = np.asarray(d_mat, dtype=np.complex128)
     work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
     return float(np.mean([_misfit(d_mat, u, v * scale, b * scale) ** 2
-                          for u, v, b in _layers(net, work, init_state)]))
+                          for u, v, b, _ in _layers(net, work, init_state)]))
 
 
 def pack_parameters(net):
@@ -283,45 +283,65 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
 
     The pass runs in the normalized domain; since the loss is quadratic in
     the data scale, the gradient (and loss) are multiplied by scale**2.
+
+    The forward pass keeps each layer's small factors and its real blood
+    weights, not its complex blood matrix. Going backwards, the blood matrix
+    entering layer k is rebuilt with the forward pass's own operations,
+    B_{k-1} = (D - U_{k-2} V_{k-2}^H) / (1 + 2 lambda_{k-1} w_{k-1}), so the
+    result is bit-identical to keeping every B. The rebuilt matrices
+    overwrite the last layer's B, and the other full-matrix temporaries of
+    all layers share four more complex and two real buffers. All are
+    C-ordered, as numpy's own temporaries here are (B included): the order
+    of a product's output changes its rounding.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
     work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
-    # entry k holds layer k's input, entry k + 1 its output
-    states = [(u0, v0, 0.0)] + list(_layers(net, work, (u0, v0)))
+    # factors[k] holds layer k's input factors and factors[k + 1] its output;
+    # weights[k] holds layer k's blood weights and b ends as the last layer's B
+    factors, weights = [(u0, v0)], []
+    for u, v, b, w_b in _layers(net, work, (u0, v0)):
+        factors.append((u, v))
+        weights.append(w_b)
     n_layers = len(net.layers)
     c = 1.0 / n_layers
+
+    def divisor(k, out):
+        """1 + 2 lambda_b w_b of layer k, in the forward pass's order of operations."""
+        np.multiply(2.0 * net.layers[k].lambda_b, weights[k], out=out)
+        return np.add(1.0, out, out=out)
+
+    r, e, g_r, g_b_next = (np.empty(work.shape, complex) for _ in range(4))
+    den = divisor(n_layers - 1, np.empty(work.shape))
+    real_tmp = np.empty(work.shape)
 
     loss_norm = 0.0
     g_theta = np.zeros(n_layers * (1 + net.d))
     g_u_next = None
     g_v_next = None
-    g_b_next = None
     stride = 1 + net.d
     for k in range(n_layers - 1, -1, -1):
-        u_in, v_in, b_in = states[k]
-        u, v, b = states[k + 1]
-        states[k + 1] = None
+        u_in, v_in = factors[k]
+        u, v = factors[k + 1]
+        w_b = weights.pop()
         params = net.layers[k]
         lam = params.lambda_b
-        w_b = irls.sparse_weights(b_in, net.epsilon)
-        den = 1.0 + 2.0 * lam * w_b
-        r = work - b
-        e = work - b - u @ v.conj().T
+        np.subtract(work, b, out=r)
+        e = np.subtract(r, np.matmul(u, v.conj().T, out=e), out=e)
         loss_norm += np.linalg.norm(e) ** 2
 
         g_u = -c * (e @ v)
-        g_v = -c * (e.conj().T @ u)
-        g_b = -c * e
+        g_v = -c * (np.conj(e, out=g_r).T @ u)
+        g_b = np.multiply(-c, e, out=e)
         if g_u_next is not None:
             g_u = g_u + g_u_next
             g_v = g_v + g_v_next
-            g_b = g_b + g_b_next
+            np.add(g_b, g_b_next, out=g_b)
 
         # basis update U = R V inv(M_U)
         q_u = np.linalg.inv(v.conj().T @ v + np.diag(params.w_c))
-        g_r = (g_u @ q_u) @ v.conj().T
-        g_p = r.conj().T @ g_u
+        np.matmul(g_u @ q_u, v.conj().T, out=g_r)
+        g_p = np.conj(r, out=g_b_next).T @ g_u
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
@@ -329,23 +349,33 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         # coefficient update V = R^H U_in inv(M_V)
         q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(params.w_c))
         g_p2 = r @ g_v
-        g_r = g_r + u_in @ (q_v @ g_v.conj().T)
+        g_r += np.matmul(u_in, q_v @ g_v.conj().T, out=r)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
         g_u_in = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T)
         g_w = g_w + 2.0 * np.real(np.diag(g_m_v))
 
         # R = D - B, then B = (D - U_in V_in^H) / den
-        g_b_tot = g_b - g_r
-        g_r0 = g_b_tot / den
-        tmp = np.real(np.conj(g_b_tot) * b) / den
-        g_lam = -4.0 * float(np.sum(tmp * w_b))
-        g_b_in = (2.0 * lam) * (tmp * w_b ** 3) * b_in
+        g_b_tot = np.subtract(g_b, g_r, out=g_b)
+        g_r0 = np.divide(g_b_tot, den, out=g_r)
+        # den's last use: tmp takes its buffer, and den is refilled for layer k - 1 below
+        tmp = np.divide(np.multiply(np.conj(g_b_tot, out=r), b, out=r).real, den, out=den)
+        g_lam = -4.0 * float(np.sum(np.multiply(tmp, w_b, out=real_tmp)))
+        if k > 0:
+            # layer 0's input B is the fixed zero start, which needs no gradient
+            g_b_in = np.power(w_b, 3, out=real_tmp)
+            g_b_in *= tmp
+            g_b_in *= 2.0 * lam
+            divisor(k - 1, den)
+            u_prev, v_prev = factors[k - 1]
+            np.matmul(u_prev, v_prev.conj().T, out=b)
+            np.divide(np.subtract(work, b, out=b), den, out=b)
+            np.multiply(g_b_in, b, out=g_b_next)
         g_u_in = g_u_in - g_r0 @ v_in
-        g_v_in = -(g_r0.conj().T @ u_in)
+        g_v_in = -(np.conj(g_r0, out=e).T @ u_in)
 
         g_theta[k * stride] = g_lam * expit(params.theta_lambda)
         g_theta[k * stride + 1:(k + 1) * stride] = g_w * expit(params.theta_w)
-        g_u_next, g_v_next, g_b_next = g_u_in, g_v_in, g_b_in
+        g_u_next, g_v_next = g_u_in, g_v_in
 
     return c * loss_norm * scale ** 2, g_theta * scale ** 2
 
@@ -491,6 +521,6 @@ def infer(net, d_mat_new):
     work, scale = irls.prepare_input(d_mat_new, net.d, net.normalize)
     if net.n_space is not None and work.shape[0] != net.n_space:
         raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
-    for u, v, b in _layers(net, work):
+    for u, v, b, _ in _layers(net, work):
         pass
     return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)

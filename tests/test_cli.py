@@ -445,6 +445,22 @@ class TestCli:
         assert "nan" in err and err.count("\n") == 1
         assert not (outdir / "power.pgm").exists()
 
+    @pytest.mark.parametrize("key, value, message",
+                             [("cylinder_radius_mm", 1e300, "infinity"),
+                              ("snr_db", -1e308, "snr_db")])
+    def test_overflowing_simulate_setting_is_simulate_exit_code(
+            self, tmp_path, capsys, key, value, message):
+        sim = sim_section(frames=2)
+        sim[key] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"simulate": sim}))
+        rc = cli.main(["simulate", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main(["defragment"])

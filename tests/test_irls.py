@@ -2,9 +2,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microflow import irls, unfolded
 from microflow.casorati import SolverError
+from solver_reference import convergence_metric, update_basis, update_blood, update_coeffs
 
 
 def crandn(r, shape, scale=1.0):
@@ -70,7 +73,7 @@ class TestUpdateBlood:
         u = crandn(r, (6, 2))
         v = crandn(r, (5, 2))
         w = irls.sparse_weights(crandn(r, (6, 5)), 1e-8)
-        b = irls.update_blood(d, u, v, w, 0.0)
+        b = update_blood(d, u, v, w, 0.0)
         assert np.array_equal(b, d - u @ v.conj().T)
 
     def test_exact_model_gives_zero(self):
@@ -78,12 +81,12 @@ class TestUpdateBlood:
         u = crandn(r, (6, 2))
         v = crandn(r, (5, 2))
         d = u @ v.conj().T
-        b = irls.update_blood(d, u, v, np.ones((6, 5)), 0.7)
+        b = update_blood(d, u, v, np.ones((6, 5)), 0.7)
         assert np.allclose(b, 0, atol=1e-16)
 
     def test_scalar_case(self):
-        b = irls.update_blood(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]),
-                              np.array([[1.0 + 0j]]), np.array([[1.0]]), 0.5)
+        b = update_blood(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]),
+                         np.array([[1.0 + 0j]]), np.array([[1.0]]), 0.5)
         assert b[0, 0] == pytest.approx(0.5)
 
     def test_shrinks_magnitudes(self):
@@ -92,7 +95,7 @@ class TestUpdateBlood:
         u = crandn(r, (7, 3))
         v = crandn(r, (6, 3))
         w = irls.sparse_weights(crandn(r, (7, 6)), 1e-6)
-        b = irls.update_blood(d, u, v, w, 0.3)
+        b = update_blood(d, u, v, w, 0.3)
         assert np.all(np.abs(b) <= np.abs(d - u @ v.conj().T) + 1e-15)
 
     def test_monotone_in_lambda(self):
@@ -101,7 +104,7 @@ class TestUpdateBlood:
         u = np.zeros((5, 1), dtype=complex)
         v = np.zeros((4, 1), dtype=complex)
         w = irls.sparse_weights(d, 1e-8)
-        mags = [np.abs(irls.update_blood(d, u, v, w, lam)) for lam in (0.0, 0.1, 1.0, 100.0, 1e12)]
+        mags = [np.abs(update_blood(d, u, v, w, lam)) for lam in (0.0, 0.1, 1.0, 100.0, 1e12)]
         for lo, hi in zip(mags, mags[1:]):
             assert np.all(hi <= lo + 1e-15)
         assert np.all(mags[-1] <= 1e-6 * np.abs(d))
@@ -113,14 +116,14 @@ class TestFactorUpdates:
         d = crandn(r, (8, 5))
         b = crandn(r, (8, 5), 0.1)
         u, _ = np.linalg.qr(crandn(r, (8, 3)))
-        v = irls.update_coeffs(d, b, u, np.ones(3), 0.0)
+        v = update_coeffs(d, b, u, np.ones(3), 0.0)
         assert np.allclose(v, (d - b).conj().T @ u, atol=1e-12)
 
     def test_coeffs_zero_on_fully_explained_data(self):
         r = np.random.default_rng(7)
         b = crandn(r, (8, 5))
         u, _ = np.linalg.qr(crandn(r, (8, 3)))
-        v = irls.update_coeffs(b.copy(), b, u, np.ones(3), 0.1)
+        v = update_coeffs(b.copy(), b, u, np.ones(3), 0.1)
         assert np.allclose(v, 0, atol=1e-14)
 
     def test_coeffs_normal_equation_residual(self):
@@ -130,7 +133,7 @@ class TestFactorUpdates:
         u = crandn(r, (6, 3))
         w = r.random(3) + 0.5
         lam = 0.05
-        v = irls.update_coeffs(d, b, u, w, lam)
+        v = update_coeffs(d, b, u, w, lam)
         gram = u.conj().T @ u + np.diag(2 * lam * w)
         rhs = (d - b).conj().T @ u
         assert np.linalg.norm(v @ gram - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -140,9 +143,9 @@ class TestFactorUpdates:
         d = crandn(r, (6, 4))
         b = crandn(r, (6, 4), 0.2)
         v, _ = np.linalg.qr(crandn(r, (4, 2)))
-        u = irls.update_basis(d, b, v, np.ones(2), 0.0)
+        u = update_basis(d, b, v, np.ones(2), 0.0)
         assert np.allclose(u, (d - b) @ v, atol=1e-12)
-        u2 = irls.update_basis(b.copy(), b, v, np.ones(2), 0.3)
+        u2 = update_basis(b.copy(), b, v, np.ones(2), 0.3)
         assert np.allclose(u2, 0, atol=1e-14)
 
     def test_basis_normal_equation_residual(self):
@@ -152,7 +155,7 @@ class TestFactorUpdates:
         v = crandn(r, (5, 3))
         w = r.random(3) + 0.2
         lam = 0.02
-        u = irls.update_basis(d, b, v, w, lam)
+        u = update_basis(d, b, v, w, lam)
         gram = v.conj().T @ v + np.diag(2 * lam * w)
         rhs = (d - b) @ v
         assert np.linalg.norm(u @ gram - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -162,7 +165,7 @@ class TestFactorUpdates:
         d = crandn(r, (6, 4))
         u = np.zeros((6, 2), dtype=complex)
         with pytest.raises(SolverError):
-            irls.update_coeffs(d, np.zeros_like(d), u, np.ones(2), 0.0)
+            update_coeffs(d, np.zeros_like(d), u, np.ones(2), 0.0)
 
 
 class TestConvergenceMetric:
@@ -170,26 +173,26 @@ class TestConvergenceMetric:
         r = np.random.default_rng(12)
         t = crandn(r, (4, 4))
         b = crandn(r, (4, 4))
-        assert irls.convergence_metric(t, b, t, b) == 0.0
+        assert convergence_metric(t, b, t, b) == 0.0
 
     def test_doubling(self):
         r = np.random.default_rng(13)
         t = crandn(r, (4, 3))
         b = crandn(r, (4, 3))
-        m = irls.convergence_metric(2 * t, 2 * b, t, b)
+        m = convergence_metric(2 * t, 2 * b, t, b)
         assert m == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_recompute(self):
         r = np.random.default_rng(14)
         tn, bn, tp, bp = (crandn(r, (5, 6)) for _ in range(4))
         ref = np.linalg.norm(tn + bn - tp - bp) ** 2 / np.linalg.norm(tp + bp) ** 2
-        assert irls.convergence_metric(tn, bn, tp, bp) == pytest.approx(ref, rel=1e-12)
+        assert convergence_metric(tn, bn, tp, bp) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_previous(self):
         z = np.zeros((2, 2), dtype=complex)
-        assert irls.convergence_metric(z, z, z, z) == 0.0
+        assert convergence_metric(z, z, z, z) == 0.0
         with pytest.raises(ValueError):
-            irls.convergence_metric(np.ones((2, 2), dtype=complex), z, z, z)
+            convergence_metric(np.ones((2, 2), dtype=complex), z, z, z)
 
 
 class TestRunIrls:
@@ -291,12 +294,12 @@ def reference_irls(d_mat, cfg):
         w_b = irls.sparse_weights(b, cfg.epsilon)
         obj_pre.append(objective(u, v, b, w_b, w_c))
         wc_hist.append(w_c.copy())
-        b = irls.update_blood(d_work, u, v, w_b, cfg.lambda_b)
-        v = irls.update_coeffs(d_work, b, u, w_c, cfg.lambda_c)
-        u = irls.update_basis(d_work, b, v, w_c, cfg.lambda_c)
+        b = update_blood(d_work, u, v, w_b, cfg.lambda_b)
+        v = update_coeffs(d_work, b, u, w_c, cfg.lambda_c)
+        u = update_basis(d_work, b, v, w_c, cfg.lambda_c)
         obj.append(objective(u, v, b, w_b, w_c))
         t = u @ v.conj().T
-        conv.append(irls.convergence_metric(t, b, prev_t, prev_b))
+        conv.append(convergence_metric(t, b, prev_t, prev_b))
         prev_t, prev_b = t, b
         w_c = irls.lowrank_weights(u, v, cfg.epsilon, cfg.rho)
         if conv[-1] < cfg.tol:
@@ -345,7 +348,7 @@ class TestFusedStepEquivalence:
         b = np.zeros_like(d_mat)
         for w_c in trace.w_c_history:
             params = SimpleNamespace(lambda_b=cfg.lambda_b, w_c=2.0 * cfg.lambda_c * w_c)
-            u, v, b = unfolded.layer_forward((u, v, b), params, d_mat, epsilon=cfg.epsilon)
+            u, v, b, _ = unfolded.layer_forward((u, v, b), params, d_mat, epsilon=cfg.epsilon)
         assert np.array_equal(u, dec.basis_u)
         assert np.array_equal(v, dec.coeffs_v)
         assert np.array_equal(b, dec.blood_b)
@@ -355,7 +358,7 @@ class TestFusedStepEquivalence:
         d_mat = crandn(r, (20, 8))
         u, v = irls._init_state(d_mat, 2)
         resid = d_mat - u @ v.conj().T
-        want = irls.update_blood(d_mat, u, v, irls.sparse_weights(np.zeros_like(d_mat), 1e-8), 0.1)
+        want = update_blood(d_mat, u, v, irls.sparse_weights(np.zeros_like(d_mat), 1e-8), 0.1)
         _, _, b, w_b = irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1,
                                         np.ones(2), 1e-8)
         assert b is resid
@@ -363,3 +366,25 @@ class TestFusedStepEquivalence:
         assert np.array_equal(w_b, np.full(d_mat.shape, 1e-8 ** -0.5))
         with pytest.raises(ValueError):
             irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1, np.ones(2), 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(1, 40), nt=st.integers(1, 20),
+           lambda_b=st.floats(0.0, 1e3), epsilon=st.sampled_from([1e-12, 1e-8, 1e-3, 1.0]),
+           fortran=st.booleans())
+    def test_step_shrinks_the_residual_and_its_blood_rebuilds_from_w_b(
+            self, seed, ns, nt, lambda_b, epsilon, fortran):
+        r = np.random.default_rng(seed)
+        d = int(r.integers(1, min(ns, nt) + 1))
+        d_mat = crandn(r, (ns, nt))
+        if fortran:
+            d_mat = np.asfortranarray(d_mat)
+        u, v = crandn(r, (ns, d)), crandn(r, (nt, d))
+        b_in = crandn(r, (ns, nt), r.choice([0.0, 1e-3, 1.0]))
+        resid = d_mat - u @ v.conj().T
+        bound = np.abs(resid)
+        _, _, b, w_b = irls.update_step(d_mat, u, resid, np.abs(b_in) ** 2, lambda_b,
+                                        r.random(d) + 0.1, epsilon)
+        assert np.all(np.abs(b) <= bound)
+        # the adjoint rebuilds each layer's B this way instead of storing it
+        rebuilt = (d_mat - u @ v.conj().T) / (1.0 + 2.0 * lambda_b * w_b)
+        assert np.array_equal(rebuilt, b)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microflow import irls, unfolded
+from solver_reference import update_basis, update_blood, update_coeffs
 
 
 def crandn(r, shape, scale=1.0):
@@ -100,13 +103,13 @@ class TestLayerForward:
         net, _ = frozen_net_from_irls(d_mat, d=4, k=1, lambda_c=0.02, lambda_b=0.05)
         u0, v0 = irls._init_state(d_mat, 4)
         b0 = np.zeros_like(d_mat)
-        u1, v1, b1 = unfolded.layer_forward((u0, v0, b0), net.layers[0], d_mat, epsilon=1e-8)
+        u1, v1, b1, _ = unfolded.layer_forward((u0, v0, b0), net.layers[0], d_mat, epsilon=1e-8)
 
         w_b = irls.sparse_weights(b0, 1e-8)
-        b_ref = irls.update_blood(d_mat, u0, v0, w_b, 0.05)
+        b_ref = update_blood(d_mat, u0, v0, w_b, 0.05)
         w_c = irls.lowrank_weights(u0, v0, 1e-8, 1.0)
-        v_ref = irls.update_coeffs(d_mat, b_ref, u0, w_c, 0.02)
-        u_ref = irls.update_basis(d_mat, b_ref, v_ref, w_c, 0.02)
+        v_ref = update_coeffs(d_mat, b_ref, u0, w_c, 0.02)
+        u_ref = update_basis(d_mat, b_ref, v_ref, w_c, 0.02)
         assert np.linalg.norm(b1 - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         assert np.linalg.norm(v1 - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
         assert np.linalg.norm(u1 - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
@@ -117,7 +120,7 @@ class TestLayerForward:
         v = crandn(r, (8, 2))
         d_mat = u @ v.conj().T
         params = unfolded.LayerParams.from_values(0.5, np.full(2, 1e-6))
-        u1, v1, b1 = unfolded.layer_forward((u, v, np.zeros_like(d_mat)), params, d_mat)
+        u1, v1, b1, _ = unfolded.layer_forward((u, v, np.zeros_like(d_mat)), params, d_mat)
         assert np.allclose(b1, 0, atol=1e-14)
         assert np.linalg.norm(u1 @ v1.conj().T - d_mat) <= 1e-6 * np.linalg.norm(d_mat)
 
@@ -126,7 +129,7 @@ class TestLayerForward:
         d_mat = crandn(r, (10, 6))
         u0, v0 = irls._init_state(d_mat, 2)
         params = unfolded.LayerParams.from_values(1e12, np.ones(2))
-        _, _, b1 = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), params, d_mat)
+        _, _, b1, _ = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), params, d_mat)
         assert np.linalg.norm(b1) <= 1e-6 * np.linalg.norm(d_mat - u0 @ v0.conj().T)
 
 
@@ -136,7 +139,7 @@ class TestNetworkForward:
         net, _ = frozen_net_from_irls(d_mat, d=3, k=1, lambda_c=0.01, lambda_b=0.02)
         trace = unfolded.network_forward(net, d_mat)
         u0, v0 = irls._init_state(d_mat, 3)
-        u1, v1, b1 = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), net.layers[0],
+        u1, v1, b1, _ = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), net.layers[0],
                                             d_mat, epsilon=net.epsilon)
         assert np.allclose(trace.blood[0], b1, rtol=1e-12, atol=0)
         assert len(trace.blood) == 1
@@ -253,6 +256,136 @@ class TestParameterGradient:
         for idx in flat:
             assert abs(g_fd[idx]) <= 1e-6
             assert abs(g_an[idx]) <= 1e-6
+
+
+def reference_analytic_loss_grad(net, d_mat, init_state=None):
+    """Reference adjoint that keeps every layer's complex B.
+
+    It recomputes each layer's blood weights from the B entering it;
+    _analytic_loss_grad, which stores the weights and rebuilds B, must
+    return the same bits.
+    """
+    from scipy.special import expit
+    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
+    u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
+    # entry k holds layer k's input, entry k + 1 its output
+    states = [(u0, v0, 0.0)] + [(u, v, b) for u, v, b, _ in
+                                unfolded._layers(net, work, (u0, v0))]
+    n_layers = len(net.layers)
+    c = 1.0 / n_layers
+
+    loss_norm = 0.0
+    g_theta = np.zeros(n_layers * (1 + net.d))
+    g_u_next = None
+    g_v_next = None
+    g_b_next = None
+    stride = 1 + net.d
+    for k in range(n_layers - 1, -1, -1):
+        u_in, v_in, b_in = states[k]
+        u, v, b = states[k + 1]
+        states[k + 1] = None
+        params = net.layers[k]
+        lam = params.lambda_b
+        w_b = irls.sparse_weights(b_in, net.epsilon)
+        den = 1.0 + 2.0 * lam * w_b
+        r = work - b
+        e = work - b - u @ v.conj().T
+        loss_norm += np.linalg.norm(e) ** 2
+
+        g_u = -c * (e @ v)
+        g_v = -c * (e.conj().T @ u)
+        g_b = -c * e
+        if g_u_next is not None:
+            g_u = g_u + g_u_next
+            g_v = g_v + g_v_next
+            g_b = g_b + g_b_next
+
+        q_u = np.linalg.inv(v.conj().T @ v + np.diag(params.w_c))
+        g_r = (g_u @ q_u) @ v.conj().T
+        g_p = r.conj().T @ g_u
+        g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
+        g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
+        g_w = 2.0 * np.real(np.diag(g_m_u))
+
+        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(params.w_c))
+        g_p2 = r @ g_v
+        g_r = g_r + u_in @ (q_v @ g_v.conj().T)
+        g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
+        g_u_in = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T)
+        g_w = g_w + 2.0 * np.real(np.diag(g_m_v))
+
+        g_b_tot = g_b - g_r
+        g_r0 = g_b_tot / den
+        tmp = np.real(np.conj(g_b_tot) * b) / den
+        g_lam = -4.0 * float(np.sum(tmp * w_b))
+        g_b_in = (2.0 * lam) * (tmp * w_b ** 3) * b_in
+        g_u_in = g_u_in - g_r0 @ v_in
+        g_v_in = -(g_r0.conj().T @ u_in)
+
+        g_theta[k * stride] = g_lam * expit(params.theta_lambda)
+        g_theta[k * stride + 1:(k + 1) * stride] = g_w * expit(params.theta_w)
+        g_u_next, g_v_next, g_b_next = g_u_in, g_v_in, g_b_in
+
+    return c * loss_norm * scale ** 2, g_theta * scale ** 2
+
+
+def perturbed(net, seed):
+    theta = unfolded.pack_parameters(net)
+    theta = theta + np.random.default_rng(seed).normal(0.0, 0.5, theta.size)
+    return unfolded._with_parameters(net, theta)
+
+
+def adjoint_cases():
+    cases = []
+    for seed in (13, 14):
+        net, d_mat = tiny_net_and_data(seed=seed)
+        cases.append(pytest.param(net, d_mat, None, id=f"tiny-seed{seed}"))
+    d_mat = lowrank_sparse(25, 400, 60)
+    cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=2.0, normalize=False)
+    raw = unfolded.init_network(d_mat, k=6, d=4, lambda_b_init=2.0, cfg=cfg)
+    cases.append(pytest.param(raw, d_mat, None, id="400x60-unnormalized"))
+    cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=2.0)
+    net = unfolded.init_network(d_mat, k=6, d=4, lambda_b_init=2.0, cfg=cfg)
+    cases.append(pytest.param(perturbed(net, 1), d_mat, None, id="perturbed"))
+    u0, v0 = irls._init_state(d_mat, 4)
+    q, _ = np.linalg.qr(crandn(np.random.default_rng(26), (4, 4)))
+    cases.append(pytest.param(raw, d_mat, (u0 @ q, v0 @ q), id="init-state"))
+    k1 = unfolded.init_network(d_mat, k=1, d=4, lambda_b_init=2.0, cfg=cfg)
+    cases.append(pytest.param(perturbed(k1, 2), d_mat, None, id="one-layer"))
+    zeros = np.zeros((30, 12), dtype=complex)
+    cfg = irls.IrlsConfig(d=2, lambda_c=0.05, lambda_b=1.0)
+    cases.append(pytest.param(unfolded.init_network(zeros, k=3, d=2, lambda_b_init=1.0, cfg=cfg),
+                              zeros, None, id="zero-input"))
+    cfg = irls.IrlsConfig(d=3, lambda_c=0.05, lambda_b=3.0)
+    net = perturbed(unfolded.init_network(d_mat, k=5, d=3, lambda_b_init=3.0, cfg=cfg), 3)
+    cases.append(pytest.param(net, np.asfortranarray(d_mat), None, id="fortran-order"))
+    cases.append(pytest.param(net, np.ascontiguousarray(d_mat), None, id="c-order"))
+    return cases
+
+
+class TestAdjointReference:
+    @pytest.mark.parametrize("net, d_mat, init_state", adjoint_cases())
+    def test_matches_stored_blood_adjoint(self, net, d_mat, init_state):
+        want_loss, want_grad = reference_analytic_loss_grad(net, d_mat, init_state)
+        got_loss, got_grad = unfolded._analytic_loss_grad(net, d_mat, init_state)
+        assert np.array_equal(got_loss, want_loss)
+        assert np.array_equal(got_grad, want_grad)
+
+    def test_peak_memory_is_bounded_by_the_input(self):
+        # k=15 complex blood matrices alone are 15x the input; the adjoint
+        # keeps the real blood weights (7.5x) and a few reused buffers
+        d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6))
+        cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
+        net = unfolded.init_network(d_mat, k=15, d=10, lambda_b_init=6.0, cfg=cfg)
+        small, data = tiny_net_and_data()
+        unfolded._analytic_loss_grad(small, data)  # imports scipy.special outside the trace
+        tracemalloc.start()
+        try:
+            unfolded._analytic_loss_grad(net, d_mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * d_mat.nbytes, f"peak {peak / d_mat.nbytes:.1f}x the input"
 
 
 class TestTrain:
