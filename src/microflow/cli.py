@@ -56,13 +56,10 @@ def build_parser():
 
 def _merge_config(args):
     """Load the config file (if any) and let explicit flags override it."""
+    cfg = {}
     if args.config:
-        try:
+        with pipeline.stage("config"):
             cfg = config_mod.load_config(args.config)
-        except (OSError, ValueError) as exc:
-            raise pipeline.PipelineError("config", str(exc)) from exc
-    else:
-        cfg = {}
     for key in _FLAG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -97,7 +94,7 @@ def main(argv=None):
             print(f"inferred blood estimate; artifacts in "
                   f"{result.output_dir}")
         elif args.command == "evaluate":
-            report = pipeline.run_evaluate(cfg, verbose=args.verbose)
+            report = pipeline.run_evaluate(cfg)
             m = report["metrics"]
             print("metrics: "
                   + ", ".join(f"{k}={m[k]:.4g}" if isinstance(m[k], float)
@@ -105,7 +102,7 @@ def main(argv=None):
                               for k in ("cnr_db", "snr_db", "psl_db",
                                         "r_squared")))
         elif args.command == "render":
-            out = pipeline.run_render(cfg, args.mode, verbose=args.verbose)
+            out = pipeline.run_render(cfg, args.mode)
             print(f"rendered {cfg['input']} to {out}")
     except pipeline.PipelineError as exc:
         print(f"microflow {args.command}: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Dataset files (``.umi``) hold a complex frame stack plus acquisition
 metadata. Layout: 4-byte magic ``UMI1``, four little-endian uint32 fields
 (version, nz, nx, nt), three little-endian float64 fields (frame_rate,
 center_freq, prf), then the voxels as little-endian complex64, frame-major
-with the axial index fastest within each frame.
+with the axial index fastest within each frame. Every dimension is at least
+1 and every rate is positive and finite, on writing and on reading.
 
 Model files (``.u2m``) hold the unconstrained parameters of an unfolded
 network: magic ``U2M1``, uint32 version / layer count / subspace dimension,
@@ -31,6 +32,16 @@ _DATASET_VERSION = 1
 _MODEL_HEADERS = {b"U2M1": (1, 24), b"U2M2": (2, 36)}  # magic: (version, size)
 _HEADER_SIZE = 44  # magic + 4 uint32 + 3 float64
 _MAX_DIM = 2 ** 32 - 1
+_RATES = ("frame_rate", "center_freq", "prf")
+
+
+def _checked_rates(rates):
+    """Return the three acquisition rates, each checked positive and finite."""
+    for name, value in zip(_RATES, rates):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} is {value}, expected a positive "
+                             f"finite value")
+    return rates
 
 
 def write_dataset(seq, path, meta=None):
@@ -61,8 +72,8 @@ def write_dataset(seq, path, meta=None):
             raise ValueError(f"dimension {n} does not fit the header")
     header = _DATASET_MAGIC
     header += struct.pack("<4I", _DATASET_VERSION, nz, nx, nt)
-    header += struct.pack("<3d", float(fields["frame_rate"]),
-                          float(fields["center_freq"]), float(fields["prf"]))
+    header += struct.pack("<3d", *_checked_rates(
+        [float(fields[name]) for name in _RATES]))
     payload = voxels.astype(np.complex64).tobytes(order="F")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -80,7 +91,10 @@ def read_dataset(path):
     version, nz, nx, nt = struct.unpack_from("<4I", raw, 4)
     if version != _DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {version}")
-    frame_rate, center_freq, prf = struct.unpack_from("<3d", raw, 20)
+    if 0 in (nz, nx, nt):
+        raise ValueError(f"empty grid: nz={nz}, nx={nx}, nt={nt}")
+    frame_rate, center_freq, prf = _checked_rates(
+        struct.unpack_from("<3d", raw, 20))
     count = nz * nx * nt
     expected = _HEADER_SIZE + 8 * count
     if len(raw) < expected:

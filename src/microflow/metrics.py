@@ -139,6 +139,8 @@ def r_squared(estimate, truth, mask):
         raise ValueError("mask selects no pixels")
     x = np.asarray(truth, dtype=float)[mask].ravel()
     y = np.asarray(estimate, dtype=float)[mask].ravel()
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite values under the mask; fit undefined")
     if np.ptp(x) == 0.0:
         raise ValueError("truth is constant over the mask; fit undefined")
     slope, intercept = np.polyfit(x, y, 1)

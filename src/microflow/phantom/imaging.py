@@ -165,7 +165,8 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
         Hz; None takes the scene's rate.
     noise_snr_db : float or None
         SNR of the added complex white noise over the clean signal power;
-        np.inf disables noise. None takes the scene's setting.
+        np.inf disables noise, while NaN and -inf are refused. None takes
+        the scene's setting.
 
     Returns
     -------
@@ -178,6 +179,9 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
     if not 0 < rate < np.inf:
         raise ValueError(f"frame_rate must be positive and finite, got {rate}")
     snr_db = scene.snr_db if noise_snr_db is None else float(noise_snr_db)
+    if not snr_db > -np.inf:
+        raise ValueError(f"snr_db is {snr_db}, expected a number or inf "
+                         f"(no noise)")
     try:
         noise_ratio = 10.0 ** (-snr_db / 10.0)
     except OverflowError:

@@ -9,8 +9,11 @@ rerunning the same configuration reproduces them byte for byte.
 
 Failures carry the stage they occurred in (config, input, simulate,
 filter, train, evaluate, render) so callers can map them to exit codes.
+The one place that decides which exceptions count as a stage failure is
+the ``stage`` context manager.
 """
 
+import contextlib
 import dataclasses
 import json
 from pathlib import Path
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import formats, metrics, svdfilt, unfolded
-from .casorati import SolverError, from_casorati, to_casorati
+from .casorati import from_casorati, to_casorati
 from .irls import run_irls
 from .phantom import imaging
 from .phantom import scene as phantom_scene
@@ -61,19 +64,40 @@ class PipelineResult:
     output_dir: Path
 
 
-def _validated(cfg):
+@contextlib.contextmanager
+def stage(name):
+    """Report the failures bad input can cause as PipelineError(name, ...).
+
+    Those are ValueError (which covers LinAlgError, JSONDecodeError and
+    UnicodeDecodeError), ArithmeticError, OSError and RuntimeError (which
+    covers SolverError and training aborts). A PipelineError raised inside
+    passes through unchanged, so stages nest; any other exception is a bug
+    and keeps its traceback.
+    """
     try:
+        yield
+    except PipelineError:
+        raise
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
+        raise PipelineError(name, str(exc)) from exc
+
+
+def _validated(cfg):
+    with stage("config"):
         return config_mod.validate_config(cfg)
-    except ValueError as exc:
-        raise PipelineError("config", str(exc)) from exc
+
+
+def _make_dir(path):
+    """Config stage: create a directory for outputs before any work starts."""
+    with stage("config"):
+        path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _output_dir(cfg):
     if "output" not in cfg:
         raise PipelineError("config", "an output directory is required")
-    out = Path(cfg["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _make_dir(Path(cfg["output"]))
 
 
 def simulate_dataset(cfg, verbose=False):
@@ -84,7 +108,7 @@ def simulate_dataset(cfg, verbose=False):
     """
     sim = cfg.get("simulate", {})
     seed = cfg.get("seed", 0)
-    try:
+    with stage("simulate"):
         scene, _ = phantom_scene.build_phantom(
             seed, **{key: sim[key] for key in ("n_units", "cylinder_radius_mm",
                                                "pixel_mm") if key in sim},
@@ -95,8 +119,6 @@ def simulate_dataset(cfg, verbose=False):
             noise_snr_db=np.inf if snr_db is None else snr_db,
             verbose=verbose)
         blood_mask, tissue_mask = imaging.roi_masks(scene)
-    except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
-        raise PipelineError("simulate", str(exc)) from exc
     truth = {"velocity": gt.axial_velocity, "flow_mask": blood_mask,
              "tissue_mask": tissue_mask}
     return seq, truth
@@ -108,7 +130,8 @@ def _load_truth(dirpath):
         path = Path(dirpath) / name
         if not path.exists():
             raise PipelineError("input", f"truth file {path} not found")
-        img = formats.read_csv(path)
+        with stage("input"):
+            img = formats.read_csv(path)
         truth[key] = img > 0.5 if key.endswith("mask") else img
     return truth
 
@@ -121,10 +144,8 @@ def _write_truth(outdir, truth):
 
 def _read_input(path):
     """Input stage: read a dataset file and reject non-finite voxels."""
-    try:
+    with stage("input"):
         seq = formats.read_dataset(path)
-    except (OSError, ValueError) as exc:
-        raise PipelineError("input", str(exc)) from exc
     bad = int(np.count_nonzero(~np.isfinite(seq.voxels)))
     if bad:
         raise PipelineError("input", f"dataset {path} holds {bad} "
@@ -149,16 +170,12 @@ def _acquire(cfg, verbose=False):
 def _train_network(d_mat, cfg, verbose=False):
     """Train stage: initialize from the data and fit the layer parameters."""
     shape = {**config_mod.NETWORK_DEFAULTS, **cfg.get("train", {})}
-    try:
+    with stage("train"):
         net = unfolded.init_network(d_mat, shape["k_layers"], shape["d"],
                                     shape["lambda_b_init"],
                                     config_mod.irls_config(cfg))
-        net, history = unfolded.train(net, d_mat, None,
-                                      config_mod.train_config(cfg),
-                                      verbose=verbose)
-    except (ValueError, RuntimeError) as exc:
-        raise PipelineError("train", str(exc)) from exc
-    return net, history
+        return unfolded.train(net, d_mat, None, config_mod.train_config(cfg),
+                              verbose=verbose)
 
 
 def _filter(d_mat, cfg, outdir, verbose=False):
@@ -171,7 +188,7 @@ def _filter(d_mat, cfg, outdir, verbose=False):
     method = cfg["method"]
     extra_report = {}
     extra_artifacts = {}
-    try:
+    with stage("filter"):
         if method == "svd":
             blood, low = svdfilt.band_filter(d_mat, **cfg.get("svd", {}))
             extra_report["svd_low_cut"] = low
@@ -182,10 +199,8 @@ def _filter(d_mat, cfg, outdir, verbose=False):
             extra_report["irls_iterations"] = int(trace.iterations)
         elif method == "unfolded":
             if "model" in cfg:
-                try:
+                with stage("input"):
                     net = formats.read_model(cfg["model"])
-                except (OSError, ValueError) as exc:
-                    raise PipelineError("input", str(exc)) from exc
             elif "train" in cfg:
                 net, history = _train_network(d_mat, cfg, verbose=verbose)
                 formats.write_model(net, outdir / "model.u2m")
@@ -202,10 +217,6 @@ def _filter(d_mat, cfg, outdir, verbose=False):
             blood = unfolded.infer(net, d_mat).blood_b
         else:
             raise ValueError(f"unknown method {method!r}")
-    except PipelineError:
-        raise
-    except (ValueError, np.linalg.LinAlgError, SolverError) as exc:
-        raise PipelineError("filter", str(exc)) from exc
     return blood, extra_report, extra_artifacts
 
 
@@ -213,7 +224,10 @@ def _evaluate(blood, seq, truth, cfg):
     """Evaluate stage: power and velocity images plus scalar metrics."""
     ensemble = min(cfg.get("ensemble", 200), blood.shape[1])
     b_ens = blood[:, blood.shape[1] - ensemble:]
-    try:
+    with stage("evaluate"):
+        if truth is not None and truth["velocity"].shape != (seq.nz, seq.nx):
+            raise ValueError(f"truth shape {truth['velocity'].shape} does "
+                             f"not match the dataset grid ({seq.nz}, {seq.nx})")
         power = metrics.power_doppler(b_ens, seq.nz, seq.nx)
         velocity_flat, low_conf = metrics.doppler_velocity(
             b_ens, seq.frame_rate, seq.center_freq)
@@ -235,8 +249,6 @@ def _evaluate(blood, seq, truth, cfg):
             scalars["intercept"] = float(intercept)
         scalars["low_confidence_fraction"] = float(low_conf.mean())
         scalars["ensemble"] = ensemble
-    except ValueError as exc:
-        raise PipelineError("evaluate", str(exc)) from exc
     return power.values, velocity, scalars
 
 
@@ -275,7 +287,7 @@ def run_pipeline(cfg, verbose=False):
                                              verbose=verbose)
     power, velocity, scalars = _evaluate(blood, seq, truth, cfg)
 
-    try:
+    with stage("render"):
         if simulated:
             formats.write_dataset(seq, outdir / "dataset.umi")
             artifacts["dataset"] = "dataset.umi"
@@ -289,16 +301,13 @@ def run_pipeline(cfg, verbose=False):
                           comment=f"cfg:{config_mod.config_hash(cfg)}",
                           **cfg.get("render", {}))
         formats.write_csv(velocity, outdir / "velocity.csv")
-    except (OSError, ValueError) as exc:
-        raise PipelineError("render", str(exc)) from exc
-    artifacts.update({"blood": "blood.umi", "power_csv": "power.csv",
-                      "power_pgm": "power.pgm",
-                      "velocity_csv": "velocity.csv",
-                      "report": "report.json"})
-
-    report = _write_report(outdir, cfg, seq, method=cfg["method"],
-                           metrics=scalars, artifacts=artifacts,
-                           **extra_report)
+        artifacts.update({"blood": "blood.umi", "power_csv": "power.csv",
+                          "power_pgm": "power.pgm",
+                          "velocity_csv": "velocity.csv",
+                          "report": "report.json"})
+        report = _write_report(outdir, cfg, seq, method=cfg["method"],
+                               metrics=scalars, artifacts=artifacts,
+                               **extra_report)
     return PipelineResult(report=report, blood=blood, power=power,
                           velocity=velocity, output_dir=outdir)
 
@@ -308,13 +317,11 @@ def run_simulate(cfg, verbose=False):
     cfg = _validated(cfg)
     outdir = _output_dir(cfg)
     seq, truth = simulate_dataset(cfg, verbose=verbose)
-    try:
+    with stage("simulate"):
         formats.write_dataset(seq, outdir / "dataset.umi")
         artifacts = {"dataset": "dataset.umi", "report": "report.json"}
         artifacts.update(_write_truth(outdir, truth))
-    except (OSError, ValueError) as exc:
-        raise PipelineError("simulate", str(exc)) from exc
-    return _write_report(outdir, cfg, seq, artifacts=artifacts)
+        return _write_report(outdir, cfg, seq, artifacts=artifacts)
 
 
 def run_train(cfg, verbose=False):
@@ -327,18 +334,16 @@ def run_train(cfg, verbose=False):
         raise PipelineError("config", "an output model path is required")
     if "input" not in cfg:
         raise PipelineError("config", "an input dataset is required")
+    model_path = Path(cfg["output"])
+    _make_dir(model_path.parent)
     seq = _read_input(cfg["input"])
     net, history = _train_network(to_casorati(seq), cfg, verbose=verbose)
-    model_path = Path(cfg["output"])
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
+    with stage("train"):
         formats.write_model(net, model_path)
-    except (OSError, ValueError) as exc:
-        raise PipelineError("train", str(exc)) from exc
     return net, history
 
 
-def run_evaluate(cfg, verbose=False):
+def run_evaluate(cfg):
     """Evaluate subcommand: metrics for an already-filtered dataset.
 
     cfg["input"] is the blood estimate (UMI1), cfg["truth"] the directory
@@ -352,38 +357,28 @@ def run_evaluate(cfg, verbose=False):
         raise PipelineError("config", "a truth directory is required")
     seq = _read_input(cfg["input"])
     truth = _load_truth(cfg["truth"])
-    if truth["velocity"].shape != (seq.nz, seq.nx):
-        raise PipelineError("evaluate",
-                            f"truth shape {truth['velocity'].shape} does "
-                            f"not match the dataset grid "
-                            f"({seq.nz}, {seq.nx})")
-    blood = to_casorati(seq)
-    power, velocity, scalars = _evaluate(blood, seq, truth, cfg)
-    try:
+    power, velocity, scalars = _evaluate(to_casorati(seq), seq, truth, cfg)
+    with stage("render"):
         formats.write_csv(power, outdir / "power.csv")
         formats.write_csv(velocity, outdir / "velocity.csv")
-    except OSError as exc:
-        raise PipelineError("render", str(exc)) from exc
-    return _write_report(outdir, cfg, seq, metrics=scalars,
-                         artifacts={"power_csv": "power.csv",
-                                    "velocity_csv": "velocity.csv",
-                                    "report": "report.json"})
+        return _write_report(outdir, cfg, seq, metrics=scalars,
+                             artifacts={"power_csv": "power.csv",
+                                        "velocity_csv": "velocity.csv",
+                                        "report": "report.json"})
 
 
-def run_render(cfg, mode, verbose=False):
+def run_render(cfg, mode):
     """Render subcommand: convert a CSV image to PGM or copy it as CSV."""
     cfg = _validated(cfg)
     if "input" not in cfg:
         raise PipelineError("config", "an input image is required")
     if "output" not in cfg:
         raise PipelineError("config", "an output path is required")
-    try:
-        image = formats.read_csv(cfg["input"])
-    except (OSError, ValueError) as exc:
-        raise PipelineError("input", str(exc)) from exc
     out = Path(cfg["output"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    try:
+    _make_dir(out.parent)
+    with stage("input"):
+        image = formats.read_csv(cfg["input"])
+    with stage("render"):
         if mode == "pgm":
             formats.write_pgm(image, out,
                               comment=f"cfg:{config_mod.config_hash(cfg)}",
@@ -392,6 +387,4 @@ def run_render(cfg, mode, verbose=False):
             formats.write_csv(image, out)
         else:
             raise ValueError(f"unknown render mode {mode!r}")
-    except (OSError, ValueError) as exc:
-        raise PipelineError("render", str(exc)) from exc
     return out

@@ -2,12 +2,18 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microflow import cli, config, formats, pipeline, svdfilt, unfolded
 from microflow.casorati import FrameSequence, to_casorati
+
+EXIT_CODES = {0, *pipeline.STAGE_EXIT_CODES.values()}
 
 
 def tiny_dataset(tmp_path, nz=6, nx=5, nt=12, seed=0):
@@ -19,6 +25,21 @@ def tiny_dataset(tmp_path, nz=6, nx=5, nt=12, seed=0):
     path = tmp_path / "in.umi"
     formats.write_dataset(seq, path)
     return path, formats.read_dataset(path)
+
+
+def tiny_truth(dirpath, nz=6, nx=5, velocity=None):
+    """Write a truth bundle for an nz x nx grid; velocity overrides its CSV."""
+    dirpath.mkdir(exist_ok=True)
+    flow = np.zeros((nz, nx))
+    flow[:2] = 1.0
+    formats.write_csv(flow, dirpath / "truth_flow_mask.csv")
+    formats.write_csv(1.0 - flow, dirpath / "truth_tissue_mask.csv")
+    if velocity is None:
+        formats.write_csv(np.arange(nz * nx, dtype=float).reshape(nz, nx),
+                          dirpath / "truth_velocity.csv")
+    else:
+        (dirpath / "truth_velocity.csv").write_bytes(velocity)
+    return dirpath
 
 
 def sim_section(frames=10):
@@ -464,3 +485,226 @@ class TestCli:
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main(["defragment"])
+
+
+class TestStageBoundary:
+    """Bad output paths, truth bundles and header values fail in a stage."""
+
+    def subcommand_args(self, tmp_path, command):
+        path, seq = tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "simulate": sim_section(frames=4),
+            "train": {"k_layers": 2, "d": 2, "batch_frames": 4,
+                      "max_epochs": 1, "patience": 1}}))
+        image = tmp_path / "img.csv"
+        formats.write_csv(np.arange(6.0).reshape(2, 3), image)
+        model = tmp_path / "net.u2m"
+        formats.write_model(unfolded.init_network(
+            to_casorati(seq), k=2, d=2, lambda_b_init=1.0,
+            cfg=config.irls_config({"irls": {"d": 2}})), model)
+        return {
+            "simulate": ["--config", str(cfg_path)],
+            "filter": ["--input", str(path), "--method", "svd"],
+            "train": ["--config", str(cfg_path), "--input", str(path)],
+            "infer": ["--input", str(path), "--model", str(model)],
+            "evaluate": ["--input", str(path), "--truth",
+                         str(tiny_truth(tmp_path / "truth"))],
+            "render": ["--input", str(image), "--mode", "pgm"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["simulate", "filter", "train",
+                                         "infer", "evaluate", "render"])
+    def test_output_blocked_by_file_is_config_exit_code(self, tmp_path, capsys,
+                                                        command):
+        blocker = tmp_path / "afile"
+        blocker.write_text("in the way\n")
+        output = blocker / "x" if command in ("train", "render") else blocker
+        rc = cli.main([command, *self.subcommand_args(tmp_path, command),
+                       "--output", str(output)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config stage" in err and err.count("\n") == 1
+        assert blocker.read_text() == "in the way\n"
+
+    @pytest.mark.parametrize("command", ["filter", "evaluate"])
+    def test_malformed_truth_csv_is_input_exit_code(self, tmp_path, capsys,
+                                                    command):
+        path, _ = tiny_dataset(tmp_path)
+        truth = tiny_truth(tmp_path / "truth", velocity=b"garbage,x\n")
+        args = [command, "--input", str(path), "--truth", str(truth),
+                "--output", str(tmp_path / "o"), "--ensemble", "4"]
+        if command == "filter":
+            args += ["--method", "svd"]
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "garbage" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [b"inf", b"nan"])
+    def test_non_finite_truth_velocity_is_one_line(self, tmp_path, capfd, value):
+        path, _ = tiny_dataset(tmp_path)
+        row = b",".join([value] * 5)
+        truth = tiny_truth(tmp_path / "truth", velocity=b"\n".join([row] * 6))
+        rc = cli.main(["evaluate", "--input", str(path), "--truth", str(truth),
+                       "--output", str(tmp_path / "o"), "--ensemble", "4"])
+        err = capfd.readouterr().err
+        assert rc == 7
+        assert "non-finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, name, value", [(0, "frame_rate", 0.0),
+                                                    (1, "center_freq", np.nan),
+                                                    (2, "prf", np.inf)])
+    def test_bad_header_rate_is_input_exit_code(self, tmp_path, capsys,
+                                                field, name, value):
+        path, _ = tiny_dataset(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 20 + 8 * field, value)
+        path.write_bytes(bytes(raw))
+        outdir = tmp_path / "o"
+        rc = cli.main(["filter", "--input", str(path), "--output", str(outdir),
+                       "--method", "svd", "--ensemble", "4"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"{name} is" in err and err.count("\n") == 1
+        assert not (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_nan_snr_db_is_simulate_exit_code(self, tmp_path, capsys, snr_db):
+        sim = {**sim_section(frames=2), "snr_db": snr_db}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"simulate": sim}))
+        outdir = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", str(cfg_path),
+                       "--output", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "snr_db" in err and err.count("\n") == 1
+        assert not (outdir / "dataset.umi").exists()
+
+
+# Each strategy below starts from a valid file and corrupts a drawn subset
+# of its fields, so examples reach every stage and not only the reader.
+_BAD_RATES = st.sampled_from([0.0, -1.0, np.nan, np.inf, -np.inf, 1e-300,
+                              1e300])
+_BAD_DIMS = st.sampled_from([0, 2 ** 31, 2 ** 32 - 1])
+_SLACK = st.integers(-24, 24).filter(bool)
+_HUGE = 2 ** 31
+
+
+def _fields(draw, valid, bad):
+    """Draw every field from valid, except a drawn subset taken from bad."""
+    broken = draw(st.sets(st.sampled_from(sorted(valid)), max_size=3))
+    return {name: draw(bad[name] if name in broken else valid[name])
+            for name in valid}
+
+
+def _resized(blob, slack):
+    """Truncate (slack < 0) or extend (slack > 0) a file's bytes."""
+    return blob[:len(blob) + slack] if slack < 0 else blob + b"\x5a" * slack
+
+
+@st.composite
+def umi_files(draw):
+    dim = st.integers(1, 5)
+    rate = st.sampled_from([1000.0, 7.5e6, 5000.0])
+    f = _fields(draw, {"version": st.just(1), "nz": dim, "nx": dim, "nt": dim,
+                       "frame_rate": rate, "center_freq": rate, "prf": rate,
+                       "slack": st.just(0)},
+                {"version": st.sampled_from([0, 2]), "nz": _BAD_DIMS,
+                 "nx": _BAD_DIMS, "nt": _BAD_DIMS, "frame_rate": _BAD_RATES,
+                 "center_freq": _BAD_RATES, "prf": _BAD_RATES,
+                 "slack": _SLACK})
+    dims = [f["nz"], f["nx"], f["nt"]]
+    count = int(np.prod(dims)) if max(dims) < _HUGE else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    blob = (b"UMI1" + struct.pack("<4I", f["version"], *dims)
+            + struct.pack("<3d", f["frame_rate"], f["center_freq"], f["prf"])
+            + rng.standard_normal(2 * count).astype("<f4").tobytes())
+    return _resized(blob, f["slack"])
+
+
+@st.composite
+def u2m_files(draw):
+    f = _fields(draw, {"layout": st.sampled_from([1, 2]),
+                       "version": st.just(None), "k": st.integers(1, 3),
+                       "d": st.integers(1, 4), "epsilon": st.just(1e-8),
+                       "flag": st.integers(0, 1),
+                       "n_space": st.sampled_from([0, 30]),
+                       "theta": st.floats(-3.0, 3.0), "slack": st.just(0)},
+                {"layout": st.just(0), "version": st.integers(0, 3),
+                 "k": st.sampled_from([0, 2 ** 32 - 1]),
+                 "d": st.sampled_from([0, 13, 2 ** 32 - 1]),
+                 "epsilon": st.sampled_from([0.0, -1.0, np.nan, np.inf]),
+                 "flag": st.integers(2, 9),
+                 "n_space": st.sampled_from([1, 31, 2 ** 40]),
+                 "theta": st.sampled_from([np.nan, np.inf, -np.inf, 1e300,
+                                           -1e300]),
+                 "slack": _SLACK})
+    magic = {0: b"UMI1", 1: b"U2M1", 2: b"U2M2"}[f["layout"]]
+    version = f["layout"] if f["version"] is None else f["version"]
+    k, d = f["k"], f["d"]
+    blob = magic + struct.pack("<3Id", version, k, d, f["epsilon"])
+    if f["layout"] == 2:
+        blob += struct.pack("<IQ", f["flag"], f["n_space"])
+    if max(k, d) < _HUGE:
+        blob += struct.pack(f"<{k * (1 + d)}d", *[f["theta"]] * (k * (1 + d)))
+    return _resized(blob, f["slack"])
+
+
+_BAD_CSV = st.one_of(
+    st.sampled_from([b"", b"garbage,x\n", b"1,2\n3\n", b"\xff\xfe\n",
+                     b"nan\n", b"0,0,0,0,0\n"]),
+    st.builds(lambda v: b"\n".join([b",".join([v] * 5)] * 6),
+              st.sampled_from([b"0", b"1", b"nan", b"inf", b"-1e308"])),
+    st.binary(max_size=40))
+
+
+def assert_stage_exit(rc, outdir):
+    """rc is 0 or a stage's exit code; a run that succeeded wrote strict JSON."""
+    assert rc in EXIT_CODES
+    if rc == 0:
+        json.loads((outdir / "report.json").read_text(), parse_constant=lambda
+                   token: pytest.fail(f"report.json holds {token}"))
+
+
+class TestFuzzedFiles:
+    """No fuzzed header or truth bundle makes the CLI fail outside a stage."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=umi_files(), method=st.sampled_from(["svd", "irls"]))
+    def test_fuzzed_dataset_header(self, blob, method):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "in.umi").write_bytes(blob)
+            rc = cli.main(["filter", "--input", f"{tmp}/in.umi",
+                           "--output", f"{tmp}/o", "--method", method])
+            assert_stage_exit(rc, Path(tmp) / "o")
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=u2m_files())
+    def test_fuzzed_model_header(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            tiny_dataset(Path(tmp))
+            (Path(tmp) / "net.u2m").write_bytes(blob)
+            rc = cli.main(["infer", "--input", f"{tmp}/in.umi",
+                           "--model", f"{tmp}/net.u2m",
+                           "--output", f"{tmp}/o", "--ensemble", "4"])
+            assert_stage_exit(rc, Path(tmp) / "o")
+
+    # An empty CSV still draws numpy's "input contained no data" warning.
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @settings(max_examples=100, deadline=None)
+    @given(files=st.dictionaries(st.sampled_from(
+        sorted(pipeline._TRUTH_FILES.values())), _BAD_CSV, max_size=3),
+        command=st.sampled_from(["filter", "evaluate"]))
+    def test_fuzzed_truth_bundle(self, files, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tiny_dataset(Path(tmp))
+            tiny_truth(Path(tmp))
+            for name, blob in files.items():
+                (Path(tmp) / name).write_bytes(blob)
+            args = [command, "--input", f"{tmp}/in.umi", "--truth", tmp,
+                    "--output", f"{tmp}/o", "--ensemble", "4"]
+            rc = cli.main(args + (["--method", "svd"]
+                                  if command == "filter" else []))
+            assert_stage_exit(rc, Path(tmp) / "o")

@@ -117,6 +117,35 @@ class TestDataset:
         with pytest.raises(ValueError):
             formats.read_dataset(path)
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("value", [0.0, -1000.0, np.nan, np.inf])
+    def test_bad_header_rate_rejected(self, tmp_path, field, value):
+        raw = bytearray(bytes.fromhex(GOLDEN_UMI1_HEX))
+        struct.pack_into("<d", raw, 20 + 8 * field, value)
+        path = tmp_path / "rate.umi"
+        path.write_bytes(bytes(raw))
+        name = ("frame_rate", "center_freq", "prf")[field]
+        with pytest.raises(ValueError, match=f"{name} is"):
+            formats.read_dataset(path)
+
+    @pytest.mark.parametrize("name", ["frame_rate", "center_freq", "prf"])
+    def test_bad_rate_not_written(self, tmp_path, name):
+        meta = {"frame_rate": 500.0, "center_freq": 6e6, "prf": 2500.0}
+        meta[name] = np.nan
+        path = tmp_path / "rate.umi"
+        with pytest.raises(ValueError, match=f"{name} is nan"):
+            formats.write_dataset(np.ones((2, 2, 2), dtype=complex), path,
+                                  meta=meta)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_empty_grid_rejected(self, tmp_path, dims):
+        path = tmp_path / "empty.umi"
+        path.write_bytes(b"UMI1" + struct.pack("<4I", 1, *dims)
+                         + struct.pack("<3d", 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="empty grid"):
+            formats.read_dataset(path)
+
 
 class TestModel:
     def golden_net(self):

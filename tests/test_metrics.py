@@ -239,3 +239,13 @@ class TestRSquared:
         with pytest.raises(ValueError):
             metrics.r_squared(np.arange(4.0), np.arange(4.0),
                               np.zeros(4, dtype=bool))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_under_mask_rejected(self, bad):
+        truth = np.array([1.0, 2.0, bad, 4.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.r_squared(np.arange(4.0), truth, np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.r_squared(truth, np.arange(4.0), np.ones(4, dtype=bool))
+        mask = np.array([True, True, False, True])
+        assert metrics.r_squared(truth, truth, mask)[0] == pytest.approx(1.0)

@@ -207,6 +207,11 @@ class TestSynthesizeIq:
         with pytest.raises(ValueError, match="frame_rate"):
             imaging.synthesize_iq(mini_scene(), 2, frame_rate)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_nan_or_negative_infinite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            imaging.synthesize_iq(mini_scene(), 2, noise_snr_db=snr_db)
+
     def test_infinite_snr_is_noise_free(self):
         sc = mini_scene()
         seq, truth = imaging.synthesize_iq(sc, 4, sc.frame_rate, np.inf)
