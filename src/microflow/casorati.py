@@ -105,13 +105,3 @@ def hermitian_solve(a, rhs):
     l_inv_h = l_inv.conj().T
     x = l_inv_h @ (l_inv @ rhs)
     return x + l_inv_h @ (l_inv @ (rhs - a @ x))
-
-
-def svd(m):
-    """Economy SVD. Returns (u, s, v) with m = u @ diag(s) @ v.conj().T, s descending.
-
-    Both factors carry min(m, n) columns; the full left basis is never needed
-    for band filtering and would cost O(rows**2) memory on tall matrices.
-    """
-    u, s, vh = np.linalg.svd(np.asarray(m), full_matrices=False)
-    return u, s, vh.conj().T

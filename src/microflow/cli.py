@@ -5,10 +5,13 @@ Six subcommands cover the workflow: simulate a phantom dataset, filter it
 evaluate a blood estimate against ground truth, and render images. Every
 subcommand accepts --config pointing at a JSON run configuration; explicit
 flags override the file. Exit codes identify the failing stage: 2 config,
-3 input, 4 simulate, 5 filter, 6 train, 7 evaluate, 8 render.
+3 input, 4 simulate, 5 filter, 6 train, 7 evaluate, 8 render. Stdout holds
+only the command's result line; --verbose shows the package's progress log
+on stderr.
 """
 
 import argparse
+import logging
 import sys
 
 from . import config as config_mod
@@ -47,7 +50,7 @@ def build_parser():
         p.add_argument("--ensemble", type=int,
                        help="frames in the evaluation ensemble")
         p.add_argument("--verbose", action="store_true",
-                       help="print progress")
+                       help="log progress to stderr")
         parsers[name] = p
     parsers["render"].add_argument("--mode", choices=["pgm", "csv"],
                                    default="pgm", help="output format")
@@ -69,19 +72,25 @@ def _merge_config(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("microflow")
+    level, handler = log.level, logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         cfg = _merge_config(args)
         if args.command == "simulate":
-            report = pipeline.run_simulate(cfg, verbose=args.verbose)
+            report = pipeline.run_simulate(cfg)
             print(f"simulated {report['dataset']['nt']} frames on a "
                   f"{report['dataset']['nz']}x{report['dataset']['nx']} "
                   f"grid into {cfg['output']}")
         elif args.command == "filter":
-            result = pipeline.run_pipeline(cfg, verbose=args.verbose)
+            result = pipeline.run_pipeline(cfg)
             print(f"filtered with {cfg['method']}; artifacts in "
                   f"{result.output_dir}")
         elif args.command == "train":
-            _, history = pipeline.run_train(cfg, verbose=args.verbose)
+            _, history = pipeline.run_train(cfg)
             best = history.val_loss[history.best_epoch]
             print(f"trained to validation loss {best:.6g} "
                   f"(epoch {history.best_epoch}); model at {cfg['output']}")
@@ -90,7 +99,7 @@ def main(argv=None):
             if "model" not in cfg:
                 raise pipeline.PipelineError("config",
                                              "a model file is required")
-            result = pipeline.run_pipeline(cfg, verbose=args.verbose)
+            result = pipeline.run_pipeline(cfg)
             print(f"inferred blood estimate; artifacts in "
                   f"{result.output_dir}")
         elif args.command == "evaluate":
@@ -107,6 +116,9 @@ def main(argv=None):
     except pipeline.PipelineError as exc:
         print(f"microflow {args.command}: {exc}", file=sys.stderr)
         return pipeline.STAGE_EXIT_CODES.get(exc.stage, 1)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     return 0
 
 

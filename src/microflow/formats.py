@@ -5,22 +5,24 @@ metadata. Layout: 4-byte magic ``UMI1``, four little-endian uint32 fields
 (version, nz, nx, nt), three little-endian float64 fields (frame_rate,
 center_freq, prf), then the voxels as little-endian complex64, frame-major
 with the axial index fastest within each frame. Every dimension is at least
-1 and every rate is positive and finite, on writing and on reading.
+1, every rate is positive and finite, and every voxel is finite, on writing
+and on reading.
 
 Model files (``.u2m``) hold the unconstrained parameters of an unfolded
 network: magic ``U2M1``, uint32 version / layer count / subspace dimension,
 float64 epsilon, then per layer one float64 theta_lambda followed by d
-float64 theta_w entries. Layout ``U2M2`` (version 2) adds, right after
-epsilon, a uint32 normalize flag (0 or 1) and a uint64 n_space (0 when the
-row count is unknown). U2M1 files stand for normalize=True and no n_space;
-networks with those defaults are still written as U2M1.
+float64 theta_w entries, all finite. Layout ``U2M2`` (version 2) adds,
+right after epsilon, a uint32 normalize flag (0 or 1) and a uint64 n_space
+(0 when the row count is unknown). U2M1 files stand for normalize=True and
+no n_space; networks with those defaults are still written as U2M1.
 
 Rendered images go out either as 16-bit binary PGM (log-compressed with a
 configurable dynamic range) or as headerless CSV with full float64
-precision.
+precision; an empty CSV file is refused.
 """
 
 import struct
+import warnings
 
 import numpy as np
 
@@ -44,40 +46,29 @@ def _checked_rates(rates):
     return rates
 
 
-def write_dataset(seq, path, meta=None):
-    """Write a frame stack to a UMI1 file.
+def write_dataset(seq, path):
+    """Write a FrameSequence to a UMI1 file.
 
-    ``seq`` is either a FrameSequence or a bare (nz, nx, nt) complex array;
-    in the latter case ``meta`` must supply frame_rate, center_freq, and
-    prf. Voxels are stored as complex64, so reading back reproduces the
-    32-bit payload exactly but not float64 inputs.
+    Voxels are stored as complex64, so reading back reproduces the 32-bit
+    payload exactly but not float64 inputs. Voxels that are not finite after
+    that cast (NaN, inf, or beyond the complex64 range) are refused.
     """
-    if isinstance(seq, FrameSequence):
-        voxels = seq.voxels
-        fields = {"frame_rate": seq.frame_rate, "center_freq": seq.center_freq,
-                  "prf": seq.prf}
-        if meta:
-            fields.update(meta)
-    else:
-        voxels = np.asarray(seq)
-        if meta is None:
-            raise ValueError("meta with frame_rate/center_freq/prf is "
-                             "required when writing a bare array")
-        fields = dict(meta)
-    if voxels.ndim != 3:
-        raise ValueError(f"expected (nz, nx, nt) voxels, got {voxels.shape}")
-    nz, nx, nt = voxels.shape
+    nz, nx, nt = seq.voxels.shape
     for n in (nz, nx, nt):
         if not 0 < n <= _MAX_DIM:
             raise ValueError(f"dimension {n} does not fit the header")
     header = _DATASET_MAGIC
     header += struct.pack("<4I", _DATASET_VERSION, nz, nx, nt)
     header += struct.pack("<3d", *_checked_rates(
-        [float(fields[name]) for name in _RATES]))
-    payload = voxels.astype(np.complex64).tobytes(order="F")
+        [float(getattr(seq, name)) for name in _RATES]))
+    with np.errstate(over="ignore"):
+        voxels = seq.voxels.astype(np.complex64)
+    bad = int(np.count_nonzero(~np.isfinite(voxels)))
+    if bad:
+        raise ValueError(f"{bad} voxel values are not finite as complex64")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(voxels.tobytes(order="F"))
 
 
 def read_dataset(path):
@@ -105,16 +96,29 @@ def read_dataset(path):
         raise ValueError(f"trailing bytes: expected {expected}, "
                          f"got {len(raw)}")
     flat = np.frombuffer(raw, dtype="<c8", count=count, offset=_HEADER_SIZE)
+    bad = int(np.count_nonzero(~np.isfinite(flat)))
+    if bad:
+        raise ValueError(f"dataset {path} holds {bad} non-finite voxel values")
     voxels = flat.reshape((nz, nx, nt), order="F").astype(np.complex128)
     return FrameSequence(voxels=voxels, frame_rate=frame_rate,
                          center_freq=center_freq, prf=prf)
+
+
+def _finite_layers(params):
+    """Return the (k, 1 + d) layer parameter rows, each checked finite."""
+    bad = np.flatnonzero(~np.isfinite(params).all(axis=1))
+    if bad.size:
+        raise ValueError(f"layer {bad[0]} has a non-finite theta_lambda "
+                         f"or theta_w")
+    return params
 
 
 def write_model(net, path):
     """Write an unfolded network's parameters to a .u2m file.
 
     Networks with normalize=True and no n_space are written as U2M1, all
-    others as U2M2, which also stores both of those fields.
+    others as U2M2, which also stores both of those fields. Non-finite layer
+    parameters are refused.
     """
     d = net.d
     n_space = 0 if net.n_space is None else int(net.n_space)
@@ -126,13 +130,14 @@ def write_model(net, path):
     blob += struct.pack("<d", float(net.epsilon))
     if version == 2:
         blob += struct.pack("<IQ", int(bool(net.normalize)), n_space)
+    rows = []
     for layer in net.layers:
         theta_w = np.asarray(layer.theta_w, dtype=float)
         if theta_w.shape != (d,):
             raise ValueError(f"layer theta_w has shape {theta_w.shape}, "
                              f"expected ({d},)")
-        blob += struct.pack("<d", float(layer.theta_lambda))
-        blob += theta_w.astype("<f8").tobytes()
+        rows.append(np.concatenate([[float(layer.theta_lambda)], theta_w]))
+    blob += _finite_layers(np.array(rows)).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -172,15 +177,10 @@ def read_model(path):
     if len(raw) != expected:
         raise ValueError(f"trailing bytes: expected {expected}, "
                          f"got {len(raw)}")
-    layers = []
-    offset = header
-    for _ in range(k):
-        (theta_lambda,) = struct.unpack_from("<d", raw, offset)
-        offset += 8
-        theta_w = np.frombuffer(raw, dtype="<f8", count=d,
-                                offset=offset).astype(float)
-        offset += 8 * d
-        layers.append(LayerParams(theta_lambda, theta_w))
+    params = _finite_layers(np.frombuffer(
+        raw, dtype="<f8", count=k * (1 + d), offset=header).reshape(k, 1 + d))
+    layers = [LayerParams(float(row[0]), row[1:].astype(float))
+              for row in params]
     return UnfoldedNetwork(layers=layers, d=d, epsilon=epsilon,
                            normalize=normalize, n_space=n_space)
 
@@ -227,5 +227,10 @@ def write_csv(image, path):
 
 
 def read_csv(path):
-    """Read a headerless CSV image written by write_csv."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a headerless CSV image written by write_csv; refuse an empty one."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        image = np.loadtxt(path, delimiter=",", ndmin=2)
+    if image.size == 0:
+        raise ValueError(f"{path} holds no data")
+    return image

@@ -15,11 +15,14 @@ rho=1 the weighted quadratic terms behave like a column-wise l2,1 penalty on
 the factors and an elementwise l1 penalty on B.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .casorati import SolverError, hermitian_solve, orthonormal_columns
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -71,10 +74,6 @@ class Decomposition:
     basis_u: np.ndarray
     coeffs_v: np.ndarray
     blood_b: np.ndarray
-
-    def tissue(self):
-        """Tissue estimate T = U V^H."""
-        return self.basis_u @ self.coeffs_v.conj().T
 
 
 @dataclass
@@ -225,7 +224,7 @@ def _init_state(d_mat, d):
     return u0, v0
 
 
-def run_irls(d_mat, cfg, verbose=False):
+def run_irls(d_mat, cfg):
     """Run the alternating reweighted solver to convergence.
 
     Each iteration is one update_step. The full-matrix quantities around it
@@ -234,12 +233,12 @@ def run_irls(d_mat, cfg, verbose=False):
     objective's penalty and the next blood weights; S and ||S||^2 feed the
     next convergence metric. The state entering an iteration is the one the
     previous objective was evaluated on, so objective_pre reuses that fit
-    term and only its penalty terms (with the fresh weights) are new.
+    term and only its penalty terms (with the fresh weights) are new. Each
+    iteration's progress goes to this module's logger at INFO.
 
     Args:
         d_mat: complex Casorati matrix, shape (n_space, n_frames).
         cfg: IrlsConfig.
-        verbose: print per-iteration progress.
 
     Returns:
         (Decomposition, IrlsTrace) pair. Stops when the relative-change
@@ -290,8 +289,7 @@ def run_irls(d_mat, cfg, verbose=False):
         w_c = lowrank_weights(u, v, cfg.epsilon, cfg.rho)
 
         iterations = k
-        if verbose:
-            print(f"iter {k:3d}  change {metric:.3e}  objective {obj[-1]:.6e}")
+        _log.info("iter %3d  change %.3e  objective %.6e", k, metric, obj[-1])
         if metric < cfg.tol:
             break
 

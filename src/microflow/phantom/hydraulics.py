@@ -43,8 +43,6 @@ class FlowNetwork:
         Edge pressure differences (Pa) and flows (m^3/s), incidence signs.
     v_max : ndarray
         Peak centerline speed per edge, mm/s, positive toward the leaves.
-    mu : float
-        Dynamic viscosity, Pa s.
     """
 
     unit: geometry.FlowUnit
@@ -59,7 +57,6 @@ class FlowNetwork:
     dp_e: np.ndarray
     q_e: np.ndarray
     v_max: np.ndarray
-    mu: float
 
 
 def node_partition(unit):
@@ -185,7 +182,7 @@ def build_network(unit, mu=BLOOD_VISCOSITY, inlet_pressure=1.0):
     v_max = -edge_velocities(c, dp_e, radii)
     return FlowNetwork(unit=unit, a=a, a_h=a_h, a_nh=a_nh, hanging=hanging,
                        interior=interior, c=c, p_h=p_h, p_nh=p_nh, dp_e=dp_e,
-                       q_e=q_e, v_max=v_max, mu=mu)
+                       q_e=q_e, v_max=v_max)
 
 
 def scale_to_target(network, v_target):

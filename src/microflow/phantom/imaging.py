@@ -9,6 +9,7 @@ plane-wave acoustic simulation; speckle statistics come from the random
 scatterer positions, amplitudes and carrier phases.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ AXIAL_FWHM_WAVELENGTHS = 2.0
 LATERAL_FWHM_WAVELENGTHS = 3.0
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 _NOISE_STREAM = 4
+_log = logging.getLogger(__name__)
 
 
 def wavelength_mm(center_freq, sound_speed):
@@ -152,9 +154,10 @@ def roi_masks(scene, clearance_mm=1.0, boundary_margin_mm=2.0):
     return blood, inside & ~near
 
 
-def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
-                  verbose=False):
+def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None):
     """Render the scene into a noisy IQ sequence with ground truth.
+
+    Every 200th rendered frame is logged at INFO.
 
     Parameters
     ----------
@@ -193,8 +196,8 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None,
         tissue_xy, flow_xy = scene.positions_at(k / rate)
         tissue[:, :, k] = _render_frame(tissue_xy, scene.tissue_amp, scene)
         flow[:, :, k] = _render_frame(flow_xy, scene.flow_amp, scene)
-        if verbose and (k + 1) % 200 == 0:
-            print(f"rendered {k + 1}/{frames} frames")
+        if (k + 1) % 200 == 0:
+            _log.info("rendered %d/%d frames", k + 1, frames)
 
     signal = tissue + flow
     noise = np.zeros_like(signal)

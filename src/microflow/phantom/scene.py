@@ -22,6 +22,7 @@ Deterministic RNG streams off the scene seed: 0 placement/rotation,
 imaging adds (4, frame) for noise.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ from . import geometry, hydraulics, imaging
 VOLUME_DENSITY = 189.0  # scatterers per mm^3
 AMPLITUDE_RATIO = 20.0  # mean tissue amplitude over mean flow amplitude
 AXIAL_SQUEEZE = 0.8     # deformation matrix diag(1, 1, 0.8), axial entry
+GRID_MARGIN_MM = 2.0    # imaging grid margin beyond the tissue boundary
+INNER_OFFSET_MM = 3.0   # center to each unit's root inlet, radially
+
+_log = logging.getLogger(__name__)
 
 
 def slab_thickness_mm(center_freq=7.5e6, sound_speed=1540.0):
@@ -131,9 +136,10 @@ def _sample_in_ellipse(rng, semi_x, semi_z, count):
     return points[:count] * np.array([semi_x, semi_z])
 
 
-def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2,
-                  margin_mm=2.0, inner_offset_mm=3.0, verbose=False):
+def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2):
     """Assemble a randomized scene and its solved flow networks.
+
+    A one-line summary is logged at INFO.
 
     Parameters
     ----------
@@ -145,14 +151,8 @@ def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2,
         Radius of the tissue cylinder before deformation; the midplane
         ellipse has semi-axes (radius, 0.8 * radius).
     pixel_mm : float
-        Imaging grid pitch; the grid covers the rotated ellipse plus a
-        margin.
-    margin_mm : float
-        Grid margin beyond the tissue boundary.
-    inner_offset_mm : float
-        Radial distance from the center to each unit's root inlet.
-    verbose : bool
-        Print a one-line summary.
+        Imaging grid pitch; the grid covers the rotated ellipse plus
+        GRID_MARGIN_MM.
 
     Returns
     -------
@@ -181,7 +181,7 @@ def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2,
         phi = theta + 2.0 * np.pi * slot / n_units
         outward = np.array([np.cos(phi), np.sin(phi)])
         tangent = np.array([-np.sin(phi), np.cos(phi)])
-        root = inner_offset_mm * outward
+        root = INNER_OFFSET_MM * outward
         for e, (p0, p1) in enumerate(geometry.unit_segments(unit)):
             w0 = root + p0[0] * tangent + p0[1] * outward
             w1 = root + p1[0] * tangent + p1[1] * outward
@@ -215,10 +215,10 @@ def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2,
 
     half_w = np.hypot(semi_x * np.cos(theta), semi_z * np.sin(theta))
     half_h = np.hypot(semi_x * np.sin(theta), semi_z * np.cos(theta))
-    x0 = -(half_w + margin_mm)
-    z0 = -(half_h + margin_mm)
-    nx = int(np.ceil(2.0 * (half_w + margin_mm) / pixel_mm)) + 1
-    nz = int(np.ceil(2.0 * (half_h + margin_mm) / pixel_mm)) + 1
+    x0 = -(half_w + GRID_MARGIN_MM)
+    z0 = -(half_h + GRID_MARGIN_MM)
+    nx = int(np.ceil(2.0 * (half_w + GRID_MARGIN_MM) / pixel_mm)) + 1
+    nz = int(np.ceil(2.0 * (half_h + GRID_MARGIN_MM) / pixel_mm)) + 1
 
     built = PhantomScene(
         seed=seed,
@@ -239,8 +239,7 @@ def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2,
         edge_radius=edge_radius,
         edge_vmax=edge_vmax,
     )
-    if verbose:
-        print(f"phantom seed {seed}: {n_units} units, "
-              f"{len(tissue_pos)} tissue + {len(built.flow_s0)} flow scatterers, "
-              f"grid {nz}x{nx} at {pixel_mm} mm")
+    _log.info("phantom seed %s: %s units, %d tissue + %d flow scatterers, "
+              "grid %dx%d at %s mm", seed, n_units, len(tissue_pos),
+              len(built.flow_s0), nz, nx, pixel_mm)
     return built, networks

@@ -100,7 +100,7 @@ def _output_dir(cfg):
     return _make_dir(Path(cfg["output"]))
 
 
-def simulate_dataset(cfg, verbose=False):
+def simulate_dataset(cfg):
     """Build a phantom per the simulate section and synthesize IQ data.
 
     Returns (FrameSequence, truth dict); the truth dict carries the
@@ -111,13 +111,11 @@ def simulate_dataset(cfg, verbose=False):
     with stage("simulate"):
         scene, _ = phantom_scene.build_phantom(
             seed, **{key: sim[key] for key in ("n_units", "cylinder_radius_mm",
-                                               "pixel_mm") if key in sim},
-            verbose=verbose)
+                                               "pixel_mm") if key in sim})
         snr_db = sim.get("snr_db", scene.snr_db)
         seq, gt = imaging.synthesize_iq(
             scene, sim.get("frames", 200), frame_rate=sim.get("frame_rate"),
-            noise_snr_db=np.inf if snr_db is None else snr_db,
-            verbose=verbose)
+            noise_snr_db=np.inf if snr_db is None else snr_db)
         blood_mask, tissue_mask = imaging.roi_masks(scene)
     truth = {"velocity": gt.axial_velocity, "flow_mask": blood_mask,
              "tissue_mask": tissue_mask}
@@ -143,42 +141,36 @@ def _write_truth(outdir, truth):
 
 
 def _read_input(path):
-    """Input stage: read a dataset file and reject non-finite voxels."""
+    """Input stage: read a dataset file."""
     with stage("input"):
-        seq = formats.read_dataset(path)
-    bad = int(np.count_nonzero(~np.isfinite(seq.voxels)))
-    if bad:
-        raise PipelineError("input", f"dataset {path} holds {bad} "
-                                     f"non-finite voxel values")
-    return seq
+        return formats.read_dataset(path)
 
 
-def _acquire(cfg, verbose=False):
+def _acquire(cfg):
     """Input stage: read a dataset file or synthesize one."""
     if "input" in cfg:
         seq = _read_input(cfg["input"])
         truth = _load_truth(cfg["truth"]) if "truth" in cfg else None
         return seq, truth, False
     if "simulate" in cfg:
-        seq, truth = simulate_dataset(cfg, verbose=verbose)
+        seq, truth = simulate_dataset(cfg)
         return seq, truth, True
     raise PipelineError("config",
                         "either an input dataset or a simulate section "
                         "is required")
 
 
-def _train_network(d_mat, cfg, verbose=False):
+def _train_network(d_mat, cfg):
     """Train stage: initialize from the data and fit the layer parameters."""
     shape = {**config_mod.NETWORK_DEFAULTS, **cfg.get("train", {})}
     with stage("train"):
         net = unfolded.init_network(d_mat, shape["k_layers"], shape["d"],
                                     shape["lambda_b_init"],
                                     config_mod.irls_config(cfg))
-        return unfolded.train(net, d_mat, None, config_mod.train_config(cfg),
-                              verbose=verbose)
+        return unfolded.train(net, d_mat, None, config_mod.train_config(cfg))
 
 
-def _filter(d_mat, cfg, outdir, verbose=False):
+def _filter(d_mat, cfg, outdir):
     """Filter stage: estimate the blood component with the chosen method.
 
     Returns (blood matrix, extra report entries, extra artifact names).
@@ -193,8 +185,7 @@ def _filter(d_mat, cfg, outdir, verbose=False):
             blood, low = svdfilt.band_filter(d_mat, **cfg.get("svd", {}))
             extra_report["svd_low_cut"] = low
         elif method == "irls":
-            decomp, trace = run_irls(d_mat, config_mod.irls_config(cfg),
-                                     verbose=verbose)
+            decomp, trace = run_irls(d_mat, config_mod.irls_config(cfg))
             blood = decomp.blood_b
             extra_report["irls_iterations"] = int(trace.iterations)
         elif method == "unfolded":
@@ -202,7 +193,7 @@ def _filter(d_mat, cfg, outdir, verbose=False):
                 with stage("input"):
                     net = formats.read_model(cfg["model"])
             elif "train" in cfg:
-                net, history = _train_network(d_mat, cfg, verbose=verbose)
+                net, history = _train_network(d_mat, cfg)
                 formats.write_model(net, outdir / "model.u2m")
                 extra_artifacts["model"] = "model.u2m"
                 extra_report["training"] = {
@@ -271,7 +262,7 @@ def _write_report(outdir, cfg, seq, **entries):
     return report
 
 
-def run_pipeline(cfg, verbose=False):
+def run_pipeline(cfg):
     """Run input, filter, evaluate, and render stages for one config.
 
     Returns a PipelineResult; artifacts land in cfg["output"]. Raises
@@ -280,11 +271,10 @@ def run_pipeline(cfg, verbose=False):
     cfg = _validated(cfg)
     outdir = _output_dir(cfg)
 
-    seq, truth, simulated = _acquire(cfg, verbose=verbose)
+    seq, truth, simulated = _acquire(cfg)
     d_mat = to_casorati(seq)
 
-    blood, extra_report, artifacts = _filter(d_mat, cfg, outdir,
-                                             verbose=verbose)
+    blood, extra_report, artifacts = _filter(d_mat, cfg, outdir)
     power, velocity, scalars = _evaluate(blood, seq, truth, cfg)
 
     with stage("render"):
@@ -312,11 +302,11 @@ def run_pipeline(cfg, verbose=False):
                           velocity=velocity, output_dir=outdir)
 
 
-def run_simulate(cfg, verbose=False):
+def run_simulate(cfg):
     """Simulate subcommand: dataset plus truth bundle plus report."""
     cfg = _validated(cfg)
     outdir = _output_dir(cfg)
-    seq, truth = simulate_dataset(cfg, verbose=verbose)
+    seq, truth = simulate_dataset(cfg)
     with stage("simulate"):
         formats.write_dataset(seq, outdir / "dataset.umi")
         artifacts = {"dataset": "dataset.umi", "report": "report.json"}
@@ -324,7 +314,7 @@ def run_simulate(cfg, verbose=False):
         return _write_report(outdir, cfg, seq, artifacts=artifacts)
 
 
-def run_train(cfg, verbose=False):
+def run_train(cfg):
     """Train subcommand: fit a network on a dataset, save the model file.
 
     cfg["output"] names the model file itself, not a directory.
@@ -337,7 +327,7 @@ def run_train(cfg, verbose=False):
     model_path = Path(cfg["output"])
     _make_dir(model_path.parent)
     seq = _read_input(cfg["input"])
-    net, history = _train_network(to_casorati(seq), cfg, verbose=verbose)
+    net, history = _train_network(to_casorati(seq), cfg)
     with stage("train"):
         formats.write_model(net, model_path)
     return net, history

@@ -4,8 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casorati import svd
-
 
 @dataclass
 class SvdCutoffs:
@@ -24,18 +22,19 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
     """svd_clutter_filter from one SVD, which also picks low_cut when it is None.
 
     A missing low_cut is estimate_low_cut(s, fraction) of that SVD's spectrum
-    s, so the data is factorized once.
+    s, so the data is factorized once. The SVD is the economy one: a full
+    left basis would cost O(rows**2) memory on tall matrices.
 
     Returns:
         (blood, low_cut): the band reconstruction and the low cut it used.
     """
-    u, s, v = svd(d_mat)
+    u, s, vh = np.linalg.svd(np.asarray(d_mat), full_matrices=False)
     low_cut = estimate_low_cut(s, fraction) if low_cut is None else low_cut
     hi = s.size if high_cut is None else high_cut
     if not 0 <= low_cut < hi <= s.size:
         raise ValueError(f"cutoff band ({low_cut}, {hi}] invalid for rank {s.size}")
     band = slice(low_cut, hi)
-    return (u[:, band] * s[band]) @ v[:, band].conj().T, low_cut
+    return (u[:, band] * s[band]) @ vh[band], low_cut
 
 
 def estimate_low_cut(singular_values, fraction=0.01):

@@ -18,12 +18,15 @@ through softplus; the unconstrained values are what the optimizer sees and
 what the model file stores.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import irls
 from .irls import Decomposition
+
+_log = logging.getLogger(__name__)
 
 
 def softplus(x):
@@ -419,8 +422,10 @@ def _batch_loss_grad(net, theta, batch, cfg):
     return _mean_data_loss(cand, batch), parameter_gradient(cand, batch, cfg)
 
 
-def train(net, train_data, val_data, cfg, verbose=False):
+def train(net, train_data, val_data, cfg):
     """Optimize the layer parameters on batches of frames.
+
+    Each epoch's losses go to this module's logger at INFO.
 
     Args:
         net: starting UnfoldedNetwork.
@@ -429,7 +434,6 @@ def train(net, train_data, val_data, cfg, verbose=False):
         val_data: validation matrix, or None to hold out the last 20% of
             train_data.
         cfg: TrainConfig.
-        verbose: print per-epoch losses.
 
     Returns:
         (trained network with the best-validation parameters, TrainHistory).
@@ -501,8 +505,7 @@ def train(net, train_data, val_data, cfg, verbose=False):
         if not np.isfinite(vl):
             abort(f"epoch {epoch} validation")
         history.val_loss.append(vl)
-        if verbose:
-            print(f"epoch {epoch:3d}  train {history.train_loss[-1]:.6e}  val {vl:.6e}")
+        _log.info("epoch %3d  train %.6e  val %.6e", epoch, history.train_loss[-1], vl)
         if vl < best:
             best = vl
             best_theta = theta.copy()

@@ -204,29 +204,3 @@ def test_package_loads_only_numpy_and_the_standard_library():
                          capture_output=True, text=True).stdout.splitlines()
     assert int(out[0]) >= 14
     assert out[1] == "['microflow', 'numpy']"
-
-
-class TestSvd:
-    def test_diagonal(self):
-        u, s, v = casorati.svd(np.diag([3.0, 1.0]).astype(complex))
-        assert np.allclose(s, [3.0, 1.0], atol=1e-14)
-
-    def test_rank_one(self):
-        r = rng(9)
-        a = crandn(r, (5, 1))
-        b = crandn(r, (3, 1))
-        m = a @ b.conj().T
-        _, s, _ = casorati.svd(m)
-        assert abs(s[0] - np.linalg.norm(a) * np.linalg.norm(b)) < 1e-12
-        assert np.all(s[1:] < 1e-12)
-
-    def test_reconstruction_and_orthonormality(self):
-        m = crandn(rng(10), (6, 4))
-        u, s, v = casorati.svd(m)
-        assert u.shape == (6, 4) and v.shape == (4, 4)
-        recon = u @ np.diag(s) @ v.conj().T
-        assert np.linalg.norm(recon - m) <= 1e-10 * np.linalg.norm(m)
-        assert np.all(np.diff(s) <= 1e-15)
-        assert np.all(s >= 0)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
-        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-12

@@ -1,6 +1,8 @@
 """Pipeline orchestration and the command line front end."""
 
 import json
+import logging
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -380,12 +382,11 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_non_finite_voxel_is_input_exit_code(self, tmp_path, capsys):
-        path, seq = tiny_dataset(tmp_path)
-        voxels = seq.voxels.copy()
-        voxels[2, 3, 4] = np.nan
-        formats.write_dataset(FrameSequence(
-            voxels=voxels, frame_rate=seq.frame_rate,
-            center_freq=seq.center_freq, prf=seq.prf), path)
+        path, _ = tiny_dataset(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # voxel (2, 3, 4) of the 6x5 grid, axial index fastest
+        struct.pack_into("<f", raw, 44 + 8 * (2 + 6 * 3 + 30 * 4), np.nan)
+        path.write_bytes(bytes(raw))
         rc = cli.main(["filter", "--input", str(path),
                        "--output", str(tmp_path / "o"), "--method", "svd"])
         err = capsys.readouterr().err
@@ -487,6 +488,41 @@ class TestCli:
             cli.main(["defragment"])
 
 
+class TestProgress:
+    """--verbose sends the progress log to stderr; stdout holds the result."""
+
+    def run_filter(self, tmp_path, capsys, *flags):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"simulate": sim_section(frames=4),
+                                        "seed": 5,
+                                        "irls": {"d": 2, "max_iter": 3}}))
+        outdir = tmp_path / "o"
+        assert cli.main(["filter", "--config", str(cfg_path), "--method",
+                         "irls", "--output", str(outdir), *flags]) == 0
+        log = logging.getLogger("microflow")
+        assert log.handlers == [] and log.level == logging.NOTSET
+        out, err = capsys.readouterr()
+        assert out == f"filtered with irls; artifacts in {outdir}\n"
+        report = json.loads((outdir / "report.json").read_text())
+        return err, report["irls_iterations"]
+
+    def test_verbose_progress_goes_to_stderr_once(self, tmp_path, capsys):
+        for _ in range(2):
+            err, iterations = self.run_filter(tmp_path, capsys, "--verbose")
+            lines = err.splitlines()
+            assert len(lines) == 1 + iterations
+            assert re.fullmatch(r"phantom seed 5: 1 units, \d+ tissue \+ \d+ "
+                                r"flow scatterers, grid \d+x\d+ at 0\.4 mm",
+                                lines[0])
+            for k, line in enumerate(lines[1:], start=1):
+                assert re.fullmatch(rf"iter {k:3d}  change \d\.\d{{3}}e[+-]\d+"
+                                    rf"  objective \d\.\d{{6}}e[+-]\d+", line)
+
+    def test_quiet_without_the_flag(self, tmp_path, capsys):
+        err, _ = self.run_filter(tmp_path, capsys)
+        assert err == ""
+
+
 class TestStageBoundary:
     """Bad output paths, truth bundles and header values fail in a stage."""
 
@@ -568,6 +604,51 @@ class TestStageBoundary:
         assert rc == 3
         assert f"{name} is" in err and err.count("\n") == 1
         assert not (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("theta", [(np.nan, 0.5), (0.5, np.inf)])
+    def test_non_finite_model_parameter_is_input_exit_code(self, tmp_path,
+                                                           capsys, theta):
+        path, _ = tiny_dataset(tmp_path)
+        model = tmp_path / "net.u2m"
+        model.write_bytes(b"U2M1" + struct.pack("<3Id", 1, 1, 1, 1e-8)
+                          + struct.pack("<2d", *theta))
+        outdir = tmp_path / "o"
+        rc = cli.main(["infer", "--model", str(model), "--input", str(path),
+                       "--output", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "layer 0 has a non-finite" in err and err.count("\n") == 1
+        assert not (outdir / "blood.umi").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["evaluate", "render"])
+    def test_empty_csv_is_input_exit_code(self, tmp_path, capsys, command):
+        if command == "evaluate":
+            path, _ = tiny_dataset(tmp_path)
+            truth = tiny_truth(tmp_path / "truth", velocity=b"")
+            args = ["--input", str(path), "--truth", str(truth),
+                    "--output", str(tmp_path / "o"), "--ensemble", "4"]
+        else:
+            empty = tmp_path / "empty.csv"
+            empty.write_text("")
+            args = ["--input", str(empty), "--output", str(tmp_path / "x.pgm")]
+        rc = cli.main([command, *args])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "holds no data" in err and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_writes_no_dataset(self, tmp_path, capsys):
+        sim = {**sim_section(frames=2), "snr_db": -800.0}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"simulate": sim}))
+        outdir = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", str(cfg_path),
+                       "--output", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "not finite as complex64" in err and err.count("\n") == 1
+        assert not (outdir / "dataset.umi").exists()
 
     @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
     def test_nan_snr_db_is_simulate_exit_code(self, tmp_path, capsys, snr_db):
@@ -691,8 +772,6 @@ class TestFuzzedFiles:
                            "--output", f"{tmp}/o", "--ensemble", "4"])
             assert_stage_exit(rc, Path(tmp) / "o")
 
-    # An empty CSV still draws numpy's "input contained no data" warning.
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     @settings(max_examples=100, deadline=None)
     @given(files=st.dictionaries(st.sampled_from(
         sorted(pipeline._TRUTH_FILES.values())), _BAD_CSV, max_size=3),

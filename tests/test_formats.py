@@ -80,20 +80,6 @@ class TestDataset:
                                       voxels.astype(np.complex64))
         assert back.voxels.shape == (5, 4, 7)
 
-    def test_plain_array_with_meta(self, tmp_path):
-        voxels = np.ones((2, 3, 4), dtype=complex)
-        path = tmp_path / "meta.umi"
-        formats.write_dataset(voxels, path,
-                              meta={"frame_rate": 500.0, "center_freq": 6e6,
-                                    "prf": 2500.0})
-        back = formats.read_dataset(path)
-        assert back.frame_rate == 500.0 and back.prf == 2500.0
-
-    def test_array_without_meta_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            formats.write_dataset(np.ones((2, 2, 2), dtype=complex),
-                                  tmp_path / "x.umi")
-
     def test_corrupt_magic(self, tmp_path):
         raw = bytearray(bytes.fromhex(GOLDEN_UMI1_HEX))
         raw[:4] = b"JUNK"
@@ -130,13 +116,32 @@ class TestDataset:
 
     @pytest.mark.parametrize("name", ["frame_rate", "center_freq", "prf"])
     def test_bad_rate_not_written(self, tmp_path, name):
-        meta = {"frame_rate": 500.0, "center_freq": 6e6, "prf": 2500.0}
-        meta[name] = np.nan
+        rates = {"frame_rate": 500.0, "center_freq": 6e6, "prf": 2500.0}
+        rates[name] = np.nan
         path = tmp_path / "rate.umi"
         with pytest.raises(ValueError, match=f"{name} is nan"):
-            formats.write_dataset(np.ones((2, 2, 2), dtype=complex), path,
-                                  meta=meta)
+            formats.write_dataset(FrameSequence(
+                voxels=np.ones((2, 2, 2), dtype=complex), **rates), path)
         assert not path.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39, -1e300j])
+    def test_non_finite_payload_not_written(self, tmp_path, value):
+        seq = golden_sequence()
+        seq.voxels[1, 0, 1] = value
+        path = tmp_path / "bad.umi"
+        with pytest.raises(ValueError, match="1 voxel values are not finite"):
+            formats.write_dataset(seq, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("offset", [0, 4])
+    def test_non_finite_voxel_rejected(self, tmp_path, offset):
+        raw = bytearray(bytes.fromhex(GOLDEN_UMI1_HEX))
+        struct.pack_into("<f", raw, 44 + 8 * 5 + offset, np.inf)
+        path = tmp_path / "inf.umi"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="holds 1 non-finite voxel"):
+            formats.read_dataset(path)
 
     @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
     def test_empty_grid_rejected(self, tmp_path, dims):
@@ -249,6 +254,29 @@ class TestModel:
         with pytest.raises(ValueError, match=match):
             formats.read_model(path)
 
+    @pytest.mark.parametrize("offset, value", [(24, np.nan), (32, np.inf),
+                                               (64, -np.inf)])
+    def test_non_finite_parameter_rejected(self, tmp_path, offset, value):
+        raw = bytearray(bytes.fromhex(GOLDEN_U2M1_HEX))
+        struct.pack_into("<d", raw, offset, value)
+        path = tmp_path / "bad.u2m"
+        path.write_bytes(bytes(raw))
+        layer = (offset - 24) // 24
+        with pytest.raises(ValueError, match=f"layer {layer} has a non-finite"):
+            formats.read_model(path)
+
+    @pytest.mark.parametrize("where", ["theta_lambda", "theta_w"])
+    def test_non_finite_parameter_not_written(self, tmp_path, where):
+        net = self.golden_net()
+        if where == "theta_lambda":
+            net.layers[1].theta_lambda = np.nan
+        else:
+            net.layers[1].theta_w[0] = np.inf
+        path = tmp_path / "bad.u2m"
+        with pytest.raises(ValueError, match="layer 1 has a non-finite"):
+            formats.write_model(net, path)
+        assert not path.exists()
+
     def test_u2m2_truncated_header(self, tmp_path):
         net, _ = self.initialized_net(normalize=False)
         path = tmp_path / "net.u2m"
@@ -331,3 +359,11 @@ class TestCsv:
         assert len(lines) == 2
         assert [float(v) for v in lines[0].split(",")] == [1.5, 2.0]
         assert [float(v) for v in lines[1].split(",")] == [3.0, 4.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
+    def test_empty_file_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="holds no data"):
+            formats.read_csv(path)
