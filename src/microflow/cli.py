@@ -1,7 +1,7 @@
 """Command line interface.
 
 Six subcommands cover the workflow: simulate a phantom dataset, filter it
-(svd or irls), train an unfolded network, infer with a saved model,
+(svd, irls or unfolded), train an unfolded network, infer with a saved model,
 evaluate a blood estimate against ground truth, and render images. Every
 subcommand accepts --config pointing at a JSON run configuration; explicit
 flags override the file. Exit codes identify the failing stage: 2 config,
@@ -30,7 +30,7 @@ def build_parser():
 
     descriptions = {
         "simulate": "synthesize a phantom dataset with ground truth",
-        "filter": "estimate the blood signal with svd or irls",
+        "filter": "estimate the blood signal with svd, irls or unfolded",
         "train": "fit an unfolded network and save the model",
         "infer": "apply a saved model to a dataset",
         "evaluate": "score a blood estimate against ground truth",

@@ -10,11 +10,12 @@ and on reading.
 
 Model files (``.u2m``) hold the unconstrained parameters of an unfolded
 network: magic ``U2M1``, uint32 version / layer count / subspace dimension,
-float64 epsilon, then per layer one float64 theta_lambda followed by d
-float64 theta_w entries, all finite. Layout ``U2M2`` (version 2) adds,
-right after epsilon, a uint32 normalize flag (0 or 1) and a uint64 n_space
-(0 when the row count is unknown). U2M1 files stand for normalize=True and
-no n_space; networks with those defaults are still written as U2M1.
+float64 epsilon, then the rows of the network's (K, 1 + d) theta array, each
+one float64 theta_lambda followed by d float64 theta_w entries, all finite.
+Layout ``U2M2`` (version 2) adds, right after epsilon, a uint32 normalize
+flag (0 or 1) and a uint64 n_space (0 when the row count is unknown). U2M1
+files stand for normalize=True and no n_space; networks with those defaults
+are still written as U2M1.
 
 Rendered images go out either as 16-bit binary PGM (log-compressed with a
 configurable dynamic range) or as headerless CSV with full float64
@@ -27,7 +28,7 @@ import warnings
 import numpy as np
 
 from .casorati import FrameSequence
-from .unfolded import LayerParams, UnfoldedNetwork
+from .unfolded import UnfoldedNetwork
 
 _DATASET_MAGIC = b"UMI1"
 _DATASET_VERSION = 1
@@ -120,24 +121,16 @@ def write_model(net, path):
     others as U2M2, which also stores both of those fields. Non-finite layer
     parameters are refused.
     """
-    d = net.d
     n_space = 0 if net.n_space is None else int(net.n_space)
     if not 0 <= n_space < 2 ** 64:
         raise ValueError(f"n_space {n_space} does not fit the header")
     magic = b"U2M1" if net.normalize and n_space == 0 else b"U2M2"
     version = _MODEL_HEADERS[magic][0]
-    blob = magic + struct.pack("<3I", version, len(net.layers), d)
+    blob = magic + struct.pack("<3I", version, len(net.theta), net.d)
     blob += struct.pack("<d", float(net.epsilon))
     if version == 2:
         blob += struct.pack("<IQ", int(bool(net.normalize)), n_space)
-    rows = []
-    for layer in net.layers:
-        theta_w = np.asarray(layer.theta_w, dtype=float)
-        if theta_w.shape != (d,):
-            raise ValueError(f"layer theta_w has shape {theta_w.shape}, "
-                             f"expected ({d},)")
-        rows.append(np.concatenate([[float(layer.theta_lambda)], theta_w]))
-    blob += _finite_layers(np.array(rows)).astype("<f8").tobytes()
+    blob += _finite_layers(net.theta).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -177,11 +170,9 @@ def read_model(path):
     if len(raw) != expected:
         raise ValueError(f"trailing bytes: expected {expected}, "
                          f"got {len(raw)}")
-    params = _finite_layers(np.frombuffer(
+    theta = _finite_layers(np.frombuffer(
         raw, dtype="<f8", count=k * (1 + d), offset=header).reshape(k, 1 + d))
-    layers = [LayerParams(float(row[0]), row[1:].astype(float))
-              for row in params]
-    return UnfoldedNetwork(layers=layers, d=d, epsilon=epsilon,
+    return UnfoldedNetwork(theta=theta, epsilon=epsilon,
                            normalize=normalize, n_space=n_space)
 
 

@@ -75,7 +75,9 @@ def doppler_velocity(b, prf, f0, c=1540.0):
     return c * prf / (4.0 * np.pi * f0) * phase * 1e3, low_confidence
 
 
-def _check_rois(pd, blood, tissue):
+def check_rois(pd, blood, tissue):
+    """Return both ROI masks as booleans; refuse masks that miss the image
+    shape, are empty or overlap."""
     blood = np.asarray(blood, dtype=bool)
     tissue = np.asarray(tissue, dtype=bool)
     if blood.shape != pd.values.shape or tissue.shape != pd.values.shape:
@@ -89,7 +91,7 @@ def _check_rois(pd, blood, tissue):
 
 def cnr(pd, blood, tissue):
     """Contrast-to-noise ratio 10*log10((mean_b - mean_t) / std_t) in dB."""
-    blood, tissue = _check_rois(pd, blood, tissue)
+    blood, tissue = check_rois(pd, blood, tissue)
     std_t = pd.values[tissue].std()
     if std_t == 0.0:
         raise ValueError("tissue ROI has zero variance; CNR undefined")
@@ -103,7 +105,7 @@ def cnr(pd, blood, tissue):
 
 def snr(pd, blood, tissue):
     """Signal-to-noise ratio 10*log10(mean_b / std_t) in dB."""
-    blood, tissue = _check_rois(pd, blood, tissue)
+    blood, tissue = check_rois(pd, blood, tissue)
     std_t = pd.values[tissue].std()
     if std_t == 0.0:
         raise ValueError("tissue ROI has zero variance; SNR undefined")
@@ -115,7 +117,7 @@ def snr(pd, blood, tissue):
 
 def psl(pd, blood, tissue):
     """Peak-to-sidelobe level 10*log10(max_b / mean_t) in dB."""
-    blood, tissue = _check_rois(pd, blood, tissue)
+    blood, tissue = check_rois(pd, blood, tissue)
     mean_t = pd.values[tissue].mean()
     if mean_t <= 0.0:
         raise ValueError("tissue ROI has zero mean power; PSL undefined")

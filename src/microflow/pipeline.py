@@ -225,14 +225,14 @@ def _evaluate(blood, seq, truth, cfg):
         velocity = velocity_flat.reshape(seq.nz, seq.nx, order="F")
         scalars = dict.fromkeys(_METRIC_KEYS)
         if truth is not None:
-            blood_roi = truth["flow_mask"]
-            tissue_roi = truth["tissue_mask"]
-            scalars["cnr_db"] = float(metrics.cnr(power, blood_roi,
-                                                  tissue_roi))
-            scalars["snr_db"] = float(metrics.snr(power, blood_roi,
-                                                  tissue_roi))
-            scalars["psl_db"] = float(metrics.psl(power, blood_roi,
-                                                  tissue_roi))
+            blood_roi, tissue_roi = metrics.check_rois(
+                power, truth["flow_mask"], truth["tissue_mask"])
+            for key, ratio in (("cnr_db", metrics.cnr), ("snr_db", metrics.snr),
+                               ("psl_db", metrics.psl)):
+                # the masks are valid, so a ValueError means this image
+                # leaves the ratio undefined; the report keeps it null
+                with contextlib.suppress(ValueError):
+                    scalars[key] = float(ratio(power, blood_roi, tissue_roi))
             r2, slope, intercept = metrics.r_squared(
                 velocity, truth["velocity"], blood_roi)
             scalars["r_squared"] = float(r2)

@@ -19,7 +19,7 @@ what the model file stores.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,38 +50,14 @@ def inv_softplus(y):
 
 
 @dataclass
-class LayerParams:
-    """Unconstrained per-layer parameters.
-
-    Attributes:
-        theta_lambda: scalar; blood penalty is softplus(theta_lambda).
-        theta_w: (d,) array; factor weight diagonal is softplus(theta_w).
-    """
-
-    theta_lambda: float
-    theta_w: np.ndarray
-
-    @classmethod
-    def from_values(cls, lambda_b, w_c):
-        """Build from the positive-domain values themselves."""
-        return cls(float(inv_softplus(lambda_b)), inv_softplus(np.asarray(w_c, dtype=float)))
-
-    @property
-    def lambda_b(self):
-        return float(softplus(self.theta_lambda))
-
-    @property
-    def w_c(self):
-        return softplus(self.theta_w)
-
-
-@dataclass
 class UnfoldedNetwork:
     """K layers of solver updates with learnable penalties.
 
     Attributes:
-        layers: LayerParams per layer.
-        d: inner dimension of the factorization.
+        theta: (K, 1 + d) float array of unconstrained parameters; row k is
+            [theta_lambda, theta_w_1 .. theta_w_d] of layer k, whose blood
+            penalty is softplus(theta_lambda) and whose weight diagonal is
+            softplus(theta_w). This is also the .u2m payload order.
         epsilon: regularizer for the elementwise blood weights.
         normalize: scale inputs by 1/max|D| inside forward passes and scale
             outputs back (mirrors the baseline solver's setting).
@@ -89,23 +65,35 @@ class UnfoldedNetwork:
             infer() rejects inputs whose row count differs.
     """
 
-    layers: list
-    d: int
+    theta: np.ndarray
     epsilon: float
     normalize: bool = True
     n_space: int | None = None
 
     def __post_init__(self):
-        if not self.layers or self.d < 1:
+        self.theta = np.asarray(self.theta, dtype=float)
+        if self.theta.ndim != 2:
+            raise ValueError(f"theta must be a (K, 1 + d) array, got shape {self.theta.shape}")
+        if len(self.theta) < 1 or self.d < 1:
             raise ValueError(f"a network needs at least one layer and d >= 1, "
-                             f"got {len(self.layers)} layers and d={self.d}")
+                             f"got {len(self.theta)} layers and d={self.d}")
+
+    @property
+    def d(self):
+        """Inner dimension of the factorization."""
+        return self.theta.shape[1] - 1
+
+    def penalties(self):
+        """Each layer's positive-domain (lambda_b, w_c)."""
+        return [(float(softplus(row[0])), softplus(row[1:])) for row in self.theta]
 
 
 @dataclass
 class ForwardTrace:
     """Per-layer outputs of a forward pass, in input units.
 
-    residual[k] is the data-consistency norm ||D - B_k - U_k V_k^H||_F.
+    residual[k] is the data-consistency norm ||D - B_k - U_k V_k^H||_F; the
+    training loss is np.mean(np.square(residual)).
     """
 
     basis: list
@@ -178,18 +166,20 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
         raise ValueError("lambda_b_init must be finite and nonnegative")
     u0, v0 = irls._init_state(work, d)
     w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(u0, v0, cfg.epsilon, cfg.rho)
-    layers = [LayerParams.from_values(lambda_b_init, w_init) for _ in range(k)]
-    return UnfoldedNetwork(layers=layers, d=d, epsilon=cfg.epsilon,
+    theta = np.empty((k, 1 + d))
+    theta[:, 0] = inv_softplus(lambda_b_init)
+    theta[:, 1:] = inv_softplus(w_init)
+    return UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon,
                            normalize=cfg.normalize, n_space=work.shape[0])
 
 
-def layer_forward(state, params, d_mat, epsilon=1e-8):
+def layer_forward(state, penalties, d_mat, epsilon=1e-8):
     """One layer: the solver's update step with this layer's parameters.
 
     Args:
         state: (u, v, b) triple entering the layer.
-        params: LayerParams; lambda_b is the blood penalty and w_c the
-            diagonal added to both Gram matrices.
+        penalties: positive-domain (lambda_b, w_c); lambda_b is the blood
+            penalty and w_c the diagonal added to both Gram matrices.
         d_mat: data matrix (same scaling as the state).
         epsilon: blood-weight regularizer.
 
@@ -198,16 +188,17 @@ def layer_forward(state, params, d_mat, epsilon=1e-8):
         weights the layer divided by, B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b).
     """
     u, v, b = state
+    lambda_b, w_c = penalties
     return irls.update_step(d_mat, u, d_mat - u @ v.conj().T, np.abs(b) ** 2,
-                            params.lambda_b, params.w_c, epsilon)
+                            lambda_b, w_c, epsilon)
 
 
 def _layers(net, work, init_state=None):
     """Yield each layer's (u, v, b, w_b) in the normalized domain, holding only the current state."""
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
     b = np.zeros_like(work)
-    for params in net.layers:
-        u, v, b, w_b = layer_forward((u, v, b), params, work, epsilon=net.epsilon)
+    for penalties in net.penalties():
+        u, v, b, w_b = layer_forward((u, v, b), penalties, work, epsilon=net.epsilon)
         yield u, v, b, w_b
 
 
@@ -240,45 +231,17 @@ def network_forward(net, d_mat, init_state=None):
     return trace
 
 
-def loss(trace, d_mat):
-    """Layer-averaged squared data-consistency error of a forward trace."""
-    d_mat = np.asarray(d_mat)
-    return float(np.mean([_misfit(d_mat, u, v, b) ** 2
-                          for u, v, b in zip(trace.basis, trace.coeffs, trace.blood)]))
-
-
 def _mean_data_loss(net, d_mat, init_state=None):
-    """loss(network_forward(net, d_mat, init_state), d_mat) without retaining the trace."""
+    """Mean square of network_forward(net, d_mat, init_state).residual, without the trace."""
     d_mat = np.asarray(d_mat, dtype=np.complex128)
     work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
     return float(np.mean([_misfit(d_mat, u, v * scale, b * scale) ** 2
                           for u, v, b, _ in _layers(net, work, init_state)]))
 
 
-def pack_parameters(net):
-    """Flatten all unconstrained parameters in layer order (lambda, then w)."""
-    parts = []
-    for layer in net.layers:
-        parts.append([layer.theta_lambda])
-        parts.append(layer.theta_w)
-    return np.concatenate(parts).astype(float)
-
-
-def param_index(net, layer, kind, j=0):
-    """Position of one parameter inside the packed vector."""
-    base = layer * (1 + net.d)
-    return base if kind == "lambda_b" else base + 1 + j
-
-
 def _with_parameters(net, theta):
-    """Copy of the network with its packed parameter vector replaced."""
-    layers = []
-    stride = 1 + net.d
-    for k in range(len(net.layers)):
-        chunk = theta[k * stride:(k + 1) * stride]
-        layers.append(LayerParams(float(chunk[0]), np.array(chunk[1:], dtype=float)))
-    return UnfoldedNetwork(layers=layers, d=net.d, epsilon=net.epsilon,
-                           normalize=net.normalize, n_space=net.n_space)
+    """Copy of the network with its parameters replaced by the flat vector theta."""
+    return replace(net, theta=np.reshape(theta, net.theta.shape))
 
 
 def _analytic_loss_grad(net, d_mat, init_state=None):
@@ -306,12 +269,13 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     for u, v, b, w_b in _layers(net, work, (u0, v0)):
         factors.append((u, v))
         weights.append(w_b)
-    n_layers = len(net.layers)
+    penalties = net.penalties()
+    n_layers = len(penalties)
     c = 1.0 / n_layers
 
     def divisor(k, out):
         """1 + 2 lambda_b w_b of layer k, in the forward pass's order of operations."""
-        np.multiply(2.0 * net.layers[k].lambda_b, weights[k], out=out)
+        np.multiply(2.0 * penalties[k][0], weights[k], out=out)
         return np.add(1.0, out, out=out)
 
     r, e, g_r, g_b_next = (np.empty(work.shape, complex) for _ in range(4))
@@ -319,16 +283,14 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     real_tmp = np.empty(work.shape)
 
     loss_norm = 0.0
-    g_theta = np.zeros(n_layers * (1 + net.d))
+    g_theta = np.zeros(net.theta.shape)
     g_u_next = None
     g_v_next = None
-    stride = 1 + net.d
     for k in range(n_layers - 1, -1, -1):
         u_in, v_in = factors[k]
         u, v = factors[k + 1]
         w_b = weights.pop()
-        params = net.layers[k]
-        lam = params.lambda_b
+        lam, w_c = penalties[k]
         np.subtract(work, b, out=r)
         e = np.subtract(r, np.matmul(u, v.conj().T, out=e), out=e)
         loss_norm += np.linalg.norm(e) ** 2
@@ -342,7 +304,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
             np.add(g_b, g_b_next, out=g_b)
 
         # basis update U = R V inv(M_U)
-        q_u = np.linalg.inv(v.conj().T @ v + np.diag(params.w_c))
+        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c))
         np.matmul(g_u @ q_u, v.conj().T, out=g_r)
         g_p = np.conj(r, out=g_b_next).T @ g_u
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
@@ -350,7 +312,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         g_w = 2.0 * np.real(np.diag(g_m_u))
 
         # coefficient update V = R^H U_in inv(M_V)
-        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(params.w_c))
+        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c))
         g_p2 = r @ g_v
         g_r += np.matmul(u_in, q_v @ g_v.conj().T, out=r)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
@@ -376,11 +338,11 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         g_u_in = g_u_in - g_r0 @ v_in
         g_v_in = -(np.conj(g_r0, out=e).T @ u_in)
 
-        g_theta[k * stride] = g_lam * expit(params.theta_lambda)
-        g_theta[k * stride + 1:(k + 1) * stride] = g_w * expit(params.theta_w)
+        g_theta[k, 0] = g_lam * expit(net.theta[k, 0])
+        g_theta[k, 1:] = g_w * expit(net.theta[k, 1:])
         g_u_next, g_v_next = g_u_in, g_v_in
 
-    return c * loss_norm * scale ** 2, g_theta * scale ** 2
+    return c * loss_norm * scale ** 2, g_theta.ravel() * scale ** 2
 
 
 def parameter_gradient(net, d_mat, cfg, init_state=None, fd_step=None):
@@ -395,12 +357,12 @@ def parameter_gradient(net, d_mat, cfg, init_state=None, fd_step=None):
             step is fd_step * (1 + |theta|). Default 1e-5.
 
     Returns:
-        Real gradient vector aligned with pack_parameters(net).
+        Real gradient vector aligned with net.theta.ravel().
     """
     if cfg.grad_mode == "analytic":
         return _analytic_loss_grad(net, d_mat, init_state)[1]
     base = 1e-5 if fd_step is None else float(fd_step)
-    theta0 = pack_parameters(net)
+    theta0 = net.theta.ravel()
     grad = np.zeros_like(theta0)
     for i in range(theta0.size):
         h = base * (1.0 + abs(theta0[i]))
@@ -459,10 +421,9 @@ def train(net, train_data, val_data, cfg):
     batches = [fit[:, i * cfg.batch_frames:(i + 1) * cfg.batch_frames]
                for i in range(n_batches)]
 
-    theta = pack_parameters(net)
+    theta = net.theta.ravel()
     wc_lr = cfg.learning_rate / 100.0 if cfg.wc_learning_rate is None else cfg.wc_learning_rate
-    lr_vec = np.concatenate([[cfg.learning_rate] + [wc_lr] * net.d
-                             for _ in range(len(net.layers))])
+    lr_vec = np.tile([cfg.learning_rate] + [wc_lr] * net.d, len(net.theta))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)

@@ -104,9 +104,10 @@ def test_criterion_3_unfolding_matches_solver():
         cfg = irls.IrlsConfig(d=d, lambda_c=0.03, lambda_b=0.01, max_iter=k,
                               tol=1e-300, normalize=False)
         dec, trace = irls.run_irls(d_mat, cfg)
-        layers = [unfolded.LayerParams.from_values(0.01, 2.0 * 0.03 * w)
-                  for w in trace.w_c_history]
-        net = unfolded.UnfoldedNetwork(layers=layers, d=d, epsilon=cfg.epsilon,
+        theta = [np.append(unfolded.inv_softplus(0.01),
+                           unfolded.inv_softplus(2.0 * 0.03 * w))
+                 for w in trace.w_c_history]
+        net = unfolded.UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon,
                                        normalize=False)
         fwd = unfolded.network_forward(net, d_mat)
         rel_b = (np.linalg.norm(fwd.blood[-1] - dec.blood_b)

@@ -165,7 +165,7 @@ class TestRunPipeline:
         model_path = outdir / "model.u2m"
         assert model_path.exists()
         net = formats.read_model(model_path)
-        assert len(net.layers) == 2
+        assert net.theta.shape == (2, 3)
 
         outdir2 = tmp_path / "out2"
         cfg2 = {"method": "unfolded", "model": str(model_path),
@@ -189,11 +189,8 @@ class TestRunPipeline:
         config.validate_config(cfg)
         result = pipeline.run_pipeline(cfg)
         net = formats.read_model(outdir / "model.u2m")
-        assert len(net.layers) == 10 and net.d == 10
-        packed = np.concatenate(
-            [[l.theta_lambda] for l in net.layers]
-            + [l.theta_w for l in net.layers])
-        assert np.all(np.isfinite(packed))
+        assert net.theta.shape == (10, 11)
+        assert np.all(np.isfinite(net.theta))
         assert np.isfinite(result.report["metrics"]["cnr_db"])
 
 
@@ -662,6 +659,53 @@ class TestStageBoundary:
         assert rc == 4
         assert "snr_db" in err and err.count("\n") == 1
         assert not (outdir / "dataset.umi").exists()
+
+
+class TestUndefinedRatios:
+    """A contrast ratio the image leaves undefined is null, not a failed run."""
+
+    @pytest.fixture(scope="class")
+    def dim_vessel(self, tmp_path_factory):
+        # at this seed the blood region's mean power stays below the tissue's
+        tmp = tmp_path_factory.mktemp("dim")
+        cfg = tmp / "sim.json"
+        cfg.write_text(json.dumps({"simulate": sim_section(frames=60), "seed": 5}))
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp / "sim")]) == 0
+        return tmp / "sim"
+
+    def test_evaluate_reports_undefined_cnr_as_null(self, tmp_path, dim_vessel):
+        outdir = tmp_path / "ev"
+        assert cli.main(["evaluate", "--input", str(dim_vessel / "dataset.umi"),
+                         "--truth", str(dim_vessel), "--output", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "power.csv", "report.json", "velocity.csv"]
+        scores = json.loads((outdir / "report.json").read_text())["metrics"]
+        assert scores["cnr_db"] is None
+        assert all(isinstance(scores[key], float)
+                   for key in ("snr_db", "psl_db", "r_squared"))
+
+    def test_filter_keeping_only_the_clutter_writes_all_artifacts(self, tmp_path, dim_vessel):
+        cfg = tmp_path / "svd.json"
+        cfg.write_text(json.dumps({"svd": {"low_cut": 0, "high_cut": 1}}))
+        outdir = tmp_path / "fs"
+        assert cli.main(["filter", "--config", str(cfg), "--method", "svd",
+                         "--input", str(dim_vessel / "dataset.umi"),
+                         "--truth", str(dim_vessel), "--output", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "blood.umi", "power.csv", "power.pgm", "report.json", "velocity.csv"]
+        assert json.loads((outdir / "report.json").read_text())["metrics"]["cnr_db"] is None
+
+    def test_overlapping_masks_still_fail_in_evaluate(self, tmp_path, capsys):
+        path, _ = tiny_dataset(tmp_path)
+        truth = tiny_truth(tmp_path / "truth")
+        formats.write_csv(np.ones((6, 5)), truth / "truth_tissue_mask.csv")
+        outdir = tmp_path / "o"
+        rc = cli.main(["evaluate", "--input", str(path), "--truth", str(truth),
+                       "--output", str(outdir), "--ensemble", "4"])
+        err = capsys.readouterr().err
+        assert rc == 7
+        assert "disjoint" in err and err.count("\n") == 1
+        assert not (outdir / "report.json").exists()
 
 
 # Each strategy below starts from a valid file and corrupts a drawn subset

@@ -6,9 +6,14 @@ order, or compression math fails loudly.
 """
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from microflow import formats, irls, unfolded
 from microflow.casorati import FrameSequence
@@ -154,9 +159,8 @@ class TestDataset:
 
 class TestModel:
     def golden_net(self):
-        layers = [unfolded.LayerParams(0.5, np.array([-1.0, 2.0])),
-                  unfolded.LayerParams(-0.25, np.array([0.0, 1.5]))]
-        return unfolded.UnfoldedNetwork(layers=layers, d=2, epsilon=1e-8)
+        return unfolded.UnfoldedNetwork(theta=[[0.5, -1.0, 2.0], [-0.25, 0.0, 1.5]],
+                                        epsilon=1e-8)
 
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "golden.u2m"
@@ -167,24 +171,17 @@ class TestModel:
         path = tmp_path / "hand.u2m"
         path.write_bytes(bytes.fromhex(GOLDEN_U2M1_HEX))
         net = formats.read_model(path)
-        assert len(net.layers) == 2 and net.d == 2
+        assert net.d == 2
         assert net.epsilon == 1e-8
-        assert net.layers[0].theta_lambda == 0.5
-        np.testing.assert_array_equal(net.layers[0].theta_w, [-1.0, 2.0])
-        assert net.layers[1].theta_lambda == -0.25
-        np.testing.assert_array_equal(net.layers[1].theta_w, [0.0, 1.5])
+        np.testing.assert_array_equal(net.theta, [[0.5, -1.0, 2.0], [-0.25, 0.0, 1.5]])
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        layers = [unfolded.LayerParams(float(rng.standard_normal()),
-                                       rng.standard_normal(3))
-                  for _ in range(4)]
-        net = unfolded.UnfoldedNetwork(layers=layers, d=3, epsilon=1e-6)
+        net = unfolded.UnfoldedNetwork(theta=rng.standard_normal((4, 4)), epsilon=1e-6)
         path = tmp_path / "rt.u2m"
         formats.write_model(net, path)
         back = formats.read_model(path)
-        np.testing.assert_array_equal(unfolded.pack_parameters(back),
-                                      unfolded.pack_parameters(net))
+        np.testing.assert_array_equal(back.theta, net.theta)
         assert back.epsilon == net.epsilon
 
     def test_corrupt_magic(self, tmp_path):
@@ -219,8 +216,7 @@ class TestModel:
         assert struct.unpack_from("<IQ", raw, 24) == (int(normalize), 30)
         back = formats.read_model(path)
         assert (back.normalize, back.n_space) == (normalize, 30)
-        np.testing.assert_array_equal(unfolded.pack_parameters(back),
-                                      unfolded.pack_parameters(net))
+        np.testing.assert_array_equal(back.theta, net.theta)
         want, got = unfolded.infer(net, d_mat), unfolded.infer(back, d_mat)
         assert np.array_equal(got.blood_b, want.blood_b)
         assert np.array_equal(got.basis_u, want.basis_u)
@@ -269,9 +265,9 @@ class TestModel:
     def test_non_finite_parameter_not_written(self, tmp_path, where):
         net = self.golden_net()
         if where == "theta_lambda":
-            net.layers[1].theta_lambda = np.nan
+            net.theta[1, 0] = np.nan
         else:
-            net.layers[1].theta_w[0] = np.inf
+            net.theta[1, 1] = np.inf
         path = tmp_path / "bad.u2m"
         with pytest.raises(ValueError, match="layer 1 has a non-finite"):
             formats.write_model(net, path)
@@ -284,6 +280,65 @@ class TestModel:
         path.write_bytes(path.read_bytes()[:30])
         with pytest.raises(ValueError, match="truncated header"):
             formats.read_model(path)
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal float64
+_THETA_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e300, -1e300, -0.0, 5e-324, -5e-324, _TINY / 3, -_TINY / 7]))
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def networks(draw):
+    k, d = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    return unfolded.UnfoldedNetwork(
+        theta=draw(arrays(np.float64, (k, 1 + d), elements=_THETA_ENTRIES)),
+        epsilon=draw(_POSITIVE), normalize=draw(st.booleans()),
+        n_space=draw(st.one_of(st.none(), st.integers(d, 2 ** 64 - 1))))
+
+
+@st.composite
+def sequences(draw):
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    voxels = draw(arrays(np.complex64, shape, elements=st.complex_numbers(
+        allow_nan=False, allow_infinity=False, width=64)))
+    return FrameSequence(voxels=voxels, frame_rate=draw(_POSITIVE),
+                         center_freq=draw(_POSITIVE), prf=draw(_POSITIVE))
+
+
+class TestRoundTripProperties:
+    """Reading a written file gives back everything written, and rewriting it the same bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=networks())
+    def test_u2m_round_trip(self, net):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.u2m"
+            formats.write_model(net, path)
+            raw = path.read_bytes()
+            back = formats.read_model(path)
+            formats.write_model(back, path)
+            assert path.read_bytes() == raw
+        assert np.array_equal(back.theta, net.theta)
+        assert back.theta.tobytes() == net.theta.tobytes()  # keeps -0.0
+        assert ((back.d, back.epsilon, back.normalize, back.n_space)
+                == (net.d, net.epsilon, net.normalize, net.n_space))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seq=sequences())
+    def test_umi_round_trip(self, seq):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.umi"
+            formats.write_dataset(seq, path)
+            raw = path.read_bytes()
+            back = formats.read_dataset(path)
+            formats.write_dataset(back, path)
+            assert path.read_bytes() == raw
+        assert back.voxels.shape == seq.voxels.shape
+        assert np.array_equal(back.voxels, seq.voxels)
+        assert ((back.frame_rate, back.center_freq, back.prf)
+                == (seq.frame_rate, seq.center_freq, seq.prf))
 
 
 class TestPgm:

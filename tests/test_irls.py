@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -347,8 +346,8 @@ class TestFusedStepEquivalence:
         u, v = irls._init_state(d_mat, cfg.d)
         b = np.zeros_like(d_mat)
         for w_c in trace.w_c_history:
-            params = SimpleNamespace(lambda_b=cfg.lambda_b, w_c=2.0 * cfg.lambda_c * w_c)
-            u, v, b, _ = unfolded.layer_forward((u, v, b), params, d_mat, epsilon=cfg.epsilon)
+            penalties = (cfg.lambda_b, 2.0 * cfg.lambda_c * w_c)
+            u, v, b, _ = unfolded.layer_forward((u, v, b), penalties, d_mat, epsilon=cfg.epsilon)
         assert np.array_equal(u, dec.basis_u)
         assert np.array_equal(v, dec.coeffs_v)
         assert np.array_equal(b, dec.blood_b)

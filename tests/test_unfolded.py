@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -28,9 +29,9 @@ def frozen_net_from_irls(d_mat, d, k, lambda_c, lambda_b, epsilon=1e-8):
     cfg = irls.IrlsConfig(d=d, lambda_c=lambda_c, lambda_b=lambda_b,
                           epsilon=epsilon, max_iter=k, tol=1e-300, normalize=False)
     dec, trace = irls.run_irls(d_mat, cfg)
-    layers = [unfolded.LayerParams.from_values(lambda_b, 2.0 * lambda_c * w)
-              for w in trace.w_c_history]
-    net = unfolded.UnfoldedNetwork(layers=layers, d=d, epsilon=epsilon, normalize=False)
+    theta = [np.append(unfolded.inv_softplus(lambda_b), unfolded.inv_softplus(2.0 * lambda_c * w))
+             for w in trace.w_c_history]
+    net = unfolded.UnfoldedNetwork(theta=theta, epsilon=epsilon, normalize=False)
     return net, dec
 
 
@@ -55,10 +56,10 @@ class TestInitNetwork:
         d_mat = crandn(r, (64, 32))
         cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
         net = unfolded.init_network(d_mat, k=10, d=10, lambda_b_init=6.0, cfg=cfg)
-        assert len(net.layers) == 10
-        for layer in net.layers:
-            assert layer.lambda_b == pytest.approx(6.0, rel=1e-12)
-            assert np.all(layer.w_c > 0)
+        assert net.theta.shape == (10, 11)
+        for lambda_b, w_c in net.penalties():
+            assert lambda_b == pytest.approx(6.0, rel=1e-12)
+            assert np.all(w_c > 0)
 
     def test_zero_lambda_first_layer_returns_residual(self):
         r = np.random.default_rng(1)
@@ -66,8 +67,8 @@ class TestInitNetwork:
         cfg = irls.IrlsConfig(d=3, lambda_c=0.01, lambda_b=0.0, normalize=False)
         net = unfolded.init_network(d_mat, k=1, d=3, lambda_b_init=0.0, cfg=cfg)
         u0, v0 = irls._init_state(d_mat, 3)
-        state = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), net.layers[0], d_mat,
-                                       epsilon=net.epsilon)
+        state = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), net.penalties()[0],
+                                       d_mat, epsilon=net.epsilon)
         assert np.array_equal(state[2], d_mat - u0 @ v0.conj().T)
 
     def test_layer_weights_follow_init_factors(self):
@@ -77,8 +78,8 @@ class TestInitNetwork:
         net = unfolded.init_network(d_mat, k=3, d=4, lambda_b_init=1.0, cfg=cfg)
         u0, v0 = irls._init_state(d_mat, 4)
         want = 2.0 * 0.05 * irls.lowrank_weights(u0, v0, cfg.epsilon, cfg.rho)
-        for layer in net.layers:
-            assert np.allclose(layer.w_c, want, rtol=1e-9)
+        for _, w_c in net.penalties():
+            assert np.allclose(w_c, want, rtol=1e-9)
 
     @pytest.mark.parametrize("k, lambda_b_init", [(0, 1.0), (2, float("nan")),
                                                   (2, float("inf")), (2, -1.0)])
@@ -92,9 +93,19 @@ class TestInitNetwork:
 class TestNetworkConstruction:
     @pytest.mark.parametrize("n_layers, d", [(0, 2), (1, 0)])
     def test_empty_network_rejected(self, n_layers, d):
-        layers = [unfolded.LayerParams(0.0, np.zeros(max(d, 1)))] * n_layers
         with pytest.raises(ValueError, match="at least one layer"):
-            unfolded.UnfoldedNetwork(layers=layers, d=d, epsilon=1e-8)
+            unfolded.UnfoldedNetwork(theta=np.zeros((n_layers, 1 + d)), epsilon=1e-8)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_theta_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="theta must be"):
+            unfolded.UnfoldedNetwork(theta=np.zeros(shape), epsilon=1e-8)
+
+    def test_d_follows_theta(self):
+        net = unfolded.UnfoldedNetwork(theta=np.zeros((2, 4)), epsilon=1e-8)
+        assert net.d == 3
+        with pytest.raises(AttributeError):
+            net.d = 5
 
 
 class TestLayerForward:
@@ -103,7 +114,8 @@ class TestLayerForward:
         net, _ = frozen_net_from_irls(d_mat, d=4, k=1, lambda_c=0.02, lambda_b=0.05)
         u0, v0 = irls._init_state(d_mat, 4)
         b0 = np.zeros_like(d_mat)
-        u1, v1, b1, _ = unfolded.layer_forward((u0, v0, b0), net.layers[0], d_mat, epsilon=1e-8)
+        u1, v1, b1, _ = unfolded.layer_forward((u0, v0, b0), net.penalties()[0], d_mat,
+                                               epsilon=1e-8)
 
         w_b = irls.sparse_weights(b0, 1e-8)
         b_ref = update_blood(d_mat, u0, v0, w_b, 0.05)
@@ -119,8 +131,8 @@ class TestLayerForward:
         u = crandn(r, (12, 2))
         v = crandn(r, (8, 2))
         d_mat = u @ v.conj().T
-        params = unfolded.LayerParams.from_values(0.5, np.full(2, 1e-6))
-        u1, v1, b1, _ = unfolded.layer_forward((u, v, np.zeros_like(d_mat)), params, d_mat)
+        u1, v1, b1, _ = unfolded.layer_forward((u, v, np.zeros_like(d_mat)),
+                                               (0.5, np.full(2, 1e-6)), d_mat)
         assert np.allclose(b1, 0, atol=1e-14)
         assert np.linalg.norm(u1 @ v1.conj().T - d_mat) <= 1e-6 * np.linalg.norm(d_mat)
 
@@ -128,8 +140,8 @@ class TestLayerForward:
         r = np.random.default_rng(5)
         d_mat = crandn(r, (10, 6))
         u0, v0 = irls._init_state(d_mat, 2)
-        params = unfolded.LayerParams.from_values(1e12, np.ones(2))
-        _, _, b1, _ = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), params, d_mat)
+        _, _, b1, _ = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), (1e12, np.ones(2)),
+                                             d_mat)
         assert np.linalg.norm(b1) <= 1e-6 * np.linalg.norm(d_mat - u0 @ v0.conj().T)
 
 
@@ -139,7 +151,7 @@ class TestNetworkForward:
         net, _ = frozen_net_from_irls(d_mat, d=3, k=1, lambda_c=0.01, lambda_b=0.02)
         trace = unfolded.network_forward(net, d_mat)
         u0, v0 = irls._init_state(d_mat, 3)
-        u1, v1, b1, _ = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), net.layers[0],
+        u1, v1, b1, _ = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), net.penalties()[0],
                                             d_mat, epsilon=net.epsilon)
         assert np.allclose(trace.blood[0], b1, rtol=1e-12, atol=0)
         assert len(trace.blood) == 1
@@ -163,44 +175,55 @@ class TestNetworkForward:
 
     def test_scalar_weight_forward_is_rotation_invariant(self):
         d_mat = lowrank_sparse(8, 18, 12)
-        layers = [unfolded.LayerParams.from_values(0.3, np.full(3, 0.7)) for _ in range(2)]
-        net = unfolded.UnfoldedNetwork(layers=layers, d=3, epsilon=1e-8, normalize=False)
+        row = unfolded.inv_softplus([0.3, 0.7, 0.7, 0.7])
+        net = unfolded.UnfoldedNetwork(theta=[row, row], epsilon=1e-8, normalize=False)
         u0, v0 = irls._init_state(d_mat, 3)
         r = np.random.default_rng(9)
         q, _ = np.linalg.qr(crandn(r, (3, 3)))
         t1 = unfolded.network_forward(net, d_mat, init_state=(u0, v0))
         t2 = unfolded.network_forward(net, d_mat, init_state=(u0 @ q, v0 @ q))
         assert np.allclose(t1.blood[-1], t2.blood[-1], rtol=1e-9, atol=1e-12)
-        assert unfolded.loss(t1, d_mat) == pytest.approx(unfolded.loss(t2, d_mat), rel=1e-9)
+        assert (np.mean(np.square(t1.residual))
+                == pytest.approx(np.mean(np.square(t2.residual)), rel=1e-9))
 
 
 class TestLoss:
+    """The training loss is the mean square of the forward trace's residuals."""
+
     def test_exact_decomposition_zero(self):
         r = np.random.default_rng(11)
         u = crandn(r, (10, 2))
         v = crandn(r, (6, 2))
-        b = crandn(r, (10, 6), 0.1)
-        d_mat = u @ v.conj().T + b
-        trace = unfolded.ForwardTrace(basis=[u], coeffs=[v], blood=[b], residual=[0.0])
-        assert unfolded.loss(trace, d_mat) == pytest.approx(0.0, abs=1e-25)
+        d_mat = u @ v.conj().T
+        net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([0.5, 1e-6, 1e-6])],
+                                       epsilon=1e-8, normalize=False)
+        trace = unfolded.network_forward(net, d_mat, init_state=(u, v))
+        assert trace.residual[0] <= 1e-6 * np.linalg.norm(d_mat)
 
     def test_scalar_case(self):
-        d_mat = np.array([[1.0 + 0j]])
-        trace = unfolded.ForwardTrace(
-            basis=[np.zeros((1, 1), dtype=complex)],
-            coeffs=[np.zeros((1, 1), dtype=complex)],
-            blood=[np.zeros((1, 1), dtype=complex)],
-            residual=[1.0])
-        assert unfolded.loss(trace, d_mat) == pytest.approx(1.0)
+        # zero factors stay zero and a huge penalty keeps B near zero, so D is all misfit
+        zero = np.zeros((1, 1), dtype=complex)
+        net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([1e12, 1.0])],
+                                       epsilon=1e-8, normalize=False)
+        trace = unfolded.network_forward(net, np.array([[1.0 + 0j]]), init_state=(zero, zero))
+        assert trace.residual == [pytest.approx(1.0)]
 
     def test_matches_recompute(self):
         d_mat = lowrank_sparse(12, 22, 11)
         cfg = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0)
         net = unfolded.init_network(d_mat, k=3, d=3, lambda_b_init=2.0, cfg=cfg)
         trace = unfolded.network_forward(net, d_mat)
-        ref = np.mean([np.linalg.norm(d_mat - b - u @ v.conj().T) ** 2
-                       for u, v, b in zip(trace.basis, trace.coeffs, trace.blood)])
-        assert unfolded.loss(trace, d_mat) == pytest.approx(ref, rel=1e-12)
+        ref = [np.linalg.norm(d_mat - b - u @ v.conj().T)
+               for u, v, b in zip(trace.basis, trace.coeffs, trace.blood)]
+        np.testing.assert_allclose(trace.residual, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_mean_square_is_the_training_loss(self, normalize):
+        d_mat = lowrank_sparse(13, 22, 11)
+        cfg = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0, normalize=normalize)
+        net = unfolded.init_network(d_mat, k=4, d=3, lambda_b_init=2.0, cfg=cfg)
+        trace = unfolded.network_forward(net, d_mat)
+        assert np.mean(np.square(trace.residual)) == unfolded._mean_data_loss(net, d_mat)
 
 
 def tiny_net_and_data(seed=13, ns=12, nt=8, d=2, k=2, lambda_b=1.5):
@@ -241,8 +264,8 @@ class TestParameterGradient:
         r = np.random.default_rng(15)
         ns, nt, d = 14, 9, 3
         d_mat = crandn(r, (ns, nt))
-        layers = [unfolded.LayerParams.from_values(0.8, np.ones(d)) for _ in range(2)]
-        net = unfolded.UnfoldedNetwork(layers=layers, d=d, epsilon=1e-8, normalize=False)
+        row = unfolded.inv_softplus([0.8] + [1.0] * d)
+        net = unfolded.UnfoldedNetwork(theta=[row, row], epsilon=1e-8, normalize=False)
         u0 = np.zeros((ns, d), dtype=complex)
         u0[0, 0] = 1.0
         u0[1, 1] = 1.0
@@ -252,10 +275,10 @@ class TestParameterGradient:
         g_fd = unfolded.parameter_gradient(net, d_mat, cfg, init_state=(u0, v0))
         g_an = unfolded.parameter_gradient(
             net, d_mat, unfolded.TrainConfig(grad_mode="analytic"), init_state=(u0, v0))
-        flat = [unfolded.param_index(net, layer, "w_c", 2) for layer in range(2)]
-        for idx in flat:
-            assert abs(g_fd[idx]) <= 1e-6
-            assert abs(g_an[idx]) <= 1e-6
+        # weight 2 of each layer, in net.theta's row order
+        flat = g_fd.reshape(net.theta.shape)[:, 3], g_an.reshape(net.theta.shape)[:, 3]
+        for grad in flat:
+            assert np.all(np.abs(grad) <= 1e-6)
 
 
 def reference_analytic_loss_grad(net, d_mat, init_state=None):
@@ -271,21 +294,19 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     # entry k holds layer k's input, entry k + 1 its output
     states = [(u0, v0, 0.0)] + [(u, v, b) for u, v, b, _ in
                                 unfolded._layers(net, work, (u0, v0))]
-    n_layers = len(net.layers)
+    n_layers = len(net.theta)
     c = 1.0 / n_layers
 
     loss_norm = 0.0
-    g_theta = np.zeros(n_layers * (1 + net.d))
+    g_theta = np.zeros(net.theta.shape)
     g_u_next = None
     g_v_next = None
     g_b_next = None
-    stride = 1 + net.d
     for k in range(n_layers - 1, -1, -1):
         u_in, v_in, b_in = states[k]
         u, v, b = states[k + 1]
         states[k + 1] = None
-        params = net.layers[k]
-        lam = params.lambda_b
+        lam, w_c = net.penalties()[k]
         w_b = irls.sparse_weights(b_in, net.epsilon)
         den = 1.0 + 2.0 * lam * w_b
         r = work - b
@@ -300,14 +321,14 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
             g_v = g_v + g_v_next
             g_b = g_b + g_b_next
 
-        q_u = np.linalg.inv(v.conj().T @ v + np.diag(params.w_c))
+        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c))
         g_r = (g_u @ q_u) @ v.conj().T
         g_p = r.conj().T @ g_u
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
 
-        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(params.w_c))
+        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c))
         g_p2 = r @ g_v
         g_r = g_r + u_in @ (q_v @ g_v.conj().T)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
@@ -322,17 +343,16 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
         g_u_in = g_u_in - g_r0 @ v_in
         g_v_in = -(g_r0.conj().T @ u_in)
 
-        g_theta[k * stride] = g_lam * expit(params.theta_lambda)
-        g_theta[k * stride + 1:(k + 1) * stride] = g_w * expit(params.theta_w)
+        g_theta[k, 0] = g_lam * expit(net.theta[k, 0])
+        g_theta[k, 1:] = g_w * expit(net.theta[k, 1:])
         g_u_next, g_v_next, g_b_next = g_u_in, g_v_in, g_b_in
 
-    return c * loss_norm * scale ** 2, g_theta * scale ** 2
+    return c * loss_norm * scale ** 2, g_theta.ravel() * scale ** 2
 
 
 def perturbed(net, seed):
-    theta = unfolded.pack_parameters(net)
-    theta = theta + np.random.default_rng(seed).normal(0.0, 0.5, theta.size)
-    return unfolded._with_parameters(net, theta)
+    theta = net.theta + np.random.default_rng(seed).normal(0.0, 0.5, net.theta.shape)
+    return dataclasses.replace(net, theta=theta)
 
 
 def adjoint_cases():
@@ -393,9 +413,9 @@ class TestTrain:
         net, d_mat = tiny_net_and_data(seed=16, ns=20, nt=40)
         cfg = unfolded.TrainConfig(learning_rate=0.0, batch_frames=10, max_epochs=4,
                                    patience=10, seed=1, grad_mode="analytic")
-        theta_before = unfolded.pack_parameters(net)
+        theta_before = net.theta.copy()
         out, hist = unfolded.train(net, d_mat, None, cfg)
-        assert np.array_equal(unfolded.pack_parameters(out), theta_before)
+        assert np.array_equal(out.theta, theta_before)
         assert len(set(np.round(hist.train_loss, 15))) == 1
 
     def test_training_reduces_validation_loss(self):
@@ -425,14 +445,14 @@ class TestTrain:
             cfg = unfolded.TrainConfig(learning_rate=0.02, batch_frames=40, max_epochs=6,
                                        patience=6, seed=7, grad_mode="analytic")
             out, hist = unfolded.train(net, d_mat, None, cfg)
-            runs.append((unfolded.pack_parameters(out), np.asarray(hist.train_loss)))
+            runs.append((out.theta, np.asarray(hist.train_loss)))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_loss_aborts_with_history(self):
         net, d_mat = tiny_net_and_data(seed=20, ns=16, nt=40)
-        net.layers[0].theta_lambda = np.nan
+        net.theta[0, 0] = np.nan
         cfg = unfolded.TrainConfig(learning_rate=0.01, batch_frames=20, max_epochs=3,
                                    patience=3, seed=0, grad_mode="analytic")
         with pytest.raises(RuntimeError) as excinfo:
@@ -445,9 +465,10 @@ class TestTrain:
                                    grad_mode="finite_difference")
         _, hist = unfolded.train(net, d_mat, None, cfg)
         val, batch = d_mat[:, 32:], d_mat[:, :10]
-        assert hist.val_loss[0] == unfolded.loss(unfolded.network_forward(net, val), val)
-        got, _ = unfolded._batch_loss_grad(net, unfolded.pack_parameters(net), batch, cfg)
-        assert got == unfolded.loss(unfolded.network_forward(net, batch), batch)
+        val_residual = unfolded.network_forward(net, val).residual
+        assert hist.val_loss[0] == np.mean(np.square(val_residual))
+        got, _ = unfolded._batch_loss_grad(net, net.theta.ravel(), batch, cfg)
+        assert got == np.mean(np.square(unfolded.network_forward(net, batch).residual))
 
     def test_batch_larger_than_data_rejected(self):
         net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
@@ -474,7 +495,7 @@ class TestInfer:
         dec = unfolded.infer(net, zeros)
         assert np.all(dec.blood_b == 0)
         trace = unfolded.network_forward(net, zeros)
-        assert unfolded.loss(trace, zeros) == 0.0
+        assert trace.residual == [0.0, 0.0]
 
     def test_row_count_mismatch_rejected(self):
         d_mat = lowrank_sparse(23, 20, 15)
@@ -501,7 +522,7 @@ class TestSharedNormalization:
         assert np.array_equal(dec_c.basis_u, dec.basis_u)
         net = unfolded.init_network(d_mat, k=2, d=d, lambda_b_init=0.1, cfg=cfg)
         net_c = unfolded.init_network(c * d_mat, k=2, d=d, lambda_b_init=0.1, cfg=cfg)
-        assert np.array_equal(unfolded.pack_parameters(net_c), unfolded.pack_parameters(net))
+        assert np.array_equal(net_c.theta, net.theta)
         assert np.array_equal(unfolded.infer(net, c * d_mat).blood_b,
                               c * unfolded.infer(net, d_mat).blood_b)
 
