@@ -2,8 +2,9 @@
 
 Layout convention used everywhere in this package: a frame stack has shape
 (nz, nx, nt) and vectorizes column-major with the axial (first) index fastest,
-so Casorati column t is frame t flattened in Fortran order. All internal
-arithmetic is 64-bit complex; file I/O narrows to 32-bit at the boundary.
+so Casorati column t is frame t flattened in Fortran order. Datasets are
+complex64 from the file on; the filters' full-matrix products keep that
+precision, while the small d x d solves run in complex128.
 """
 
 from dataclasses import dataclass

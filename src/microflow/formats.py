@@ -47,12 +47,25 @@ def _checked_rates(rates):
     return rates
 
 
+def complex64_voxels(voxels):
+    """The voxels as the complex64 a dataset file stores.
+
+    Voxels that are not finite after that cast (NaN, inf, or beyond the
+    complex64 range) are refused.
+    """
+    with np.errstate(over="ignore"):
+        voxels = np.asarray(voxels).astype(np.complex64, copy=False)
+    bad = int(np.count_nonzero(~np.isfinite(voxels)))
+    if bad:
+        raise ValueError(f"{bad} voxel values are not finite as complex64")
+    return voxels
+
+
 def write_dataset(seq, path):
     """Write a FrameSequence to a UMI1 file.
 
-    Voxels are stored as complex64, so reading back reproduces the 32-bit
-    payload exactly but not float64 inputs. Voxels that are not finite after
-    that cast (NaN, inf, or beyond the complex64 range) are refused.
+    Voxels are stored as complex64_voxels(seq.voxels), so reading back
+    reproduces the 32-bit payload exactly but not float64 inputs.
     """
     nz, nx, nt = seq.voxels.shape
     for n in (nz, nx, nt):
@@ -62,18 +75,18 @@ def write_dataset(seq, path):
     header += struct.pack("<4I", _DATASET_VERSION, nz, nx, nt)
     header += struct.pack("<3d", *_checked_rates(
         [float(getattr(seq, name)) for name in _RATES]))
-    with np.errstate(over="ignore"):
-        voxels = seq.voxels.astype(np.complex64)
-    bad = int(np.count_nonzero(~np.isfinite(voxels)))
-    if bad:
-        raise ValueError(f"{bad} voxel values are not finite as complex64")
+    voxels = complex64_voxels(seq.voxels)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(voxels.tobytes(order="F"))
 
 
 def read_dataset(path):
-    """Read a UMI1 file back into a FrameSequence (complex128 voxels)."""
+    """Read a UMI1 file back into a FrameSequence.
+
+    The voxels are a writable complex64 copy of the payload, the precision
+    the file stores; the filters keep it (see irls.prepare_input).
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER_SIZE:
@@ -100,7 +113,7 @@ def read_dataset(path):
     bad = int(np.count_nonzero(~np.isfinite(flat)))
     if bad:
         raise ValueError(f"dataset {path} holds {bad} non-finite voxel values")
-    voxels = flat.reshape((nz, nx, nt), order="F").astype(np.complex128)
+    voxels = flat.reshape((nz, nx, nt), order="F").astype(np.complex64)
     return FrameSequence(voxels=voxels, frame_rate=frame_rate,
                          center_freq=center_freq, prf=prf)
 

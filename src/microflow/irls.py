@@ -130,17 +130,36 @@ def lowrank_weights(u, v, epsilon, rho=1.0):
         rho: exponent parameter; the weight power is rho/2 - 1.
 
     Returns:
-        1-d real array, the diagonal of the weight matrix.
+        1-d float64 array, the diagonal of the weight matrix; it is formed
+        in double whatever the factors' precision, so an epsilon below the
+        single-precision range still keeps it finite.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return (_column_energy(u, v) + epsilon) ** (rho / 2.0 - 1.0)
+    return (_column_energy(u, v).astype(np.float64) + epsilon) ** (rho / 2.0 - 1.0)
 
 
 def _factor_solve(f, rhs, w_diag):
-    """X with X (F^H F + diag(w_diag)) = rhs^H: the shared factor update."""
-    gram = f.conj().T @ f + np.diag(w_diag)
-    return hermitian_solve(gram, rhs).conj().T
+    """X with X (F^H F + diag(w_diag)) = rhs^H: the shared factor update.
+
+    F^H F and rhs come in F's precision, but the d x d solve runs in
+    complex128, so hermitian_solve's residual bound holds for complex64
+    factors too. Before X is narrowed back to F's dtype, every real or
+    imaginary part below finfo.tiny / finfo.eps of that dtype (about 9.9e-32
+    for complex64, 1e-292 for complex128) is set to zero. The column
+    reweighting shrinks the columns it switches off geometrically; flushed
+    at this floor, such a column turns exactly zero, its right-hand side is
+    then zero too, and the full-matrix products never meet subnormal
+    numbers, which are many times slower. A floor of finfo.tiny alone is not
+    enough: products of entries just above it still underflow.
+    """
+    gram = (f.conj().T @ f).astype(np.complex128, copy=False) + np.diag(w_diag)
+    x = hermitian_solve(gram, rhs.astype(np.complex128, copy=False)).conj().T
+    info = np.finfo(f.dtype)
+    floor = info.tiny / info.eps
+    for part in (x.real, x.imag):
+        part[np.abs(part) < floor] = 0.0
+    return x.astype(f.dtype, copy=False)
 
 
 def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
@@ -159,7 +178,9 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
         lambda_b: blood penalty weight.
         w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
             solver, the learned weight diagonal in a network layer.
-        epsilon: positive blood-weight regularizer.
+        epsilon: positive blood-weight regularizer. It counts as at least
+            the smallest normal number of b_sq's dtype, so the weights stay
+            finite where B is zero; a smaller epsilon would round away.
 
     Returns:
         (u, v, b, w_b): the updated factors and blood matrix, and the blood
@@ -167,8 +188,10 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    w_b = (b_sq + epsilon) ** -0.5
-    b = np.divide(resid, 1.0 + 2.0 * lambda_b * w_b, out=resid)
+    w_b = (b_sq + max(epsilon, float(np.finfo(b_sq.dtype).tiny))) ** -0.5
+    # a penalty weight beyond the dtype's range makes the divisor inf: B = 0
+    with np.errstate(over="ignore"):
+        b = np.divide(resid, 1.0 + 2.0 * lambda_b * w_b, out=resid)
     r = d_mat - b
     v = _factor_solve(u, u.conj().T @ r, w_diag)
     u = _factor_solve(v, (r @ v).conj().T, w_diag)
@@ -188,7 +211,11 @@ def prepare_input(d_mat, d, normalize):
     """Check a Casorati matrix and scale it for a solve with inner dimension d.
 
     Args:
-        d_mat: data matrix, shape (n_space, n_frames); converted to complex128.
+        d_mat: data matrix, shape (n_space, n_frames). A complex64 matrix
+            that is normalized stays complex64, so the full-matrix work runs
+            in single precision on data whose peak is 1. Any other matrix is
+            converted to complex128: without normalization the data's scale
+            is arbitrary and may lie outside what single precision holds.
         d: inner dimension, which must lie in [1, min(shape)].
         normalize: divide by the peak magnitude max|D|; a zero matrix is left
             as it is.
@@ -197,7 +224,9 @@ def prepare_input(d_mat, d, normalize):
         (work, scale) with work = D / scale; scale is 1.0 when nothing was
         divided out.
     """
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
+    d_mat = np.asarray(d_mat)
+    if not (normalize and d_mat.dtype == np.complex64):
+        d_mat = d_mat.astype(np.complex128, copy=False)
     if d_mat.ndim != 2:
         raise ValueError("expected a 2-d Casorati matrix")
     if not 1 <= d <= min(d_mat.shape):
@@ -256,7 +285,7 @@ def run_irls(d_mat, cfg):
     resid = work - s                    # D - U V^H
     fit = 0.5 * np.linalg.norm(resid) ** 2
     s_sq = np.linalg.norm(s) ** 2
-    b_sq = np.zeros(work.shape)
+    b_sq = np.zeros(work.shape, dtype=work.real.dtype)
     energy = _column_energy(u, v)
     w_c = lowrank_weights(u, v, cfg.epsilon, cfg.rho)
 
@@ -280,7 +309,8 @@ def run_irls(d_mat, cfg):
         energy = _column_energy(u, v)
         b_sq = np.abs(b) ** 2
         obj.append(objective(fit, energy, w_c, w_b, b_sq))
-        if not (np.isfinite(obj[-1]) and np.all(np.isfinite(b))):
+        # the fit term 0.5 ||resid - B||^2 is not finite when B is not
+        if not np.isfinite(obj[-1]):
             raise SolverError(f"non-finite iterate at iteration {k}")
 
         metric = _relative_change(change, s_sq)

@@ -3,7 +3,10 @@
 Velocity uses the lag-one autocorrelation (Kasai) estimator with positive
 values toward the probe. Contrast metrics follow the usual dB ratios over
 blood and tissue regions of interest; standard deviations are population
-(ddof 0) throughout.
+(ddof 0) throughout. Power and velocity sum over a column-major complex128
+copy of the blood matrix, whatever its precision and memory order, so a
+filter's metrics equal those of its blood estimate read back from a
+dataset file.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ def power_doppler(b, nz, nx):
     -------
     PowerDopplerImage
     """
-    b = np.asarray(b)
+    b = np.asarray(b, dtype=np.complex128, order="F")
     if b.ndim != 2 or b.shape[0] != nz * nx:
         raise ValueError(f"matrix of shape {b.shape} does not unpack as {nz}x{nx} pixels")
     if b.shape[1] < 1:
@@ -66,7 +69,7 @@ def doppler_velocity(b, prf, f0, c=1540.0):
         mm/s per pixel, and a flag marking pixels whose autocorrelation
         magnitude vanished (their velocity is reported as 0).
     """
-    b = np.asarray(b)
+    b = np.asarray(b, dtype=np.complex128, order="F")
     if b.ndim != 2 or b.shape[1] < 2:
         raise ValueError("velocity estimation needs an ensemble of at least 2 frames")
     autocorr = np.sum(b[:, 1:] * np.conj(b[:, :-1]), axis=1)

@@ -103,6 +103,9 @@ def _output_dir(cfg):
 def simulate_dataset(cfg):
     """Build a phantom per the simulate section and synthesize IQ data.
 
+    The voxels are narrowed to complex64 here, as the dataset file stores
+    them, so filtering a simulated run equals filtering its dataset.umi.
+
     Returns (FrameSequence, truth dict); the truth dict carries the
     axial-velocity map plus the blood and tissue evaluation masks.
     """
@@ -116,6 +119,7 @@ def simulate_dataset(cfg):
         seq, gt = imaging.synthesize_iq(
             scene, sim.get("frames", 200), frame_rate=sim.get("frame_rate"),
             noise_snr_db=np.inf if snr_db is None else snr_db)
+        seq.voxels = formats.complex64_voxels(seq.voxels)
         blood_mask, tissue_mask = imaging.roi_masks(scene)
     truth = {"velocity": gt.axial_velocity, "flow_mask": blood_mask,
              "tissue_mask": tissue_mask}

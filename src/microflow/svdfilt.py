@@ -23,18 +23,23 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
 
     A missing low_cut is estimate_low_cut(s, fraction) of that SVD's spectrum
     s, so the data is factorized once. The SVD is the economy one: a full
-    left basis would cost O(rows**2) memory on tall matrices.
+    left basis would cost O(rows**2) memory on tall matrices. A complex64
+    input is factorized in complex128, and its blood narrowed back.
 
     Returns:
         (blood, low_cut): the band reconstruction and the low cut it used.
     """
-    u, s, vh = np.linalg.svd(np.asarray(d_mat), full_matrices=False)
+    d_mat = np.asarray(d_mat)
+    narrow = d_mat.dtype == np.complex64
+    u, s, vh = np.linalg.svd(d_mat.astype(np.complex128) if narrow else d_mat,
+                             full_matrices=False)
     low_cut = estimate_low_cut(s, fraction) if low_cut is None else low_cut
     hi = s.size if high_cut is None else high_cut
     if not 0 <= low_cut < hi <= s.size:
         raise ValueError(f"cutoff band ({low_cut}, {hi}] invalid for rank {s.size}")
     band = slice(low_cut, hi)
-    return (u[:, band] * s[band]) @ vh[band], low_cut
+    blood = (u[:, band] * s[band]) @ vh[band]
+    return (blood.astype(np.complex64) if narrow else blood), low_cut
 
 
 def estimate_low_cut(singular_values, fraction=0.01):

@@ -151,7 +151,8 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     """Build a network whose layers start at the baseline initialization.
 
     Args:
-        d_mat: representative data matrix (provides the factor init).
+        d_mat: representative data matrix (provides the factor init); it is
+            widened to complex128, as training is.
         k: layer count.
         d: inner dimension.
         lambda_b_init: initial blood penalty for every layer.
@@ -161,7 +162,7 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     Returns:
         UnfoldedNetwork.
     """
-    work, _ = irls.prepare_input(d_mat, d, cfg.normalize)
+    work, _ = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), d, cfg.normalize)
     if not 0 <= lambda_b_init < np.inf:
         raise ValueError("lambda_b_init must be finite and nonnegative")
     u0, v0 = irls._init_state(work, d)
@@ -261,7 +262,8 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     of a product's output changes its rounding.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
-    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
+    work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128),
+                                     net.d, net.normalize)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # factors[k] holds layer k's input factors and factors[k + 1] its output;
     # weights[k] holds layer k's blood weights and b ends as the last layer's B
@@ -389,6 +391,8 @@ def train(net, train_data, val_data, cfg):
 
     Each epoch's losses go to this module's logger at INFO.
 
+    Training runs in complex128 whatever the data's dtype.
+
     Args:
         net: starting UnfoldedNetwork.
         train_data: (n_space, n_frames) matrix, split into consecutive
@@ -404,7 +408,8 @@ def train(net, train_data, val_data, cfg):
         RuntimeError: when any loss turns non-finite; the partial history is
             attached to the exception as .history.
     """
-    data, _ = irls.prepare_input(train_data, net.d, normalize=False)
+    data, _ = irls.prepare_input(np.asarray(train_data, dtype=np.complex128),
+                                 net.d, normalize=False)
     if val_data is None:
         n_val = max(1, int(round(0.2 * data.shape[1])))
         if data.shape[1] - n_val < 1:
@@ -481,7 +486,10 @@ def train(net, train_data, val_data, cfg):
 
 
 def infer(net, d_mat_new):
-    """Frozen-parameter forward pass; returns the final-layer decomposition."""
+    """Frozen-parameter forward pass; returns the final-layer decomposition.
+
+    The layers run in the input's precision, as irls.prepare_input keeps it.
+    """
     work, scale = irls.prepare_input(d_mat_new, net.d, net.normalize)
     if net.n_space is not None and work.shape[0] != net.n_space:
         raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")

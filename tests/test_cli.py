@@ -485,6 +485,47 @@ class TestCli:
             cli.main(["defragment"])
 
 
+class TestPrecisionBoundary:
+    """Data is complex64 from the file boundary on, in every run mode."""
+
+    SETTINGS = {"simulate": sim_section(frames=24), "seed": 5,
+                "irls": {"d": 3, "lambda_b": 0.05, "max_iter": 20},
+                "train": {"k_layers": 2, "d": 2, "lambda_b_init": 1.0,
+                          "learning_rate": 0.05, "batch_frames": 8,
+                          "max_epochs": 1, "patience": 1, "seed": 0}}
+
+    @pytest.fixture(params=["svd", "irls", "unfolded"])
+    def simulated_run(self, request, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(self.SETTINGS))
+        sim = tmp_path / "sim"
+        args = ["filter", "--config", str(cfg_path), "--method", request.param,
+                "--ensemble", "16"]
+        assert cli.main([*args, "--output", str(sim)]) == 0
+        return args, sim
+
+    def test_simulated_run_equals_filtering_its_dataset(self, simulated_run, tmp_path):
+        args, sim = simulated_run
+        again = tmp_path / "again"
+        assert cli.main([*args, "--input", str(sim / "dataset.umi"),
+                         "--truth", str(sim), "--output", str(again)]) == 0
+        names = ["blood.umi", "power.csv", "velocity.csv"]
+        names += ["model.u2m"] if (sim / "model.u2m").exists() else []
+        for name in names:
+            assert (again / name).read_bytes() == (sim / name).read_bytes(), name
+
+    def test_report_metrics_equal_evaluating_its_blood(self, simulated_run, tmp_path):
+        _, sim = simulated_run
+        scored = tmp_path / "scored"
+        assert cli.main(["evaluate", "--input", str(sim / "blood.umi"),
+                         "--truth", str(sim), "--ensemble", "16",
+                         "--output", str(scored)]) == 0
+        want = json.loads((sim / "report.json").read_text())["metrics"]
+        got = json.loads((scored / "report.json").read_text())["metrics"]
+        assert isinstance(want["cnr_db"], float)
+        assert got == want
+
+
 class TestProgress:
     """--verbose sends the progress log to stderr; stdout holds the result."""
 

@@ -81,8 +81,8 @@ class TestDataset:
         path = tmp_path / "rt.umi"
         formats.write_dataset(seq, path)
         back = formats.read_dataset(path)
-        np.testing.assert_array_equal(back.voxels.astype(np.complex64),
-                                      voxels.astype(np.complex64))
+        assert back.voxels.dtype == np.complex64 and back.voxels.flags.writeable
+        np.testing.assert_array_equal(back.voxels, voxels.astype(np.complex64))
         assert back.voxels.shape == (5, 4, 7)
 
     def test_corrupt_magic(self, tmp_path):

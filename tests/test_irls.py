@@ -1,11 +1,15 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microflow import irls, unfolded
-from microflow.casorati import SolverError
+from microflow import formats, irls, unfolded
+from microflow.casorati import SolverError, hermitian_solve, to_casorati
+from microflow.phantom import imaging
+from microflow.phantom import scene as phantom_scene
 from solver_reference import convergence_metric, update_basis, update_blood, update_coeffs
 
 
@@ -165,6 +169,37 @@ class TestFactorUpdates:
         u = np.zeros((6, 2), dtype=complex)
         with pytest.raises(SolverError):
             update_coeffs(d, np.zeros_like(d), u, np.ones(2), 0.0)
+
+
+class TestFactorSolvePrecision:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.complex64, np.complex128]),
+           n=st.integers(2, 30), m=st.integers(1, 12), d=st.integers(1, 4),
+           exponent=st.floats(-1.2, 0.0))
+    def test_parts_below_the_floor_turn_zero_and_the_rest_match_a_double_solve(
+            self, seed, dtype, n, m, d, exponent):
+        # exponent -1 scales one factor column and its rhs row to the flush
+        # floor tiny/eps, the regime the column reweighting drives dead columns to
+        info = np.finfo(dtype)
+        floor = info.tiny / info.eps
+        r = np.random.default_rng(seed)
+        f, rhs = crandn(r, (n, d)), crandn(r, (d, m))
+        if exponent < 0.0:
+            scale = float(floor) ** -exponent
+            f[:, 0] *= scale
+            rhs[0] *= scale
+        f, rhs, w_diag = f.astype(dtype), rhs.astype(dtype), r.random(d) + 0.5
+        got = irls._factor_solve(f, rhs, w_diag)
+        gram = (f.conj().T @ f).astype(np.complex128) + np.diag(w_diag)
+        exact = hermitian_solve(gram, rhs.astype(np.complex128)).conj().T
+        assert got.dtype == dtype
+        for part, want in ((got.real, exact.real), (got.imag, exact.imag)):
+            assert not np.any((part != 0) & (np.abs(part) < floor))
+            kept = np.abs(want) >= floor
+            assert np.array_equal(part[kept], want[kept].astype(info.dtype))
+        small = np.abs([exact.real, exact.imag])
+        if not np.any((small > 0) & (small < floor)):
+            assert np.array_equal(got, exact.astype(dtype))
 
 
 class TestConvergenceMetric:
@@ -387,3 +422,70 @@ class TestFusedStepEquivalence:
         # the adjoint rebuilds each layer's B this way instead of storing it
         rebuilt = (d_mat - u @ v.conj().T) / (1.0 + 2.0 * lambda_b * w_b)
         assert np.array_equal(rebuilt, b)
+
+
+@pytest.fixture(scope="module")
+def desk_ensemble():
+    """A 5670x100 desk-phantom ensemble (seed 7, 25 dB) as a dataset file stores it."""
+    scene, _ = phantom_scene.build_phantom(7, n_units=2, cylinder_radius_mm=6.0, pixel_mm=0.2)
+    seq, _ = imaging.synthesize_iq(scene, 100, noise_snr_db=25.0)
+    return to_casorati(formats.complex64_voxels(seq.voxels))
+
+
+class TestSinglePrecision:
+    CFG = irls.IrlsConfig(d=10, lambda_c=1.0, lambda_b=0.02)
+
+    def test_complex64_filters_track_their_complex128_runs(self, desk_ensemble):
+        wide = desk_ensemble.astype(np.complex128)
+        dec, trace = irls.run_irls(desk_ensemble, self.CFG)
+        want, want_trace = irls.run_irls(wide, self.CFG)
+        net = unfolded.init_network(desk_ensemble, 15, 10, 0.02, self.CFG)
+        got_net, want_net = unfolded.infer(net, desk_ensemble), unfolded.infer(net, wide)
+        assert trace.iterations == want_trace.iterations < self.CFG.max_iter
+        for got, ref in ((dec, want), (got_net, want_net)):
+            assert got.blood_b.dtype == got.coeffs_v.dtype == np.complex64
+            assert want.blood_b.dtype == np.complex128
+            rel = np.linalg.norm(got.blood_b - ref.blood_b) / np.linalg.norm(ref.blood_b)
+            assert rel <= 1e-3
+
+    def test_dying_factor_columns_skip_the_subnormal_range(self, desk_ensemble):
+        # the column reweighting shrinks 8 of the 10 coefficient columns
+        # geometrically; unflushed, 45 iterations leave some of their
+        # entries subnormal in complex128
+        cfg = irls.IrlsConfig(d=10, lambda_c=1.0, lambda_b=0.02, max_iter=45, tol=1e-300)
+        dec, _ = irls.run_irls(desk_ensemble.astype(np.complex128), cfg)
+        for factor in (dec.basis_u, dec.coeffs_v):
+            parts = np.abs([factor.real, factor.imag])
+            assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+        assert np.count_nonzero(~np.any(dec.coeffs_v, axis=0)) >= 1
+
+    @pytest.mark.parametrize("amplitude", [1e-30, 1e25])
+    def test_unnormalized_complex64_input_runs_in_double(self, amplitude):
+        # single precision would underflow or overflow |B|^2 at these scales
+        d_mat = (amplitude * crandn(np.random.default_rng(21), (30, 10))).astype(np.complex64)
+        cfg = make_config(d=2, normalize=False)
+        assert irls.prepare_input(d_mat, 2, normalize=False)[0].dtype == np.complex128
+        got, got_trace = irls.run_irls(d_mat, cfg)
+        want, want_trace = irls.run_irls(d_mat.astype(np.complex128), cfg)
+        assert got_trace.iterations == want_trace.iterations
+        assert np.array_equal(got.blood_b, want.blood_b)
+
+    def test_extreme_penalties_stay_finite_and_quiet(self):
+        d_mat = crandn(np.random.default_rng(22), (30, 10)).astype(np.complex64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec, _ = irls.run_irls(d_mat, make_config(d=2, epsilon=1e-50))
+            blood = [unfolded.infer(unfolded.UnfoldedNetwork(np.array([[theta, 0.0]]), 1e-50),
+                                    d_mat).blood_b for theta in (-1000.0, 1e300)]
+        for b in [dec.blood_b, *blood]:
+            assert b.dtype == np.complex64 and np.all(np.isfinite(b))
+        assert not np.any(blood[1])
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_iterate_is_a_solver_error(self, dtype, bad):
+        d_mat = crandn(np.random.default_rng(20), (30, 10))
+        d_mat[4, -1] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(SolverError, match="non-finite iterate at iteration 1"):
+            irls.run_irls(d_mat.astype(dtype), make_config(d=2, normalize=False))
