@@ -44,8 +44,7 @@ FIELDS = {
                  "pixel_mm": _NUM, "snr_db": Field(float, nullable=True),
                  "frame_rate": _NUM},
     "irls": {"d": _INT, "lambda_c": _NUM, "lambda_b": _NUM, "epsilon": _NUM,
-             "rho": _NUM, "max_iter": _INT, "tol": _NUM,
-             "normalize": Field(bool)},
+             "max_iter": _INT, "tol": _NUM, "normalize": Field(bool)},
     "svd": {"low_cut": Field(int, nullable=True),
             "high_cut": Field(int, nullable=True), "fraction": _NUM},
     "train": {"k_layers": _INT, "d": _INT, "lambda_b_init": _NUM,

@@ -10,9 +10,9 @@ minimizes
 
 by alternating exact block updates, where the diagonal column weights W_c and
 the elementwise weights W_b are refreshed every iteration from the current
-iterate (iteratively reweighted least squares). With the default exponent
-rho=1 the weighted quadratic terms behave like a column-wise l2,1 penalty on
-the factors and an elementwise l1 penalty on B.
+iterate (iteratively reweighted least squares). The weights take the power
+-1/2 of the regularized energies, so the weighted quadratic terms behave like
+a column-wise l2,1 penalty on the factors and an elementwise l1 penalty on B.
 """
 
 import logging
@@ -34,7 +34,6 @@ class IrlsConfig:
         lambda_c: penalty weight on the factor columns.
         lambda_b: penalty weight on the blood matrix.
         epsilon: weight regularizer keeping all IRLS weights finite.
-        rho: IRLS exponent in (0, 1]; weights use power rho/2 - 1.
         max_iter: iteration cap.
         tol: relative-change stopping threshold.
         normalize: scale the input by 1/max|D| before solving and scale the
@@ -46,7 +45,6 @@ class IrlsConfig:
     lambda_c: float
     lambda_b: float
     epsilon: float = 1e-8
-    rho: float = 1.0
     max_iter: int = 100
     tol: float = 1e-6
     normalize: bool = True
@@ -58,9 +56,6 @@ class IrlsConfig:
             raise ValueError("penalty weights must be finite and nonnegative")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not 0 < self.rho <= 1 and self.rho != 2.0:
-            # rho=2 (no reweighting) is permitted for diagnostics only
-            raise ValueError("rho must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
@@ -100,43 +95,28 @@ class IrlsTrace:
     w_c_history: list = field(default_factory=list)
 
 
-def sparse_weights(b, epsilon):
-    """Elementwise IRLS weights for the blood matrix.
-
-    Args:
-        b: complex matrix.
-        epsilon: positive regularizer.
-
-    Returns:
-        Real matrix with entries (|b|^2 + epsilon)^(-1/2), strictly positive.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return (np.abs(b) ** 2 + epsilon) ** -0.5
-
-
 def _column_energy(u, v):
     """Joint squared norm of each factor column pair, summed over both factors."""
     return (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0)
 
 
-def lowrank_weights(u, v, epsilon, rho=1.0):
+def lowrank_weights(u, v, epsilon):
     """Column weights from the joint energy of each factor column pair.
 
     Args:
         u: basis matrix, one column per component.
         v: coefficient matrix, same column count.
         epsilon: positive regularizer.
-        rho: exponent parameter; the weight power is rho/2 - 1.
 
     Returns:
-        1-d float64 array, the diagonal of the weight matrix; it is formed
-        in double whatever the factors' precision, so an epsilon below the
-        single-precision range still keeps it finite.
+        1-d float64 array, the diagonal of the weight matrix, with entries
+        (energy + epsilon)^(-1/2); it is formed in double whatever the
+        factors' precision, so an epsilon below the single-precision range
+        still keeps it finite.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return (_column_energy(u, v).astype(np.float64) + epsilon) ** (rho / 2.0 - 1.0)
+    return (_column_energy(u, v).astype(np.float64) + epsilon) ** -0.5
 
 
 def _factor_solve(f, rhs, w_diag):
@@ -287,7 +267,7 @@ def run_irls(d_mat, cfg):
     s_sq = np.linalg.norm(s) ** 2
     b_sq = np.zeros(work.shape, dtype=work.real.dtype)
     energy = _column_energy(u, v)
-    w_c = lowrank_weights(u, v, cfg.epsilon, cfg.rho)
+    w_c = lowrank_weights(u, v, cfg.epsilon)
 
     conv, obj, obj_pre, wc_hist = [], [], [], []
     iterations = 0
@@ -316,7 +296,7 @@ def run_irls(d_mat, cfg):
         metric = _relative_change(change, s_sq)
         s_sq = np.linalg.norm(s) ** 2
         conv.append(metric)
-        w_c = lowrank_weights(u, v, cfg.epsilon, cfg.rho)
+        w_c = lowrank_weights(u, v, cfg.epsilon)
 
         iterations = k
         _log.info("iter %3d  change %.3e  objective %.6e", k, metric, obj[-1])

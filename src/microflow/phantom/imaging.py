@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..casorati import FrameSequence, to_casorati
+from ..casorati import FrameSequence
 
 AXIAL_FWHM_WAVELENGTHS = 2.0
 LATERAL_FWHM_WAVELENGTHS = 3.0
@@ -36,19 +36,15 @@ def psf_fwhm_mm(center_freq, sound_speed):
 
 @dataclass
 class GroundTruth:
-    """Per-pixel truth and the clean signal components of one synthesis.
+    """Per-pixel truth of one synthesis.
 
-    axial_velocity is in mm/s, positive toward the probe (the Doppler sign
-    convention), evaluated from the undeformed vessel geometry. The three
-    Casorati matrices satisfy D = T + B + N bit-exactly against the emitted
-    sequence.
+    flow_mask is the vessel lumen on the (nz, nx) pixel grid. axial_velocity
+    is in mm/s, positive toward the probe (the Doppler sign convention),
+    evaluated from the undeformed vessel geometry.
     """
 
     flow_mask: np.ndarray
     axial_velocity: np.ndarray
-    tissue_casorati: np.ndarray
-    flow_casorati: np.ndarray
-    noise_casorati: np.ndarray
 
 
 def _render_frame(positions, amplitudes, scene):
@@ -174,7 +170,8 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None):
     Returns
     -------
     (FrameSequence, GroundTruth)
-        The emitted sequence D = T + B + N and the exact components.
+        The emitted complex128 sequence, tissue plus blood plus noise, and
+        the lumen mask and axial velocity map.
     """
     if frames < 1:
         raise ValueError("need at least one frame")
@@ -190,31 +187,23 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None):
     except OverflowError:
         raise ValueError(f"snr_db={snr_db} is too low: the noise power overflows") from None
 
-    tissue = np.zeros((scene.nz, scene.nx, frames), dtype=np.complex128)
-    flow = np.zeros_like(tissue)
+    emitted = np.empty((scene.nz, scene.nx, frames), dtype=np.complex128)
     for k in range(frames):
         tissue_xy, flow_xy = scene.positions_at(k / rate)
-        tissue[:, :, k] = _render_frame(tissue_xy, scene.tissue_amp, scene)
-        flow[:, :, k] = _render_frame(flow_xy, scene.flow_amp, scene)
+        emitted[:, :, k] = _render_frame(tissue_xy, scene.tissue_amp, scene) \
+            + _render_frame(flow_xy, scene.flow_amp, scene)
         if (k + 1) % 200 == 0:
             _log.info("rendered %d/%d frames", k + 1, frames)
 
-    signal = tissue + flow
-    noise = np.zeros_like(signal)
     if not np.isinf(snr_db):
-        power = np.mean(np.abs(signal) ** 2)
+        power = np.mean(np.abs(emitted) ** 2)
         sigma = np.sqrt(power * noise_ratio / 2.0)
         for k in range(frames):
             rng = np.random.default_rng([scene.seed, _NOISE_STREAM, k])
-            noise[:, :, k] = sigma * (rng.standard_normal((scene.nz, scene.nx))
-                                      + 1j * rng.standard_normal((scene.nz, scene.nx)))
-    emitted = signal + noise
+            emitted[:, :, k] += sigma * (rng.standard_normal((scene.nz, scene.nx))
+                                         + 1j * rng.standard_normal((scene.nz, scene.nx)))
 
     seq = FrameSequence(voxels=emitted, frame_rate=rate,
                         center_freq=scene.center_freq, prf=scene.prf)
     _, _, mask, velocity, _ = _vessel_walk(scene)
-    truth = GroundTruth(flow_mask=mask, axial_velocity=velocity,
-                        tissue_casorati=to_casorati(tissue),
-                        flow_casorati=to_casorati(flow),
-                        noise_casorati=to_casorati(noise))
-    return seq, truth
+    return seq, GroundTruth(flow_mask=mask, axial_velocity=velocity)

@@ -156,7 +156,7 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
         k: layer count.
         d: inner dimension.
         lambda_b_init: initial blood penalty for every layer.
-        cfg: IrlsConfig supplying lambda_c, epsilon, rho and normalize; the
+        cfg: IrlsConfig supplying lambda_c, epsilon and normalize; the
             initial weight diagonal is 2*lambda_c*W_c(U0, V0).
 
     Returns:
@@ -166,7 +166,7 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     if not 0 <= lambda_b_init < np.inf:
         raise ValueError("lambda_b_init must be finite and nonnegative")
     u0, v0 = irls._init_state(work, d)
-    w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(u0, v0, cfg.epsilon, cfg.rho)
+    w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(u0, v0, cfg.epsilon)
     theta = np.empty((k, 1 + d))
     theta[:, 0] = inv_softplus(lambda_b_init)
     theta[:, 1:] = inv_softplus(w_init)

@@ -1,4 +1,4 @@
-"""The solver's block updates and convergence metric as separate functions.
+"""The solver's weights, block updates and convergence metric as separate functions.
 
 irls.update_step fuses these updates and run_irls carries the metric's
 pieces between iterations; the tests keep the separate forms as the
@@ -8,6 +8,21 @@ reference that both must reproduce bit for bit.
 import numpy as np
 
 from microflow import irls
+
+
+def sparse_weights(b, epsilon):
+    """Elementwise IRLS weights for the blood matrix.
+
+    Args:
+        b: complex matrix.
+        epsilon: positive regularizer.
+
+    Returns:
+        Real matrix with entries (|b|^2 + epsilon)^(-1/2), strictly positive.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    return (np.abs(b) ** 2 + epsilon) ** -0.5
 
 
 def update_blood(d_mat, u, v, w_b, lambda_b):

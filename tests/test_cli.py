@@ -393,13 +393,13 @@ class TestCli:
     def test_solver_limit_is_config_exit_code(self, tmp_path, capsys):
         path, _ = tiny_dataset(tmp_path)
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"irls": {"rho": 1.5}}))
+        cfg_path.write_text(json.dumps({"irls": {"tol": -1.0}}))
         rc = cli.main(["filter", "--config", str(cfg_path),
                        "--input", str(path), "--output", str(tmp_path / "o"),
                        "--method", "irls"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "rho" in err and err.count("\n") == 1
+        assert "tol" in err and err.count("\n") == 1
 
     def test_non_finite_learning_rate_is_config_exit_code(self, tmp_path, capsys):
         path, _ = tiny_dataset(tmp_path)

@@ -10,7 +10,8 @@ from microflow import formats, irls, unfolded
 from microflow.casorati import SolverError, hermitian_solve, to_casorati
 from microflow.phantom import imaging
 from microflow.phantom import scene as phantom_scene
-from solver_reference import convergence_metric, update_basis, update_blood, update_coeffs
+from solver_reference import (convergence_metric, sparse_weights, update_basis, update_blood,
+                              update_coeffs)
 
 
 def crandn(r, shape, scale=1.0):
@@ -37,36 +38,31 @@ def lowrank_sparse_instance(seed, ns=200, nt=80, rank=3, support=0.02, boost=5.0
 
 class TestSparseWeights:
     def test_zero_entry(self):
-        w = irls.sparse_weights(np.zeros((2, 2), dtype=complex), 1e-4)
+        w = sparse_weights(np.zeros((2, 2), dtype=complex), 1e-4)
         assert np.allclose(w, 100.0, rtol=0, atol=1e-12)
 
     def test_modulus_entry(self):
-        w = irls.sparse_weights(np.array([[3 + 4j]]), 1e-12)
+        w = sparse_weights(np.array([[3 + 4j]]), 1e-12)
         assert abs(w[0, 0] - 0.2) < 1e-9
 
     def test_positive_and_epsilon_guard(self):
         r = np.random.default_rng(0)
-        w = irls.sparse_weights(crandn(r, (4, 5)), 1e-8)
+        w = sparse_weights(crandn(r, (4, 5)), 1e-8)
         assert np.all(w > 0)
         with pytest.raises(ValueError):
-            irls.sparse_weights(np.zeros((1, 1)), 0.0)
+            sparse_weights(np.zeros((1, 1)), 0.0)
 
 
 class TestLowrankWeights:
     def test_zero_columns(self):
-        w = irls.lowrank_weights(np.zeros((4, 2), dtype=complex), np.zeros((3, 2), dtype=complex), 1e-4, 1.0)
+        w = irls.lowrank_weights(np.zeros((4, 2), dtype=complex), np.zeros((3, 2), dtype=complex), 1e-4)
         assert np.allclose(w, 100.0, rtol=0, atol=1e-12)
 
     def test_column_energies(self):
         u = np.array([[3.0], [0.0]], dtype=complex)
         v = np.array([[4.0], [0.0]], dtype=complex)
-        w = irls.lowrank_weights(u, v, 1e-12, 1.0)
+        w = irls.lowrank_weights(u, v, 1e-12)
         assert abs(w[0] - 0.2) < 1e-9
-
-    def test_rho_two_is_unweighted(self):
-        r = np.random.default_rng(1)
-        w = irls.lowrank_weights(crandn(r, (5, 3)), crandn(r, (4, 3)), 1e-8, 2.0)
-        assert np.array_equal(w, np.ones(3))
 
 
 class TestUpdateBlood:
@@ -75,7 +71,7 @@ class TestUpdateBlood:
         d = crandn(r, (6, 5))
         u = crandn(r, (6, 2))
         v = crandn(r, (5, 2))
-        w = irls.sparse_weights(crandn(r, (6, 5)), 1e-8)
+        w = sparse_weights(crandn(r, (6, 5)), 1e-8)
         b = update_blood(d, u, v, w, 0.0)
         assert np.array_equal(b, d - u @ v.conj().T)
 
@@ -97,7 +93,7 @@ class TestUpdateBlood:
         d = crandn(r, (7, 6))
         u = crandn(r, (7, 3))
         v = crandn(r, (6, 3))
-        w = irls.sparse_weights(crandn(r, (7, 6)), 1e-6)
+        w = sparse_weights(crandn(r, (7, 6)), 1e-6)
         b = update_blood(d, u, v, w, 0.3)
         assert np.all(np.abs(b) <= np.abs(d - u @ v.conj().T) + 1e-15)
 
@@ -106,7 +102,7 @@ class TestUpdateBlood:
         d = crandn(r, (5, 4))
         u = np.zeros((5, 1), dtype=complex)
         v = np.zeros((4, 1), dtype=complex)
-        w = irls.sparse_weights(d, 1e-8)
+        w = sparse_weights(d, 1e-8)
         mags = [np.abs(update_blood(d, u, v, w, lam)) for lam in (0.0, 0.1, 1.0, 100.0, 1e12)]
         for lo, hi in zip(mags, mags[1:]):
             assert np.all(hi <= lo + 1e-15)
@@ -293,8 +289,6 @@ class TestRunIrls:
         with pytest.raises(ValueError):
             irls.IrlsConfig(d=0, lambda_c=0.1, lambda_b=0.1)
         with pytest.raises(ValueError):
-            irls.IrlsConfig(d=2, lambda_c=0.1, lambda_b=0.1, rho=0.0)
-        with pytest.raises(ValueError):
             irls.IrlsConfig(d=2, lambda_c=0.1, lambda_b=0.1, epsilon=0.0)
         with pytest.raises(ValueError):
             irls.IrlsConfig(d=2, lambda_c=0.1, lambda_b=0.1, tol=-1.0)
@@ -321,11 +315,11 @@ def reference_irls(d_mat, cfg):
         d_work = d_mat / scale
     u, v = irls._init_state(d_work, cfg.d)
     b = np.zeros_like(d_work)
-    w_c = irls.lowrank_weights(u, v, cfg.epsilon, cfg.rho)
+    w_c = irls.lowrank_weights(u, v, cfg.epsilon)
     prev_t, prev_b = u @ v.conj().T, b
     conv, obj, obj_pre, wc_hist = [], [], [], []
     for k in range(1, cfg.max_iter + 1):
-        w_b = irls.sparse_weights(b, cfg.epsilon)
+        w_b = sparse_weights(b, cfg.epsilon)
         obj_pre.append(objective(u, v, b, w_b, w_c))
         wc_hist.append(w_c.copy())
         b = update_blood(d_work, u, v, w_b, cfg.lambda_b)
@@ -335,7 +329,7 @@ def reference_irls(d_mat, cfg):
         t = u @ v.conj().T
         conv.append(convergence_metric(t, b, prev_t, prev_b))
         prev_t, prev_b = t, b
-        w_c = irls.lowrank_weights(u, v, cfg.epsilon, cfg.rho)
+        w_c = irls.lowrank_weights(u, v, cfg.epsilon)
         if conv[-1] < cfg.tol:
             break
     dec = irls.Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)
@@ -353,9 +347,9 @@ def equivalence_cases():
     cases.append(pytest.param(t + b0, irls.IrlsConfig(d=4, lambda_c=0.5, lambda_b=0.02,
                                                       max_iter=30), id="tall-2000x40"))
     t, b0 = lowrank_sparse_instance(seed=104, ns=300, nt=40, rank=4)
-    cases.append(pytest.param(t + b0, irls.IrlsConfig(d=5, lambda_c=0.3, lambda_b=0.01, rho=0.5,
+    cases.append(pytest.param(t + b0, irls.IrlsConfig(d=5, lambda_c=0.3, lambda_b=0.01,
                                                       normalize=False, max_iter=40),
-                              id="rho0.5-unnormalized"))
+                              id="unnormalized"))
     return cases
 
 
@@ -392,7 +386,7 @@ class TestFusedStepEquivalence:
         d_mat = crandn(r, (20, 8))
         u, v = irls._init_state(d_mat, 2)
         resid = d_mat - u @ v.conj().T
-        want = update_blood(d_mat, u, v, irls.sparse_weights(np.zeros_like(d_mat), 1e-8), 0.1)
+        want = update_blood(d_mat, u, v, sparse_weights(np.zeros_like(d_mat), 1e-8), 0.1)
         _, _, b, w_b = irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1,
                                         np.ones(2), 1e-8)
         assert b is resid

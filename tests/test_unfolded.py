@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microflow import irls, unfolded
-from solver_reference import update_basis, update_blood, update_coeffs
+from solver_reference import sparse_weights, update_basis, update_blood, update_coeffs
 
 
 def crandn(r, shape, scale=1.0):
@@ -77,7 +77,7 @@ class TestInitNetwork:
         cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=1.0, normalize=False)
         net = unfolded.init_network(d_mat, k=3, d=4, lambda_b_init=1.0, cfg=cfg)
         u0, v0 = irls._init_state(d_mat, 4)
-        want = 2.0 * 0.05 * irls.lowrank_weights(u0, v0, cfg.epsilon, cfg.rho)
+        want = 2.0 * 0.05 * irls.lowrank_weights(u0, v0, cfg.epsilon)
         for _, w_c in net.penalties():
             assert np.allclose(w_c, want, rtol=1e-9)
 
@@ -117,9 +117,9 @@ class TestLayerForward:
         u1, v1, b1, _ = unfolded.layer_forward((u0, v0, b0), net.penalties()[0], d_mat,
                                                epsilon=1e-8)
 
-        w_b = irls.sparse_weights(b0, 1e-8)
+        w_b = sparse_weights(b0, 1e-8)
         b_ref = update_blood(d_mat, u0, v0, w_b, 0.05)
-        w_c = irls.lowrank_weights(u0, v0, 1e-8, 1.0)
+        w_c = irls.lowrank_weights(u0, v0, 1e-8)
         v_ref = update_coeffs(d_mat, b_ref, u0, w_c, 0.02)
         u_ref = update_basis(d_mat, b_ref, v_ref, w_c, 0.02)
         assert np.linalg.norm(b1 - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
@@ -307,7 +307,7 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
         u, v, b = states[k + 1]
         states[k + 1] = None
         lam, w_c = net.penalties()[k]
-        w_b = irls.sparse_weights(b_in, net.epsilon)
+        w_b = sparse_weights(b_in, net.epsilon)
         den = 1.0 + 2.0 * lam * w_b
         r = work - b
         e = work - b - u @ v.conj().T
