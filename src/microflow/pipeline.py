@@ -69,16 +69,17 @@ def stage(name):
     """Report the failures bad input can cause as PipelineError(name, ...).
 
     Those are ValueError (which covers LinAlgError, JSONDecodeError and
-    UnicodeDecodeError), ArithmeticError, OSError and RuntimeError (which
-    covers SolverError and training aborts). A PipelineError raised inside
-    passes through unchanged, so stages nest; any other exception is a bug
-    and keeps its traceback.
+    UnicodeDecodeError), ArithmeticError, OSError, RuntimeError (which
+    covers SolverError and training aborts) and MemoryError (an array too
+    large to allocate, such as a simulate request for more pixels than the
+    machine holds). A PipelineError raised inside passes through unchanged,
+    so stages nest; any other exception is a bug and keeps its traceback.
     """
     try:
         yield
     except PipelineError:
         raise
-    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
         raise PipelineError(name, str(exc)) from exc
 
 

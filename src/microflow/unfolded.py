@@ -10,8 +10,8 @@ exactly. Training minimizes the layer-averaged data-consistency loss
     (1/K) * sum_k ||D - B_k - U_k V_k^H||_F^2
 
 with a bias-corrected adaptive-moment optimizer. No autodiff framework is
-used: gradients come from central finite differences (reference mode) or a
-hand-derived adjoint pass through the layer equations (fast mode).
+used: the gradient comes from a hand-derived adjoint pass through the layer
+equations, which the tests check against central differences of the loss.
 
 Positivity of both learnable groups is enforced by parameterizing them
 through softplus; the unconstrained values are what the optimizer sees and
@@ -115,7 +115,8 @@ class TrainConfig:
         patience: early stopping after this many epochs without validation
             improvement.
         seed: batch-order shuffle seed.
-        grad_mode: "analytic" (adjoint pass) or "finite_difference".
+        grad_mode: must be "analytic"; training always steps on the
+            adjoint gradient.
     """
 
     learning_rate: float = 0.01
@@ -134,8 +135,8 @@ class TrainConfig:
             raise ValueError("batch_frames, max_epochs and patience must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.grad_mode not in ("finite_difference", "analytic"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
+        if self.grad_mode != "analytic":
+            raise ValueError(f"grad_mode must be 'analytic', got {self.grad_mode!r}")
 
 
 @dataclass
@@ -347,45 +348,6 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     return c * loss_norm * scale ** 2, g_theta.ravel() * scale ** 2
 
 
-def parameter_gradient(net, d_mat, cfg, init_state=None, fd_step=None):
-    """Gradient of the forward loss with respect to all packed parameters.
-
-    Args:
-        net: UnfoldedNetwork.
-        d_mat: data matrix.
-        cfg: TrainConfig; cfg.grad_mode selects the method.
-        init_state: optional (u0, v0) override, forwarded to the passes.
-        fd_step: base step for the finite-difference mode; the per-parameter
-            step is fd_step * (1 + |theta|). Default 1e-5.
-
-    Returns:
-        Real gradient vector aligned with net.theta.ravel().
-    """
-    if cfg.grad_mode == "analytic":
-        return _analytic_loss_grad(net, d_mat, init_state)[1]
-    base = 1e-5 if fd_step is None else float(fd_step)
-    theta0 = net.theta.ravel()
-    grad = np.zeros_like(theta0)
-    for i in range(theta0.size):
-        h = base * (1.0 + abs(theta0[i]))
-        probe = theta0.copy()
-        probe[i] = theta0[i] + h
-        lp = _mean_data_loss(_with_parameters(net, probe), d_mat, init_state)
-        probe[i] = theta0[i] - h
-        lm = _mean_data_loss(_with_parameters(net, probe), d_mat, init_state)
-        if not (np.isfinite(lp) and np.isfinite(lm)):
-            raise RuntimeError(f"non-finite loss while perturbing parameter {i}")
-        grad[i] = (lp - lm) / (2.0 * h)
-    return grad
-
-
-def _batch_loss_grad(net, theta, batch, cfg):
-    cand = _with_parameters(net, theta)
-    if cfg.grad_mode == "analytic":
-        return _analytic_loss_grad(cand, batch)
-    return _mean_data_loss(cand, batch), parameter_gradient(cand, batch, cfg)
-
-
 def train(net, train_data, val_data, cfg):
     """Optimize the layer parameters on batches of frames.
 
@@ -456,7 +418,7 @@ def train(net, train_data, val_data, cfg):
     for epoch in range(1, cfg.max_epochs + 1):
         batch_losses = []
         for bi in rng.permutation(n_batches):
-            bloss, grad = _batch_loss_grad(net, theta, batches[bi], cfg)
+            bloss, grad = _analytic_loss_grad(_with_parameters(net, theta), batches[bi])
             if not (np.isfinite(bloss) and np.all(np.isfinite(grad))):
                 abort(f"epoch {epoch}")
             batch_losses.append(bloss)

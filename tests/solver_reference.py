@@ -1,13 +1,17 @@
-"""The solver's weights, block updates and convergence metric as separate functions.
+"""Reference forms the shipped solver and network are checked against.
 
-irls.update_step fuses these updates and run_irls carries the metric's
-pieces between iterations; the tests keep the separate forms as the
-reference that both must reproduce bit for bit.
+irls.update_step fuses the weights and block updates and run_irls carries
+the convergence metric's pieces between iterations; the tests keep the
+separate forms as the reference that both must reproduce bit for bit.
+
+unfolded.train steps on the adjoint gradient; finite_difference_gradient
+takes central differences of the same loss, the reference the adjoint is
+checked against.
 """
 
 import numpy as np
 
-from microflow import irls
+from microflow import irls, unfolded
 
 
 def sparse_weights(b, epsilon):
@@ -63,3 +67,30 @@ def convergence_metric(t_now, b_now, t_prev, b_prev):
     prev = t_prev + b_prev
     return irls._relative_change(np.linalg.norm(t_now + b_now - prev) ** 2,
                                  np.linalg.norm(prev) ** 2)
+
+
+def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):
+    """Central-difference gradient of the training loss over all parameters.
+
+    Args:
+        net: UnfoldedNetwork.
+        d_mat: data matrix.
+        init_state: optional (u0, v0) override, forwarded to the passes.
+        fd_step: base step; the per-parameter step is fd_step * (1 + |theta|).
+
+    Returns:
+        Real gradient vector aligned with net.theta.ravel().
+    """
+    theta0 = net.theta.ravel()
+    grad = np.zeros_like(theta0)
+    for i in range(theta0.size):
+        h = fd_step * (1.0 + abs(theta0[i]))
+        probe = theta0.copy()
+        probe[i] = theta0[i] + h
+        lp = unfolded._mean_data_loss(unfolded._with_parameters(net, probe), d_mat, init_state)
+        probe[i] = theta0[i] - h
+        lm = unfolded._mean_data_loss(unfolded._with_parameters(net, probe), d_mat, init_state)
+        if not (np.isfinite(lp) and np.isfinite(lm)):
+            raise RuntimeError(f"non-finite loss while perturbing parameter {i}")
+        grad[i] = (lp - lm) / (2.0 * h)
+    return grad

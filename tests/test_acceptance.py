@@ -25,6 +25,7 @@ from microflow import formats, irls, metrics, pipeline, svdfilt, unfolded
 from microflow.casorati import to_casorati
 from microflow.phantom import geometry, hydraulics, imaging
 from microflow.phantom import scene as phantom_scene
+from solver_reference import finite_difference_gradient
 
 
 def report(number, ok, detail):
@@ -130,17 +131,13 @@ def test_criterion_4_gradient_agreement():
         cfg_init = irls.IrlsConfig(d=2, lambda_c=0.05, lambda_b=0.5)
         net = unfolded.init_network(d_mat, k=2, d=2, lambda_b_init=0.5,
                                     cfg=cfg_init)
-        g_an = unfolded.parameter_gradient(
-            net, d_mat, unfolded.TrainConfig(grad_mode="analytic"))
-        g_fd = unfolded.parameter_gradient(
-            net, d_mat, unfolded.TrainConfig(grad_mode="finite_difference"))
+        g_an = unfolded._analytic_loss_grad(net, d_mat)[1]
+        g_fd = finite_difference_gradient(net, d_mat)
         scale = np.max(np.abs(g_fd))
         rel = np.abs(g_an - g_fd) / np.maximum(np.abs(g_fd), 1e-6 * scale)
         worst_rel = max(worst_rel, float(np.max(rel)))
 
-        fd_half = unfolded.parameter_gradient(
-            net, d_mat, unfolded.TrainConfig(grad_mode="finite_difference"),
-            fd_step=5e-6)
+        fd_half = finite_difference_gradient(net, d_mat, fd_step=5e-6)
         rel_half = np.abs(fd_half - g_an) / np.maximum(np.abs(fd_half),
                                                        1e-6 * scale)
         worst_half = max(worst_half, float(np.max(rel_half)))

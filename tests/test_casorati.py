@@ -64,6 +64,20 @@ class TestFromCasorati:
         assert np.array_equal(casorati.from_casorati(casorati.to_casorati(x), 6, 2), x)
 
 
+class TestRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nz=st.integers(1, 7), nx=st.integers(1, 7),
+           nt=st.integers(1, 6), dtype=st.sampled_from([np.complex64, np.complex128]),
+           order=st.sampled_from(["C", "F"]))
+    def test_round_trip_and_frame_columns(self, seed, nz, nx, nt, dtype, order):
+        x = np.asarray(crandn(rng(seed), (nz, nx, nt)), dtype=dtype, order=order)
+        m = casorati.to_casorati(x)
+        assert m.dtype == dtype and m.shape == (nz * nx, nt)
+        assert np.array_equal(casorati.from_casorati(m, nz, nx), x)
+        for t in range(nt):
+            assert np.array_equal(m[:, t], x[:, :, t].ravel(order="F"))
+
+
 class TestOrthonormalColumns:
     def test_already_orthonormal_up_to_phase(self):
         r = rng(3)

@@ -464,9 +464,12 @@ class TestCli:
         assert "nan" in err and err.count("\n") == 1
         assert not (outdir / "power.pgm").exists()
 
+    # pixel_mm 1e-6 asks for a 9.55 PiB frame stack, beyond the 128 TiB a
+    # 64-bit process can address, so allocation fails before touching memory
     @pytest.mark.parametrize("key, value, message",
                              [("cylinder_radius_mm", 1e300, "infinity"),
-                              ("snr_db", -1e308, "snr_db")])
+                              ("snr_db", -1e308, "snr_db"),
+                              ("pixel_mm", 1e-6, "Unable to allocate")])
     def test_overflowing_simulate_setting_is_simulate_exit_code(
             self, tmp_path, capsys, key, value, message):
         sim = sim_section(frames=2)
@@ -479,6 +482,18 @@ class TestCli:
         assert rc == 4
         assert message in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_finite_difference_grad_mode_is_config_exit_code(self, tmp_path, capsys):
+        # the svd method never trains, so only the config stage can refuse it
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"simulate": sim_section(frames=4), "seed": 1,
+             "train": {"grad_mode": "finite_difference"}}))
+        rc = cli.main(["filter", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "o"), "--method", "svd"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "grad_mode" in err and err.count("\n") == 1
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit):

@@ -102,7 +102,8 @@ class TestValidation:
                                          {"wc_learning_rate": float("nan")},
                                          {"seed": -1}, {"max_epochs": 0},
                                          {"batch_frames": 0}, {"patience": 0},
-                                         {"grad_mode": "autodiff"}])
+                                         {"grad_mode": "autodiff"},
+                                         {"grad_mode": "finite_difference"}])
     def test_train_limits_come_from_train_config(self, section):
         with pytest.raises(ValueError, match=r"\['train'\]"):
             config.validate_config({"train": section})

@@ -247,6 +247,28 @@ class TestRunIrls:
         _, trace = irls.run_irls(t + b0, make_config(d=5, lambda_c=0.003, lambda_b=0.004))
         assert np.all(trace.objective <= trace.objective_pre * (1 + 1e-9))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(8, 60), nt=st.integers(4, 30),
+           rank=st.integers(1, 4), d_frac=st.floats(0.0, 1.0),
+           log_lambda_c=st.floats(-3.0, 0.5), log_lambda_b=st.floats(-3.0, 0.0),
+           log_scale=st.floats(-3.0, 3.0), single=st.booleans(), normalize=st.booleans())
+    def test_block_descent_certificate_on_random_instances(
+            self, seed, ns, nt, rank, d_frac, log_lambda_c, log_lambda_b, log_scale,
+            single, normalize):
+        t, b0 = lowrank_sparse_instance(seed, ns=ns, nt=nt, rank=rank, support=0.05)
+        noise = crandn(np.random.default_rng(seed + 1), (ns, nt), 0.01)
+        d_mat = (t + b0 + noise) * 10.0 ** log_scale
+        d = 1 + int(d_frac * (min(ns, nt) - 1))
+        cfg = make_config(d=d, lambda_c=10.0 ** log_lambda_c, lambda_b=10.0 ** log_lambda_b,
+                          max_iter=8, normalize=normalize or single)
+        if single:
+            # a normalized complex64 matrix is solved in single precision
+            d_mat, slack = d_mat.astype(np.complex64), 8 * np.finfo(np.float32).eps
+        else:
+            slack = 1e-9
+        _, trace = irls.run_irls(d_mat, cfg)
+        assert np.all(trace.objective <= trace.objective_pre * (1 + slack))
+
     def test_trace_shapes_and_stop_rule(self):
         t, b0 = lowrank_sparse_instance(seed=102, ns=60, nt=30)
         cfg = make_config(d=4, max_iter=7, tol=1e-300)

@@ -7,6 +7,8 @@ and a 0.1 rad/frame phase ramp at 1 kHz, 7.5 MHz, 1540 m/s giving
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microflow import metrics
 
@@ -249,3 +251,36 @@ class TestRSquared:
             metrics.r_squared(truth, np.arange(4.0), np.ones(4, dtype=bool))
         mask = np.array([True, True, False, True])
         assert metrics.r_squared(truth, truth, mask)[0] == pytest.approx(1.0)
+
+
+def _defined(fn, *args):
+    """fn(*args), or None where the metric is undefined for this image."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
+class TestPowerOfTwoScaleInvariance:
+    """Scaling the blood by c = 2**j changes no rounding: power scales by
+    exactly c**2 and every ratio and phase stays bit-identical."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-40, 40), nz=st.integers(1, 6),
+           nx=st.integers(2, 6), nt=st.integers(2, 12), boost=st.floats(0.0, 10.0))
+    def test_exact_under_power_of_two_scaling(self, seed, j, nz, nx, nt, boost):
+        rng = np.random.default_rng(seed)
+        blood = rng.random((nz, nx)) < 0.5
+        blood[0, 0], blood[-1, -1] = True, False
+        tissue = ~blood & (rng.random((nz, nx)) < 0.8)
+        tissue[-1, -1] = True
+        gain = 1.0 + boost * blood.ravel(order="F")
+        b = crandn(rng, (nz * nx, nt)) * gain[:, None]
+        c = 2.0 ** j
+        pd, pd_scaled = (metrics.power_doppler(m, nz, nx) for m in (b, c * b))
+        assert np.array_equal(pd_scaled.values, c * c * pd.values)
+        for fn in (metrics.cnr, metrics.snr, metrics.psl):
+            assert _defined(fn, pd_scaled, blood, tissue) == _defined(fn, pd, blood, tissue)
+        (v, low), (v_scaled, low_scaled) = (metrics.doppler_velocity(m, 1000.0, 7.5e6)
+                                            for m in (b, c * b))
+        assert np.array_equal(v_scaled, v) and np.array_equal(low_scaled, low)

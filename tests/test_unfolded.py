@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microflow import irls, unfolded
-from solver_reference import sparse_weights, update_basis, update_blood, update_coeffs
+from solver_reference import (finite_difference_gradient, sparse_weights, update_basis,
+                              update_blood, update_coeffs)
 
 
 def crandn(r, shape, scale=1.0):
@@ -236,10 +237,8 @@ def tiny_net_and_data(seed=13, ns=12, nt=8, d=2, k=2, lambda_b=1.5):
 class TestParameterGradient:
     def test_analytic_matches_finite_difference(self):
         net, d_mat = tiny_net_and_data()
-        cfg_fd = unfolded.TrainConfig(grad_mode="finite_difference")
-        cfg_an = unfolded.TrainConfig(grad_mode="analytic")
-        g_fd = unfolded.parameter_gradient(net, d_mat, cfg_fd)
-        g_an = unfolded.parameter_gradient(net, d_mat, cfg_an)
+        g_fd = finite_difference_gradient(net, d_mat)
+        g_an = unfolded._analytic_loss_grad(net, d_mat)[1]
         scale = np.max(np.abs(g_fd))
         assert scale > 0
         rel = np.abs(g_an - g_fd) / np.maximum(np.abs(g_fd), 1e-6 * scale)
@@ -247,10 +246,9 @@ class TestParameterGradient:
 
     def test_richardson_step_halving(self):
         net, d_mat = tiny_net_and_data(seed=14)
-        cfg = unfolded.TrainConfig(grad_mode="finite_difference")
-        g_h = unfolded.parameter_gradient(net, d_mat, cfg, fd_step=1e-4)
-        g_h2 = unfolded.parameter_gradient(net, d_mat, cfg, fd_step=5e-5)
-        g_ref = unfolded.parameter_gradient(net, d_mat, cfg, fd_step=1e-6)
+        g_h = finite_difference_gradient(net, d_mat, fd_step=1e-4)
+        g_h2 = finite_difference_gradient(net, d_mat, fd_step=5e-5)
+        g_ref = finite_difference_gradient(net, d_mat, fd_step=1e-6)
         err_h = np.abs(g_h - g_ref)
         err_h2 = np.abs(g_h2 - g_ref)
         # central differences: quartering the error when the step halves;
@@ -271,10 +269,8 @@ class TestParameterGradient:
         u0[1, 1] = 1.0
         # column 2 carries no energy: its weight cannot influence the loss
         v0 = d_mat.conj().T @ u0
-        cfg = unfolded.TrainConfig(grad_mode="finite_difference")
-        g_fd = unfolded.parameter_gradient(net, d_mat, cfg, init_state=(u0, v0))
-        g_an = unfolded.parameter_gradient(
-            net, d_mat, unfolded.TrainConfig(grad_mode="analytic"), init_state=(u0, v0))
+        g_fd = finite_difference_gradient(net, d_mat, init_state=(u0, v0))
+        g_an = unfolded._analytic_loss_grad(net, d_mat, init_state=(u0, v0))[1]
         # weight 2 of each layer, in net.theta's row order
         flat = g_fd.reshape(net.theta.shape)[:, 3], g_an.reshape(net.theta.shape)[:, 3]
         for grad in flat:
@@ -461,14 +457,17 @@ class TestTrain:
 
     def test_losses_are_the_forward_loss(self):
         net, d_mat = tiny_net_and_data(seed=24, ns=16, nt=40)
-        cfg = unfolded.TrainConfig(batch_frames=10, max_epochs=1, patience=1,
-                                   grad_mode="finite_difference")
+        # one 32-frame batch and 8 validation frames; a zero rate leaves theta fixed
+        cfg = unfolded.TrainConfig(learning_rate=0.0, batch_frames=32, max_epochs=1,
+                                   patience=1)
         _, hist = unfolded.train(net, d_mat, None, cfg)
-        val, batch = d_mat[:, 32:], d_mat[:, :10]
+        val, batch = d_mat[:, 32:], d_mat[:, :32]
         val_residual = unfolded.network_forward(net, val).residual
         assert hist.val_loss[0] == np.mean(np.square(val_residual))
-        got, _ = unfolded._batch_loss_grad(net, net.theta.ravel(), batch, cfg)
-        assert got == np.mean(np.square(unfolded.network_forward(net, batch).residual))
+        assert hist.train_loss[0] == unfolded._analytic_loss_grad(net, batch)[0]
+        batch_residual = unfolded.network_forward(net, batch).residual
+        assert hist.train_loss[0] == pytest.approx(np.mean(np.square(batch_residual)),
+                                                   rel=1e-12)
 
     def test_batch_larger_than_data_rejected(self):
         net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
