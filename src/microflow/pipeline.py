@@ -232,17 +232,19 @@ def _evaluate(blood, seq, truth, cfg):
         if truth is not None:
             blood_roi, tissue_roi = metrics.check_rois(
                 power, truth["flow_mask"], truth["tissue_mask"])
+            if not np.all(np.isfinite(truth["velocity"][blood_roi])):
+                raise ValueError("truth velocity is non-finite inside the blood mask")
             for key, ratio in (("cnr_db", metrics.cnr), ("snr_db", metrics.snr),
                                ("psl_db", metrics.psl)):
                 # the masks are valid, so a ValueError means this image
                 # leaves the ratio undefined; the report keeps it null
                 with contextlib.suppress(ValueError):
                     scalars[key] = float(ratio(power, blood_roi, tissue_roi))
-            r2, slope, intercept = metrics.r_squared(
-                velocity, truth["velocity"], blood_roi)
-            scalars["r_squared"] = float(r2)
-            scalars["slope"] = float(slope)
-            scalars["intercept"] = float(intercept)
+            # the truth is finite, so a ValueError means the fit is undefined
+            # (say, a constant truth); its three keys stay null
+            with contextlib.suppress(ValueError):
+                r2, slope, intercept = metrics.r_squared(velocity, truth["velocity"], blood_roi)
+                scalars.update(r_squared=float(r2), slope=float(slope), intercept=float(intercept))
         scalars["low_confidence_fraction"] = float(low_conf.mean())
         scalars["ensemble"] = ensemble
     return power.values, velocity, scalars

@@ -9,9 +9,11 @@ exactly. Training minimizes the layer-averaged data-consistency loss
 
     (1/K) * sum_k ||D - B_k - U_k V_k^H||_F^2
 
-with a bias-corrected adaptive-moment optimizer. No autodiff framework is
-used: the gradient comes from a hand-derived adjoint pass through the layer
-equations, which the tests check against central differences of the loss.
+the mean square of layer_residuals, with a bias-corrected adaptive-moment
+optimizer. No autodiff framework is used: the gradient comes from a
+hand-derived adjoint pass through the layer equations, which the tests check
+against central differences of the loss. One generator runs the layers;
+infer, layer_residuals and the adjoint all consume it.
 
 Positivity of both learnable groups is enforced by parameterizing them
 through softplus; the unconstrained values are what the optimizer sees and
@@ -86,20 +88,6 @@ class UnfoldedNetwork:
     def penalties(self):
         """Each layer's positive-domain (lambda_b, w_c)."""
         return [(float(softplus(row[0])), softplus(row[1:])) for row in self.theta]
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer outputs of a forward pass, in input units.
-
-    residual[k] is the data-consistency norm ||D - B_k - U_k V_k^H||_F; the
-    training loss is np.mean(np.square(residual)).
-    """
-
-    basis: list
-    coeffs: list
-    blood: list
-    residual: list
 
 
 @dataclass
@@ -204,41 +192,18 @@ def _layers(net, work, init_state=None):
         yield u, v, b, w_b
 
 
-def _misfit(d_mat, u, v, b):
-    """Data-consistency norm ||D - B - U V^H||_F of one layer's output."""
-    return np.linalg.norm(d_mat - b - u @ v.conj().T)
+def layer_residuals(net, d_mat, init_state=None):
+    """Each layer's norm ||D - B_k - U_k V_k^H||_F in input units, as K floats.
 
-
-def network_forward(net, d_mat, init_state=None):
-    """Run all layers from the baseline initialization.
-
-    Args:
-        net: UnfoldedNetwork.
-        d_mat: data matrix.
-        init_state: optional (u0, v0) override, interpreted in the network's
-            normalized domain.
-
-    Returns:
-        ForwardTrace with per-layer outputs rescaled to input units.
+    The layers run in complex128 whatever the input's dtype; init_state is
+    an optional (u0, v0) in the network's normalized domain. The training
+    loss is the mean square of this list. Layer k's full decomposition is
+    infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
     d_mat = np.asarray(d_mat, dtype=np.complex128)
     work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
-    trace = ForwardTrace(basis=[], coeffs=[], blood=[], residual=[])
-    for u, v, b, _ in _layers(net, work, init_state):
-        v, b = v * scale, b * scale
-        trace.basis.append(u)
-        trace.coeffs.append(v)
-        trace.blood.append(b)
-        trace.residual.append(float(_misfit(d_mat, u, v, b)))
-    return trace
-
-
-def _mean_data_loss(net, d_mat, init_state=None):
-    """Mean square of network_forward(net, d_mat, init_state).residual, without the trace."""
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
-    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
-    return float(np.mean([_misfit(d_mat, u, v * scale, b * scale) ** 2
-                          for u, v, b, _ in _layers(net, work, init_state)]))
+    return [float(np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T))
+            for u, v, b, _ in _layers(net, work, init_state)]
 
 
 def _with_parameters(net, theta):
@@ -404,7 +369,7 @@ def train(net, train_data, val_data, cfg):
         raise err
 
     def validation_loss(th):
-        return _mean_data_loss(_with_parameters(net, th), val)
+        return float(np.mean(np.square(layer_residuals(_with_parameters(net, th), val))))
 
     v0 = validation_loss(theta)
     history.val_loss.append(v0)

@@ -81,15 +81,19 @@ def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):
     Returns:
         Real gradient vector aligned with net.theta.ravel().
     """
+    def loss(theta):
+        net_at = unfolded._with_parameters(net, theta)
+        return float(np.mean(np.square(unfolded.layer_residuals(net_at, d_mat, init_state))))
+
     theta0 = net.theta.ravel()
     grad = np.zeros_like(theta0)
     for i in range(theta0.size):
         h = fd_step * (1.0 + abs(theta0[i]))
         probe = theta0.copy()
         probe[i] = theta0[i] + h
-        lp = unfolded._mean_data_loss(unfolded._with_parameters(net, probe), d_mat, init_state)
+        lp = loss(probe)
         probe[i] = theta0[i] - h
-        lm = unfolded._mean_data_loss(unfolded._with_parameters(net, probe), d_mat, init_state)
+        lm = loss(probe)
         if not (np.isfinite(lp) and np.isfinite(lm)):
             raise RuntimeError(f"non-finite loss while perturbing parameter {i}")
         grad[i] = (lp - lm) / (2.0 * h)

@@ -110,11 +110,11 @@ def test_criterion_3_unfolding_matches_solver():
                  for w in trace.w_c_history]
         net = unfolded.UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon,
                                        normalize=False)
-        fwd = unfolded.network_forward(net, d_mat)
-        rel_b = (np.linalg.norm(fwd.blood[-1] - dec.blood_b)
+        fwd = unfolded.infer(net, d_mat)
+        rel_b = (np.linalg.norm(fwd.blood_b - dec.blood_b)
                  / np.linalg.norm(dec.blood_b))
         tissue = dec.basis_u @ dec.coeffs_v.conj().T
-        rel_t = (np.linalg.norm(fwd.basis[-1] @ fwd.coeffs[-1].conj().T - tissue)
+        rel_t = (np.linalg.norm(fwd.basis_u @ fwd.coeffs_v.conj().T - tissue)
                  / np.linalg.norm(tissue))
         worst = max(worst, rel_b, rel_t)
     ok = worst <= 1e-10

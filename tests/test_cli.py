@@ -3,6 +3,7 @@
 import json
 import logging
 import re
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -750,6 +751,40 @@ class TestUndefinedRatios:
         assert sorted(p.name for p in outdir.iterdir()) == [
             "blood.umi", "power.csv", "power.pgm", "report.json", "velocity.csv"]
         assert json.loads((outdir / "report.json").read_text())["metrics"]["cnr_db"] is None
+
+    @pytest.fixture(scope="class")
+    def small_vessel(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("small")
+        cfg = tmp / "sim.json"
+        section = dict(sim_section(frames=30), cylinder_radius_mm=4.0)
+        cfg.write_text(json.dumps({"simulate": section, "seed": 1}))
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp / "sim")]) == 0
+        return tmp / "sim"
+
+    def evaluate_with_velocity(self, sim, tmp_path, velocity):
+        truth = tmp_path / "truth"
+        shutil.copytree(sim, truth)
+        formats.write_csv(velocity, truth / "truth_velocity.csv")
+        return cli.main(["evaluate", "--input", str(sim / "dataset.umi"),
+                         "--truth", str(truth), "--output", str(tmp_path / "ev")])
+
+    def test_constant_truth_velocity_reports_null_fit(self, tmp_path, small_vessel):
+        velocity = formats.read_csv(small_vessel / "truth_velocity.csv")
+        assert self.evaluate_with_velocity(small_vessel, tmp_path, np.zeros_like(velocity)) == 0
+        outdir = tmp_path / "ev"
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "power.csv", "report.json", "velocity.csv"]
+        scores = json.loads((outdir / "report.json").read_text())["metrics"]
+        assert all(scores[key] is None for key in ("r_squared", "slope", "intercept"))
+
+    def test_nan_truth_velocity_in_the_blood_mask_fails(self, tmp_path, small_vessel, capsys):
+        velocity = formats.read_csv(small_vessel / "truth_velocity.csv")
+        flow = formats.read_csv(small_vessel / "truth_flow_mask.csv") > 0.5
+        velocity[tuple(np.argwhere(flow)[0])] = np.nan
+        assert self.evaluate_with_velocity(small_vessel, tmp_path, velocity) == 7
+        err = capsys.readouterr().err
+        assert "non-finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "ev" / "report.json").exists()
 
     def test_overlapping_masks_still_fail_in_evaluate(self, tmp_path, capsys):
         path, _ = tiny_dataset(tmp_path)

@@ -150,29 +150,29 @@ class TestNetworkForward:
     def test_single_layer_network(self):
         d_mat = lowrank_sparse(6, 20, 10)
         net, _ = frozen_net_from_irls(d_mat, d=3, k=1, lambda_c=0.01, lambda_b=0.02)
-        trace = unfolded.network_forward(net, d_mat)
+        dec = unfolded.infer(net, d_mat)
         u0, v0 = irls._init_state(d_mat, 3)
         u1, v1, b1, _ = unfolded.layer_forward((u0, v0, np.zeros_like(d_mat)), net.penalties()[0],
                                             d_mat, epsilon=net.epsilon)
-        assert np.allclose(trace.blood[0], b1, rtol=1e-12, atol=0)
-        assert len(trace.blood) == 1
+        assert np.allclose(dec.blood_b, b1, rtol=1e-12, atol=0)
+        assert len(unfolded.layer_residuals(net, d_mat)) == 1
 
     def test_frozen_equivalence_multi_layer(self):
         sizes = [(64, 32, 5, 5), (40, 20, 3, 4), (16, 12, 2, 2)]
         for seed, (ns, nt, d, k) in enumerate(sizes, start=10):
             d_mat = lowrank_sparse(seed, ns, nt)
             net, dec = frozen_net_from_irls(d_mat, d=d, k=k, lambda_c=0.03, lambda_b=0.01)
-            trace = unfolded.network_forward(net, d_mat)
-            rel = np.linalg.norm(trace.blood[-1] - dec.blood_b) / np.linalg.norm(dec.blood_b)
+            blood = unfolded.infer(net, d_mat).blood_b
+            rel = np.linalg.norm(blood - dec.blood_b) / np.linalg.norm(dec.blood_b)
             assert rel <= 1e-10
 
     def test_residuals_finite(self):
         d_mat = lowrank_sparse(7, 24, 14)
         cfg = irls.IrlsConfig(d=3, lambda_c=0.01, lambda_b=1.0)
         net = unfolded.init_network(d_mat, k=4, d=3, lambda_b_init=1.0, cfg=cfg)
-        trace = unfolded.network_forward(net, d_mat)
-        assert len(trace.residual) == 4
-        assert np.all(np.isfinite(trace.residual))
+        residuals = unfolded.layer_residuals(net, d_mat)
+        assert len(residuals) == 4
+        assert np.all(np.isfinite(residuals))
 
     def test_scalar_weight_forward_is_rotation_invariant(self):
         d_mat = lowrank_sparse(8, 18, 12)
@@ -181,15 +181,15 @@ class TestNetworkForward:
         u0, v0 = irls._init_state(d_mat, 3)
         r = np.random.default_rng(9)
         q, _ = np.linalg.qr(crandn(r, (3, 3)))
-        t1 = unfolded.network_forward(net, d_mat, init_state=(u0, v0))
-        t2 = unfolded.network_forward(net, d_mat, init_state=(u0 @ q, v0 @ q))
-        assert np.allclose(t1.blood[-1], t2.blood[-1], rtol=1e-9, atol=1e-12)
-        assert (np.mean(np.square(t1.residual))
-                == pytest.approx(np.mean(np.square(t2.residual)), rel=1e-9))
+        inits = (u0, v0), (u0 @ q, v0 @ q)
+        b1, b2 = (list(unfolded._layers(net, d_mat, init))[-1][2] for init in inits)
+        assert np.allclose(b1, b2, rtol=1e-9, atol=1e-12)
+        r1, r2 = (unfolded.layer_residuals(net, d_mat, init_state=init) for init in inits)
+        assert np.mean(np.square(r1)) == pytest.approx(np.mean(np.square(r2)), rel=1e-9)
 
 
 class TestLoss:
-    """The training loss is the mean square of the forward trace's residuals."""
+    """The training loss is the mean square of layer_residuals."""
 
     def test_exact_decomposition_zero(self):
         r = np.random.default_rng(11)
@@ -198,33 +198,48 @@ class TestLoss:
         d_mat = u @ v.conj().T
         net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([0.5, 1e-6, 1e-6])],
                                        epsilon=1e-8, normalize=False)
-        trace = unfolded.network_forward(net, d_mat, init_state=(u, v))
-        assert trace.residual[0] <= 1e-6 * np.linalg.norm(d_mat)
+        residuals = unfolded.layer_residuals(net, d_mat, init_state=(u, v))
+        assert residuals[0] <= 1e-6 * np.linalg.norm(d_mat)
 
     def test_scalar_case(self):
         # zero factors stay zero and a huge penalty keeps B near zero, so D is all misfit
         zero = np.zeros((1, 1), dtype=complex)
         net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([1e12, 1.0])],
                                        epsilon=1e-8, normalize=False)
-        trace = unfolded.network_forward(net, np.array([[1.0 + 0j]]), init_state=(zero, zero))
-        assert trace.residual == [pytest.approx(1.0)]
+        residuals = unfolded.layer_residuals(net, np.array([[1.0 + 0j]]),
+                                             init_state=(zero, zero))
+        assert residuals == [pytest.approx(1.0)]
 
     def test_matches_recompute(self):
         d_mat = lowrank_sparse(12, 22, 11)
         cfg = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0)
         net = unfolded.init_network(d_mat, k=3, d=3, lambda_b_init=2.0, cfg=cfg)
-        trace = unfolded.network_forward(net, d_mat)
-        ref = [np.linalg.norm(d_mat - b - u @ v.conj().T)
-               for u, v, b in zip(trace.basis, trace.coeffs, trace.blood)]
-        np.testing.assert_allclose(trace.residual, ref, rtol=1e-12)
+        ref = []
+        for k in range(1, 4):
+            dec = unfolded.infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat)
+            ref.append(np.linalg.norm(d_mat - dec.blood_b - dec.basis_u @ dec.coeffs_v.conj().T))
+        np.testing.assert_allclose(unfolded.layer_residuals(net, d_mat), ref, rtol=1e-12)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_mean_square_is_the_training_loss(self, normalize):
-        d_mat = lowrank_sparse(13, 22, 11)
-        cfg = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0, normalize=normalize)
-        net = unfolded.init_network(d_mat, k=4, d=3, lambda_b_init=2.0, cfg=cfg)
-        trace = unfolded.network_forward(net, d_mat)
-        assert np.mean(np.square(trace.residual)) == unfolded._mean_data_loss(net, d_mat)
+    def test_layers_run_in_complex128(self):
+        d_mat = lowrank_sparse(13, 22, 11).astype(np.complex64)
+        cfg = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0)
+        net = unfolded.init_network(d_mat, k=3, d=3, lambda_b_init=2.0, cfg=cfg)
+        assert (unfolded.layer_residuals(net, d_mat)
+                == unfolded.layer_residuals(net, d_mat.astype(np.complex128)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(4, 40), nt=st.integers(3, 20),
+           d=st.integers(1, 4), k=st.integers(1, 4), j=st.integers(-30, 30),
+           normalize=st.booleans())
+    def test_forward_loss_is_the_adjoint_loss(self, seed, ns, nt, d, k, j, normalize):
+        r = np.random.default_rng(seed)
+        d = min(d, ns, nt)
+        d_mat = 2.0 ** j * crandn(r, (ns, nt))
+        cfg = irls.IrlsConfig(d=d, lambda_c=0.05, lambda_b=0.5, normalize=normalize)
+        net = unfolded.init_network(d_mat, k=k, d=d, lambda_b_init=0.5, cfg=cfg)
+        net.theta += 0.1 * r.standard_normal(net.theta.shape)
+        forward = np.mean(np.square(unfolded.layer_residuals(net, d_mat)))
+        assert forward == pytest.approx(unfolded._analytic_loss_grad(net, d_mat)[0], rel=1e-11)
 
 
 def tiny_net_and_data(seed=13, ns=12, nt=8, d=2, k=2, lambda_b=1.5):
@@ -455,19 +470,19 @@ class TestTrain:
             unfolded.train(net, d_mat, None, cfg)
         assert hasattr(excinfo.value, "history")
 
-    def test_losses_are_the_forward_loss(self):
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_losses_are_the_forward_loss(self, normalize):
         net, d_mat = tiny_net_and_data(seed=24, ns=16, nt=40)
+        net = dataclasses.replace(net, normalize=normalize)
         # one 32-frame batch and 8 validation frames; a zero rate leaves theta fixed
         cfg = unfolded.TrainConfig(learning_rate=0.0, batch_frames=32, max_epochs=1,
                                    patience=1)
         _, hist = unfolded.train(net, d_mat, None, cfg)
         val, batch = d_mat[:, 32:], d_mat[:, :32]
-        val_residual = unfolded.network_forward(net, val).residual
-        assert hist.val_loss[0] == np.mean(np.square(val_residual))
+        assert hist.val_loss[0] == np.mean(np.square(unfolded.layer_residuals(net, val)))
         assert hist.train_loss[0] == unfolded._analytic_loss_grad(net, batch)[0]
-        batch_residual = unfolded.network_forward(net, batch).residual
-        assert hist.train_loss[0] == pytest.approx(np.mean(np.square(batch_residual)),
-                                                   rel=1e-12)
+        assert hist.train_loss[0] == pytest.approx(
+            np.mean(np.square(unfolded.layer_residuals(net, batch))), rel=1e-12)
 
     def test_batch_larger_than_data_rejected(self):
         net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
@@ -481,11 +496,9 @@ class TestInfer:
         d_mat = lowrank_sparse(22, 28, 60)
         cfg_net = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0)
         net = unfolded.init_network(d_mat, k=3, d=3, lambda_b_init=2.0, cfg=cfg_net)
-        trace = unfolded.network_forward(net, d_mat)
         dec = unfolded.infer(net, d_mat)
-        assert np.array_equal(dec.blood_b, trace.blood[-1])
-        assert np.array_equal(dec.basis_u, trace.basis[-1])
-        assert np.array_equal(dec.coeffs_v, trace.coeffs[-1])
+        misfit = np.linalg.norm(d_mat - dec.blood_b - dec.basis_u @ dec.coeffs_v.conj().T)
+        assert misfit == unfolded.layer_residuals(net, d_mat)[-1]
 
     def test_zero_input(self):
         cfg_net = irls.IrlsConfig(d=2, lambda_c=0.01, lambda_b=1.0)
@@ -493,8 +506,7 @@ class TestInfer:
         net = unfolded.init_network(zeros, k=2, d=2, lambda_b_init=1.0, cfg=cfg_net)
         dec = unfolded.infer(net, zeros)
         assert np.all(dec.blood_b == 0)
-        trace = unfolded.network_forward(net, zeros)
-        assert trace.residual == [0.0, 0.0]
+        assert unfolded.layer_residuals(net, zeros) == [0.0, 0.0]
 
     def test_row_count_mismatch_rejected(self):
         d_mat = lowrank_sparse(23, 20, 15)
