@@ -101,6 +101,17 @@ def _output_dir(cfg):
     return _make_dir(Path(cfg["output"]))
 
 
+def _output_file(cfg):
+    """Config stage: the output file path, with its parent created and not a directory itself."""
+    if "output" not in cfg:
+        raise PipelineError("config", "an output path is required")
+    path = Path(cfg["output"])
+    _make_dir(path.parent)
+    if path.is_dir():
+        raise PipelineError("config", f"output {path} is a directory")
+    return path
+
+
 def simulate_dataset(cfg):
     """Build a phantom per the simulate section and synthesize IQ data.
 
@@ -327,12 +338,9 @@ def run_train(cfg):
     cfg["output"] names the model file itself, not a directory.
     """
     cfg = _validated(cfg)
-    if "output" not in cfg:
-        raise PipelineError("config", "an output model path is required")
+    model_path = _output_file(cfg)
     if "input" not in cfg:
         raise PipelineError("config", "an input dataset is required")
-    model_path = Path(cfg["output"])
-    _make_dir(model_path.parent)
     seq = _read_input(cfg["input"])
     net, history = _train_network(to_casorati(seq), cfg)
     with stage("train"):
@@ -369,10 +377,7 @@ def run_render(cfg, mode):
     cfg = _validated(cfg)
     if "input" not in cfg:
         raise PipelineError("config", "an input image is required")
-    if "output" not in cfg:
-        raise PipelineError("config", "an output path is required")
-    out = Path(cfg["output"])
-    _make_dir(out.parent)
+    out = _output_file(cfg)
     with stage("input"):
         image = formats.read_csv(cfg["input"])
     with stage("render"):

@@ -2,8 +2,8 @@
 
 Each solver iteration becomes one network layer with two learnable pieces:
 the blood penalty scalar and the diagonal column-weight matrix of the factor
-updates (the column penalty weight is absorbed into the latter). Each layer
-calls the baseline solver's update step (irls.update_step), so with
+updates (the column penalty weight is absorbed into the latter). A layer is
+one call of the baseline solver's update step (irls.update_step), so with
 parameters frozen to a recorded baseline run the network reproduces it
 exactly. Training minimizes the layer-averaged data-consistency loss
 
@@ -16,8 +16,8 @@ against central differences of the loss. One generator runs the layers;
 infer, layer_residuals and the adjoint all consume it.
 
 Positivity of both learnable groups is enforced by parameterizing them
-through softplus; the unconstrained values are what the optimizer sees and
-what the model file stores.
+through softplus; the unconstrained values, one (K, 1 + d) array, are what
+the optimizer steps on, in that shape, and what the model file stores.
 """
 
 import logging
@@ -163,32 +163,17 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
                            normalize=cfg.normalize, n_space=work.shape[0])
 
 
-def layer_forward(state, penalties, d_mat, epsilon=1e-8):
-    """One layer: the solver's update step with this layer's parameters.
-
-    Args:
-        state: (u, v, b) triple entering the layer.
-        penalties: positive-domain (lambda_b, w_c); lambda_b is the blood
-            penalty and w_c the diagonal added to both Gram matrices.
-        d_mat: data matrix (same scaling as the state).
-        epsilon: blood-weight regularizer.
-
-    Returns:
-        (u, v, b, w_b): the state leaving the layer and the real blood
-        weights the layer divided by, B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b).
-    """
-    u, v, b = state
-    lambda_b, w_c = penalties
-    return irls.update_step(d_mat, u, d_mat - u @ v.conj().T, np.abs(b) ** 2,
-                            lambda_b, w_c, epsilon)
-
-
 def _layers(net, work, init_state=None):
-    """Yield each layer's (u, v, b, w_b) in the normalized domain, holding only the current state."""
+    """Yield each layer's (u, v, b, w_b) in the normalized domain, holding only the current state.
+
+    A layer is one irls.update_step: B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b), with
+    w_b the blood weights of the entering B (zero at layer 0), then V and U from w_c.
+    """
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
     b = np.zeros_like(work)
-    for penalties in net.penalties():
-        u, v, b, w_b = layer_forward((u, v, b), penalties, work, epsilon=net.epsilon)
+    for lambda_b, w_c in net.penalties():
+        u, v, b, w_b = irls.update_step(work, u, work - u @ v.conj().T, np.abs(b) ** 2,
+                                        lambda_b, w_c, net.epsilon)
         yield u, v, b, w_b
 
 
@@ -204,11 +189,6 @@ def layer_residuals(net, d_mat, init_state=None):
     work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
     return [float(np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T))
             for u, v, b, _ in _layers(net, work, init_state)]
-
-
-def _with_parameters(net, theta):
-    """Copy of the network with its parameters replaced by the flat vector theta."""
-    return replace(net, theta=np.reshape(theta, net.theta.shape))
 
 
 def _analytic_loss_grad(net, d_mat, init_state=None):
@@ -310,7 +290,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         g_theta[k, 1:] = g_w * expit(net.theta[k, 1:])
         g_u_next, g_v_next = g_u_in, g_v_in
 
-    return c * loss_norm * scale ** 2, g_theta.ravel() * scale ** 2
+    return c * loss_norm * scale ** 2, g_theta * scale ** 2
 
 
 def train(net, train_data, val_data, cfg):
@@ -353,9 +333,9 @@ def train(net, train_data, val_data, cfg):
     batches = [fit[:, i * cfg.batch_frames:(i + 1) * cfg.batch_frames]
                for i in range(n_batches)]
 
-    theta = net.theta.ravel()
+    theta = net.theta
     wc_lr = cfg.learning_rate / 100.0 if cfg.wc_learning_rate is None else cfg.wc_learning_rate
-    lr_vec = np.tile([cfg.learning_rate] + [wc_lr] * net.d, len(net.theta))
+    rates = np.array([cfg.learning_rate] + [wc_lr] * net.d)  # broadcast over the layers
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
@@ -369,7 +349,7 @@ def train(net, train_data, val_data, cfg):
         raise err
 
     def validation_loss(th):
-        return float(np.mean(np.square(layer_residuals(_with_parameters(net, th), val))))
+        return float(np.mean(np.square(layer_residuals(replace(net, theta=th), val))))
 
     v0 = validation_loss(theta)
     history.val_loss.append(v0)
@@ -383,7 +363,7 @@ def train(net, train_data, val_data, cfg):
     for epoch in range(1, cfg.max_epochs + 1):
         batch_losses = []
         for bi in rng.permutation(n_batches):
-            bloss, grad = _analytic_loss_grad(_with_parameters(net, theta), batches[bi])
+            bloss, grad = _analytic_loss_grad(replace(net, theta=theta), batches[bi])
             if not (np.isfinite(bloss) and np.all(np.isfinite(grad))):
                 abort(f"epoch {epoch}")
             batch_losses.append(bloss)
@@ -392,7 +372,7 @@ def train(net, train_data, val_data, cfg):
             moment2 = beta2 * moment2 + (1 - beta2) * grad * grad
             m_hat = moment1 / (1 - beta1 ** steps)
             v_hat = moment2 / (1 - beta2 ** steps)
-            theta = theta - lr_vec * m_hat / (np.sqrt(v_hat) + adam_eps)
+            theta = theta - rates * m_hat / (np.sqrt(v_hat) + adam_eps)
         history.train_loss.append(float(np.mean(batch_losses)))
         vl = validation_loss(theta)
         if not np.isfinite(vl):
@@ -409,7 +389,7 @@ def train(net, train_data, val_data, cfg):
         if stall >= cfg.patience:
             break
 
-    return _with_parameters(net, best_theta), history
+    return replace(net, theta=best_theta), history
 
 
 def infer(net, d_mat_new):

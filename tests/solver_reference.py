@@ -9,6 +9,8 @@ takes central differences of the same loss, the reference the adjoint is
 checked against.
 """
 
+import dataclasses
+
 import numpy as np
 
 from microflow import irls, unfolded
@@ -79,15 +81,15 @@ def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):
         fd_step: base step; the per-parameter step is fd_step * (1 + |theta|).
 
     Returns:
-        Real gradient vector aligned with net.theta.ravel().
+        Real gradient array shaped like net.theta.
     """
     def loss(theta):
-        net_at = unfolded._with_parameters(net, theta)
+        net_at = dataclasses.replace(net, theta=theta)
         return float(np.mean(np.square(unfolded.layer_residuals(net_at, d_mat, init_state))))
 
-    theta0 = net.theta.ravel()
+    theta0 = net.theta
     grad = np.zeros_like(theta0)
-    for i in range(theta0.size):
+    for i in np.ndindex(theta0.shape):
         h = fd_step * (1.0 + abs(theta0[i]))
         probe = theta0.copy()
         probe[i] = theta0[i] + h

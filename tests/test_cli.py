@@ -617,6 +617,19 @@ class TestStageBoundary:
         assert "config stage" in err and err.count("\n") == 1
         assert blocker.read_text() == "in the way\n"
 
+    @pytest.mark.parametrize("command", ["train", "render"])
+    def test_output_file_naming_a_directory_is_config_exit_code(self, tmp_path, capsys,
+                                                                command):
+        output = tmp_path / "modeldir"
+        output.mkdir()
+        rc = cli.main([command, *self.subcommand_args(tmp_path, command),
+                       "--output", str(output)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config stage" in err and "is a directory" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(output.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["filter", "evaluate"])
     def test_malformed_truth_csv_is_input_exit_code(self, tmp_path, capsys,
                                                     command):

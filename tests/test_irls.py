@@ -1,5 +1,6 @@
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -394,11 +395,10 @@ class TestFusedStepEquivalence:
         cfg = make_config(d=4, lambda_c=0.2, lambda_b=0.03, max_iter=3, tol=1e-300,
                           normalize=False)
         dec, trace = irls.run_irls(d_mat, cfg)
-        u, v = irls._init_state(d_mat, cfg.d)
-        b = np.zeros_like(d_mat)
-        for w_c in trace.w_c_history:
-            penalties = (cfg.lambda_b, 2.0 * cfg.lambda_c * w_c)
-            u, v, b, _ = unfolded.layer_forward((u, v, b), penalties, d_mat, epsilon=cfg.epsilon)
+        # a network whose layers take the solver's exact penalties, with no softplus round trip
+        net = SimpleNamespace(d=cfg.d, epsilon=cfg.epsilon, penalties=lambda: [
+            (cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for w_c in trace.w_c_history])
+        *_, (u, v, b, _) = unfolded._layers(net, d_mat)
         assert np.array_equal(u, dec.basis_u)
         assert np.array_equal(v, dec.coeffs_v)
         assert np.array_equal(b, dec.blood_b)

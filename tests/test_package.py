@@ -1,4 +1,5 @@
-"""Package-wide rules checked on the source: the README's imports, no prints."""
+"""Package-wide rules checked on the source: the README's imports, no prints,
+no unused module-level names."""
 
 import ast
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 import microflow
 
 SRC = Path(microflow.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_python_imports_resolve():
@@ -36,3 +38,23 @@ def test_no_verbose_parameter_and_only_the_cli_prints():
                     and node.func.id == "print" and name != "cli.py"):
                 found.append(f"{name}:{node.lineno} calls print")
     assert found == []
+
+
+def test_every_module_level_definition_has_a_caller():
+    """Each module-level function and class in src/microflow is referenced
+    in src/microflow or perfbench/, not only by the tests."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{path.relative_to(SRC).as_posix()}: {node.name}"
+              for path, tree in trees.items() if path.is_relative_to(SRC)
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in used]
+    assert unused == []
