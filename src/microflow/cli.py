@@ -95,11 +95,7 @@ def main(argv=None):
             print(f"trained to validation loss {best:.6g} "
                   f"(epoch {history.best_epoch}); model at {cfg['output']}")
         elif args.command == "infer":
-            cfg["method"] = "unfolded"
-            if "model" not in cfg:
-                raise pipeline.PipelineError("config",
-                                             "a model file is required")
-            result = pipeline.run_pipeline(cfg)
+            result = pipeline.run_infer(cfg)
             print(f"inferred blood estimate; artifacts in "
                   f"{result.output_dir}")
         elif args.command == "evaluate":

@@ -75,7 +75,11 @@ def doppler_velocity(b, prf, f0, c=1540.0):
     autocorr = np.sum(b[:, 1:] * np.conj(b[:, :-1]), axis=1)
     low_confidence = np.abs(autocorr) == 0.0
     phase = np.where(low_confidence, 0.0, np.angle(autocorr))
-    return c * prf / (4.0 * np.pi * f0) * phase * 1e3, low_confidence
+    with np.errstate(over="ignore"):  # positive, finite rates can still overflow it
+        scale = c * prf / (4.0 * np.pi * f0)
+        if not np.isfinite(scale * np.pi * 1e3):
+            raise ValueError(f"velocity scale overflows for prf {prf} and center frequency {f0}")
+    return scale * phase * 1e3, low_confidence
 
 
 def check_rois(pd, blood, tissue):

@@ -10,7 +10,9 @@ rerunning the same configuration reproduces them byte for byte.
 Failures carry the stage they occurred in (config, input, simulate,
 filter, train, evaluate, render) so callers can map them to exit codes.
 The one place that decides which exceptions count as a stage failure is
-the ``stage`` context manager.
+the ``stage`` context manager. The one place that decides which settings a
+run needs is ``_validated``; every run_* function calls it before it
+creates an output path or reads any data.
 """
 
 import contextlib
@@ -39,6 +41,12 @@ STAGE_EXIT_CODES = {
 
 _METRIC_KEYS = ("cnr_db", "snr_db", "psl_db", "r_squared", "slope",
                 "intercept")
+
+# How the config stage names a required setting that a run lacks.
+_SETTING_NAMES = {"input": "an input file (--input)", "output": "an output path (--output)",
+                  "method": "a method (--method)", "model": "a model file (--model)",
+                  "truth": "a truth directory (--truth)", "simulate": "a simulate section",
+                  "train": "a train section"}
 
 _TRUTH_FILES = {"velocity": "truth_velocity.csv",
                 "flow_mask": "truth_flow_mask.csv",
@@ -83,32 +91,28 @@ def stage(name):
         raise PipelineError(name, str(exc)) from exc
 
 
-def _validated(cfg):
+def _validated(cfg, *needs):
+    """Config stage: the validated config, holding a key of each tuple in needs,
+    and a model or train section too where a needed method is unfolded."""
     with stage("config"):
-        return config_mod.validate_config(cfg)
+        cfg = config_mod.validate_config(cfg)
+    if ("method",) in needs and cfg.get("method") == "unfolded":
+        needs += (("model", "train"),)
+    for keys in needs:
+        if not any(key in cfg for key in keys):
+            raise PipelineError("config", " or ".join(map(_SETTING_NAMES.get, keys))
+                                + " is required")
+    return cfg
 
 
-def _make_dir(path):
-    """Config stage: create a directory for outputs before any work starts."""
-    with stage("config"):
-        path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _output_dir(cfg):
-    if "output" not in cfg:
-        raise PipelineError("config", "an output directory is required")
-    return _make_dir(Path(cfg["output"]))
-
-
-def _output_file(cfg):
-    """Config stage: the output file path, with its parent created and not a directory itself."""
-    if "output" not in cfg:
-        raise PipelineError("config", "an output path is required")
+def _output(cfg, is_file=False):
+    """Config stage: the output path, created as a directory, or for a file
+    its parent created and the path itself not a directory."""
     path = Path(cfg["output"])
-    _make_dir(path.parent)
-    if path.is_dir():
-        raise PipelineError("config", f"output {path} is a directory")
+    with stage("config"):
+        if is_file and path.is_dir():
+            raise ValueError(f"output {path} is a directory")
+        (path.parent if is_file else path).mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -163,17 +167,17 @@ def _read_input(path):
 
 
 def _acquire(cfg):
-    """Input stage: read a dataset file or synthesize one."""
-    if "input" in cfg:
-        seq = _read_input(cfg["input"])
-        truth = _load_truth(cfg["truth"]) if "truth" in cfg else None
-        return seq, truth, False
-    if "simulate" in cfg:
-        seq, truth = simulate_dataset(cfg)
-        return seq, truth, True
-    raise PipelineError("config",
-                        "either an input dataset or a simulate section "
-                        "is required")
+    """Input stage: the model an unfolded run names, then the dataset, read
+    or synthesized: (network or None, sequence, truth or None, simulated)."""
+    net = None
+    if cfg["method"] == "unfolded" and "model" in cfg:
+        with stage("input"):
+            net = formats.read_model(cfg["model"])
+    if "input" not in cfg:
+        return (net, *simulate_dataset(cfg), True)
+    seq = _read_input(cfg["input"])
+    truth = _load_truth(cfg["truth"]) if "truth" in cfg else None
+    return net, seq, truth, False
 
 
 def _train_network(d_mat, cfg):
@@ -186,13 +190,12 @@ def _train_network(d_mat, cfg):
         return unfolded.train(net, d_mat, None, config_mod.train_config(cfg))
 
 
-def _filter(d_mat, cfg, outdir):
+def _filter(d_mat, cfg, net, outdir):
     """Filter stage: estimate the blood component with the chosen method.
 
-    Returns (blood matrix, extra report entries, extra artifact names).
+    An unfolded run without a saved network trains one. Returns (blood
+    matrix, extra report entries, extra artifact names).
     """
-    if "method" not in cfg:
-        raise PipelineError("config", "a filtering method is required")
     method = cfg["method"]
     extra_report = {}
     extra_artifacts = {}
@@ -204,11 +207,8 @@ def _filter(d_mat, cfg, outdir):
             decomp, trace = run_irls(d_mat, config_mod.irls_config(cfg))
             blood = decomp.blood_b
             extra_report["irls_iterations"] = int(trace.iterations)
-        elif method == "unfolded":
-            if "model" in cfg:
-                with stage("input"):
-                    net = formats.read_model(cfg["model"])
-            elif "train" in cfg:
+        else:
+            if net is None:
                 net, history = _train_network(d_mat, cfg)
                 formats.write_model(net, outdir / "model.u2m")
                 extra_artifacts["model"] = "model.u2m"
@@ -218,12 +218,7 @@ def _filter(d_mat, cfg, outdir):
                     "best_val_loss": float(
                         history.val_loss[history.best_epoch]),
                 }
-            else:
-                raise ValueError("unfolded filtering needs a model file "
-                                 "or a train section")
             blood = unfolded.infer(net, d_mat).blood_b
-        else:
-            raise ValueError(f"unknown method {method!r}")
     return blood, extra_report, extra_artifacts
 
 
@@ -286,13 +281,12 @@ def run_pipeline(cfg):
     Returns a PipelineResult; artifacts land in cfg["output"]. Raises
     PipelineError with the failing stage attached.
     """
-    cfg = _validated(cfg)
-    outdir = _output_dir(cfg)
-
-    seq, truth, simulated = _acquire(cfg)
+    cfg = _validated(cfg, ("output",), ("input", "simulate"), ("method",))
+    outdir = _output(cfg)
+    net, seq, truth, simulated = _acquire(cfg)
     d_mat = to_casorati(seq)
 
-    blood, extra_report, artifacts = _filter(d_mat, cfg, outdir)
+    blood, extra_report, artifacts = _filter(d_mat, cfg, net, outdir)
     power, velocity, scalars = _evaluate(blood, seq, truth, cfg)
 
     with stage("render"):
@@ -320,10 +314,15 @@ def run_pipeline(cfg):
                           velocity=velocity, output_dir=outdir)
 
 
+def run_infer(cfg):
+    """Infer subcommand: run_pipeline with method unfolded and a model file required."""
+    return run_pipeline(_validated({**cfg, "method": "unfolded"}, ("model",)))
+
+
 def run_simulate(cfg):
     """Simulate subcommand: dataset plus truth bundle plus report."""
-    cfg = _validated(cfg)
-    outdir = _output_dir(cfg)
+    cfg = _validated(cfg, ("output",))
+    outdir = _output(cfg)
     seq, truth = simulate_dataset(cfg)
     with stage("simulate"):
         formats.write_dataset(seq, outdir / "dataset.umi")
@@ -337,10 +336,8 @@ def run_train(cfg):
 
     cfg["output"] names the model file itself, not a directory.
     """
-    cfg = _validated(cfg)
-    model_path = _output_file(cfg)
-    if "input" not in cfg:
-        raise PipelineError("config", "an input dataset is required")
+    cfg = _validated(cfg, ("output",), ("input",))
+    model_path = _output(cfg, is_file=True)
     seq = _read_input(cfg["input"])
     net, history = _train_network(to_casorati(seq), cfg)
     with stage("train"):
@@ -354,12 +351,8 @@ def run_evaluate(cfg):
     cfg["input"] is the blood estimate (UMI1), cfg["truth"] the directory
     holding the truth bundle written by simulate.
     """
-    cfg = _validated(cfg)
-    outdir = _output_dir(cfg)
-    if "input" not in cfg:
-        raise PipelineError("config", "an input blood dataset is required")
-    if "truth" not in cfg:
-        raise PipelineError("config", "a truth directory is required")
+    cfg = _validated(cfg, ("output",), ("input",), ("truth",))
+    outdir = _output(cfg)
     seq = _read_input(cfg["input"])
     truth = _load_truth(cfg["truth"])
     power, velocity, scalars = _evaluate(to_casorati(seq), seq, truth, cfg)
@@ -374,10 +367,8 @@ def run_evaluate(cfg):
 
 def run_render(cfg, mode):
     """Render subcommand: convert a CSV image to PGM or copy it as CSV."""
-    cfg = _validated(cfg)
-    if "input" not in cfg:
-        raise PipelineError("config", "an input image is required")
-    out = _output_file(cfg)
+    cfg = _validated(cfg, ("input",), ("output",))
+    out = _output(cfg, is_file=True)
     with stage("input"):
         image = formats.read_csv(cfg["input"])
     with stage("render"):

@@ -243,7 +243,8 @@ class TestPipelineErrors:
                "output": str(tmp_path / "o"), "ensemble": 4}
         with pytest.raises(pipeline.PipelineError) as err:
             pipeline.run_pipeline(cfg)
-        assert err.value.stage == "filter"
+        assert err.value.stage == "config"
+        assert not (tmp_path / "o").exists()
 
 
 class TestCli:
@@ -578,7 +579,8 @@ class TestProgress:
 
 
 class TestStageBoundary:
-    """Bad output paths, truth bundles and header values fail in a stage."""
+    """Missing settings, bad output paths, truth bundles, model files and
+    header values fail in a stage."""
 
     def subcommand_args(self, tmp_path, command):
         path, seq = tiny_dataset(tmp_path)
@@ -602,6 +604,56 @@ class TestStageBoundary:
                          str(tiny_truth(tmp_path / "truth"))],
             "render": ["--input", str(image), "--mode", "pgm"],
         }[command]
+
+    REQUIRED = {"filter": ("input", "method", "output"),
+                "infer": ("input", "model", "output"),
+                "train": ("input", "output"),
+                "evaluate": ("input", "truth", "output"),
+                "render": ("input", "output")}
+
+    @pytest.mark.parametrize("command, missing", [
+        (command, key) for command, keys in REQUIRED.items() for key in keys])
+    def test_missing_setting_is_refused_before_any_output(self, tmp_path, capsys,
+                                                          command, missing):
+        args = self.subcommand_args(tmp_path, command)
+        output = tmp_path / "new" / {"train": "m.u2m", "render": "p.pgm"}.get(command, "out")
+        args += ["--output", str(output), "--verbose"]
+        at = args.index(f"--{missing}")
+        del args[at:at + 2]
+        before = sorted(tmp_path.rglob("*"))
+        rc = cli.main([command, *args])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith(f"microflow {command}: config stage:")
+        assert f"(--{missing})" in err
+        assert not (tmp_path / "new").exists()
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command, section", [("filter", {}),
+                                                  ("infer", {"train": {"k_layers": 2, "d": 2}})])
+    def test_unfolded_without_a_model_does_no_work(self, tmp_path, capsys, command, section):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"simulate": sim_section(frames=4), **section}))
+        outdir = tmp_path / "new" / "out"
+        rc = cli.main([command, "--config", str(cfg_path), "--method", "unfolded",
+                       "--output", str(outdir), "--verbose"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "config stage" in err and "(--model)" in err
+        assert "phantom" not in err
+        assert not (tmp_path / "new").exists()
+
+    def test_unreadable_model_fails_before_the_phantom_is_built(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"simulate": sim_section(frames=4)}))
+        model = tmp_path / "bad.u2m"
+        model.write_bytes(b"junk")
+        rc = cli.main(["filter", "--config", str(cfg_path), "--method", "unfolded",
+                       "--model", str(model), "--output", str(tmp_path / "o"), "--verbose"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and "input stage" in err
+        assert "phantom" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "filter", "train",
                                          "infer", "evaluate", "render"])

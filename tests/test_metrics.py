@@ -101,6 +101,13 @@ class TestDopplerVelocity:
             metrics.doppler_velocity(np.ones((4, 1), dtype=complex),
                                      1000.0, 7.5e6, 1540.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("prf, f0", [(1000.0, 1e-300), (1e306, 1.0)])
+    def test_overflowing_velocity_scale_rejected(self, prf, f0):
+        b = np.array([[1.0, 1j, -1.0]])
+        with pytest.raises(ValueError, match="velocity scale overflows"):
+            metrics.doppler_velocity(b, prf, f0, 1540.0)
+
 
 def two_region_pd(mean_blood, mean_tissue, tissue_spread):
     """8x8 PD image: left half blood at a constant, right half tissue +- spread."""

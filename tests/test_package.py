@@ -1,11 +1,12 @@
-"""Package-wide rules checked on the source: the README's imports, no prints,
-no unused module-level names."""
+"""Package-wide rules checked on the source: the README's imports and exit
+codes, no prints, no unused module-level names."""
 
 import ast
 import re
 from pathlib import Path
 
 import microflow
+from microflow import cli, pipeline
 
 SRC = Path(microflow.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +59,12 @@ def test_every_module_level_definition_has_a_caller():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and node.name not in used]
     assert unused == []
+
+
+def test_documented_exit_codes_match_the_pipeline():
+    """README's exit-code table and the cli docstring list STAGE_EXIT_CODES in order."""
+    want = list(pipeline.STAGE_EXIT_CODES.items())
+    table = re.findall(r"^\| (\d+) +\| (\w+) +\|$", README.read_text(), re.M)
+    assert [(stage, int(code)) for code, stage in table] == want
+    listed = re.search(r"Exit codes identify the failing stage:(.*?)\.", cli.__doc__, re.S)
+    assert [(stage, int(code)) for code, stage in re.findall(r"(\d+) (\w+)", listed[1])] == want
