@@ -25,7 +25,7 @@ NETWORK_DEFAULTS = {"k_layers": 10, "d": 10, "lambda_b_init": 6.0}
 
 
 class Field(NamedTuple):
-    """One config value's type: int, float (any number), str, bool or a tuple of
+    """One config value's type: int, float (any number), str or a tuple of
     allowed strings. minimum is set only where no callee checks a limit."""
 
     kind: object
@@ -44,7 +44,7 @@ FIELDS = {
                  "pixel_mm": _NUM, "snr_db": Field(float, nullable=True),
                  "frame_rate": _NUM},
     "irls": {"d": _INT, "lambda_c": _NUM, "lambda_b": _NUM, "epsilon": _NUM,
-             "max_iter": _INT, "tol": _NUM, "normalize": Field(bool)},
+             "max_iter": _INT, "tol": _NUM},
     "svd": {"low_cut": Field(int, nullable=True),
             "high_cut": Field(int, nullable=True), "fraction": _NUM},
     "train": {"k_layers": _INT, "d": _INT, "lambda_b_init": _NUM,
@@ -55,7 +55,7 @@ FIELDS = {
     "render": {"dynamic_range_db": _NUM},
 }
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(value, field, prefix):
@@ -66,7 +66,7 @@ def _typed(value, field, prefix):
     if value is None or isinstance(kind, tuple):
         ok = field.nullable if value is None else value in kind
     else:  # booleans are not numbers
-        ok = (isinstance(value, bool) == (kind is bool)
+        ok = (not isinstance(value, bool)
               and isinstance(value, (int, float) if kind is float else kind))
     if not ok:
         want = _KIND_NAMES.get(kind) or f"one of {kind}"

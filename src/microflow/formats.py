@@ -12,10 +12,10 @@ Model files (``.u2m``) hold the unconstrained parameters of an unfolded
 network: magic ``U2M1``, uint32 version / layer count / subspace dimension,
 float64 epsilon, then the rows of the network's (K, 1 + d) theta array, each
 one float64 theta_lambda followed by d float64 theta_w entries, all finite.
-Layout ``U2M2`` (version 2) adds, right after epsilon, a uint32 normalize
-flag (0 or 1) and a uint64 n_space (0 when the row count is unknown). U2M1
-files stand for normalize=True and no n_space; networks with those defaults
-are still written as U2M1.
+Layout ``U2M2`` (version 2) adds, right after epsilon, a uint32 flag slot
+that always holds 1 (the network always scales its input to peak 1) and a
+uint64 n_space (0 when the row count is unknown). U2M1 files stand for no
+n_space; networks without one are still written as U2M1.
 
 Rendered images go out either as 16-bit binary PGM (log-compressed with a
 configurable dynamic range) or as headerless CSV with full float64
@@ -130,19 +130,18 @@ def _finite_layers(params):
 def write_model(net, path):
     """Write an unfolded network's parameters to a .u2m file.
 
-    Networks with normalize=True and no n_space are written as U2M1, all
-    others as U2M2, which also stores both of those fields. Non-finite layer
-    parameters are refused.
+    Networks without n_space are written as U2M1, all others as U2M2, which
+    also stores it. Non-finite layer parameters are refused.
     """
     n_space = 0 if net.n_space is None else int(net.n_space)
     if not 0 <= n_space < 2 ** 64:
         raise ValueError(f"n_space {n_space} does not fit the header")
-    magic = b"U2M1" if net.normalize and n_space == 0 else b"U2M2"
+    magic = b"U2M1" if n_space == 0 else b"U2M2"
     version = _MODEL_HEADERS[magic][0]
     blob = magic + struct.pack("<3I", version, len(net.theta), net.d)
     blob += struct.pack("<d", float(net.epsilon))
     if version == 2:
-        blob += struct.pack("<IQ", int(bool(net.normalize)), n_space)
+        blob += struct.pack("<IQ", 1, n_space)
     blob += _finite_layers(net.theta).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -168,14 +167,14 @@ def read_model(path):
     (epsilon,) = struct.unpack_from("<d", raw, 16)
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon is {epsilon}, expected a positive finite value")
-    normalize, n_space = True, None
+    n_space = None
     if version == 2:
         flag, rows = struct.unpack_from("<IQ", raw, 24)
-        if flag > 1:
-            raise ValueError(f"normalize flag is {flag}, expected 0 or 1")
+        if flag != 1:
+            raise ValueError(f"normalize flag is {flag}, expected 1")
         if 0 < rows < d:
             raise ValueError(f"n_space {rows} is smaller than d={d}")
-        normalize, n_space = bool(flag), (rows or None)
+        n_space = rows or None
     expected = header + k * (1 + d) * 8
     if len(raw) < expected:
         raise ValueError(f"truncated payload: expected {expected} bytes, "
@@ -185,8 +184,7 @@ def read_model(path):
                          f"got {len(raw)}")
     theta = _finite_layers(np.frombuffer(
         raw, dtype="<f8", count=k * (1 + d), offset=header).reshape(k, 1 + d))
-    return UnfoldedNetwork(theta=theta, epsilon=epsilon,
-                           normalize=normalize, n_space=n_space)
+    return UnfoldedNetwork(theta=theta, epsilon=epsilon, n_space=n_space)
 
 
 def write_pgm(image, path, dynamic_range_db=30.0, comment=None):

@@ -36,9 +36,10 @@ class IrlsConfig:
         epsilon: weight regularizer keeping all IRLS weights finite.
         max_iter: iteration cap.
         tol: relative-change stopping threshold.
-        normalize: scale the input by 1/max|D| before solving and scale the
-            results back afterwards, which makes lambda/epsilon defaults
-            transfer across datasets.
+
+    The solver always scales its input by 1/max|D| and the results back
+    afterwards (prepare_input), so the lambda/epsilon defaults transfer
+    across datasets.
     """
 
     d: int
@@ -47,7 +48,6 @@ class IrlsConfig:
     epsilon: float = 1e-8
     max_iter: int = 100
     tol: float = 1e-6
-    normalize: bool = True
 
     def __post_init__(self):
         if self.d < 1:
@@ -187,34 +187,32 @@ def _relative_change(num, den):
     return num / den
 
 
-def prepare_input(d_mat, d, normalize):
-    """Check a Casorati matrix and scale it for a solve with inner dimension d.
+def prepare_input(d_mat, d):
+    """Check a Casorati matrix and scale it to peak 1 for a solve with inner dimension d.
 
     Args:
-        d_mat: data matrix, shape (n_space, n_frames). A complex64 matrix
-            that is normalized stays complex64, so the full-matrix work runs
-            in single precision on data whose peak is 1. Any other matrix is
-            converted to complex128: without normalization the data's scale
-            is arbitrary and may lie outside what single precision holds.
+        d_mat: data matrix, shape (n_space, n_frames), with finite entries.
+            A complex64 matrix stays complex64, so the full-matrix work runs
+            in single precision on data whose peak is 1; any other matrix is
+            converted to complex128.
         d: inner dimension, which must lie in [1, min(shape)].
-        normalize: divide by the peak magnitude max|D|; a zero matrix is left
-            as it is.
 
     Returns:
-        (work, scale) with work = D / scale; scale is 1.0 when nothing was
-        divided out.
+        (work, scale) with work = D / scale and scale = max|D|; a zero
+        matrix is returned as it is, with scale 1.0.
     """
     d_mat = np.asarray(d_mat)
-    if not (normalize and d_mat.dtype == np.complex64):
+    if d_mat.dtype != np.complex64:
         d_mat = d_mat.astype(np.complex128, copy=False)
     if d_mat.ndim != 2:
         raise ValueError("expected a 2-d Casorati matrix")
     if not 1 <= d <= min(d_mat.shape):
         raise ValueError(f"d={d} outside [1, {min(d_mat.shape)}] for shape {d_mat.shape}")
-    if normalize:
-        peak = float(np.abs(d_mat).max())
-        if peak > 0.0:
-            return d_mat / peak, peak
+    peak = float(np.abs(d_mat).max())
+    if not np.isfinite(peak):
+        raise ValueError("input matrix has non-finite entries")
+    if peak > 0.0:
+        return d_mat / peak, peak
     return d_mat, 1.0
 
 
@@ -253,7 +251,7 @@ def run_irls(d_mat, cfg):
         (Decomposition, IrlsTrace) pair. Stops when the relative-change
         metric falls below cfg.tol or after cfg.max_iter iterations.
     """
-    work, scale = prepare_input(d_mat, cfg.d, cfg.normalize)
+    work, scale = prepare_input(d_mat, cfg.d)
 
     def objective(fit, energy, w_c, w_b, b_sq):
         col = float(np.dot(w_c, energy))

@@ -12,7 +12,8 @@ filter, train, evaluate, render) so callers can map them to exit codes.
 The one place that decides which exceptions count as a stage failure is
 the ``stage`` context manager. The one place that decides which settings a
 run needs is ``_validated``; every run_* function calls it before it
-creates an output path or reads any data.
+reads any data, and creates its output path only after its input files
+are read, so a failed read leaves no output behind.
 """
 
 import contextlib
@@ -282,8 +283,8 @@ def run_pipeline(cfg):
     PipelineError with the failing stage attached.
     """
     cfg = _validated(cfg, ("output",), ("input", "simulate"), ("method",))
-    outdir = _output(cfg)
     net, seq, truth, simulated = _acquire(cfg)
+    outdir = _output(cfg)
     d_mat = to_casorati(seq)
 
     blood, extra_report, artifacts = _filter(d_mat, cfg, net, outdir)
@@ -337,8 +338,8 @@ def run_train(cfg):
     cfg["output"] names the model file itself, not a directory.
     """
     cfg = _validated(cfg, ("output",), ("input",))
-    model_path = _output(cfg, is_file=True)
     seq = _read_input(cfg["input"])
+    model_path = _output(cfg, is_file=True)
     net, history = _train_network(to_casorati(seq), cfg)
     with stage("train"):
         formats.write_model(net, model_path)
@@ -352,9 +353,9 @@ def run_evaluate(cfg):
     holding the truth bundle written by simulate.
     """
     cfg = _validated(cfg, ("output",), ("input",), ("truth",))
-    outdir = _output(cfg)
     seq = _read_input(cfg["input"])
     truth = _load_truth(cfg["truth"])
+    outdir = _output(cfg)
     power, velocity, scalars = _evaluate(to_casorati(seq), seq, truth, cfg)
     with stage("render"):
         formats.write_csv(power, outdir / "power.csv")
@@ -368,9 +369,9 @@ def run_evaluate(cfg):
 def run_render(cfg, mode):
     """Render subcommand: convert a CSV image to PGM or copy it as CSV."""
     cfg = _validated(cfg, ("input",), ("output",))
-    out = _output(cfg, is_file=True)
     with stage("input"):
         image = formats.read_csv(cfg["input"])
+    out = _output(cfg, is_file=True)
     with stage("render"):
         if mode == "pgm":
             formats.write_pgm(image, out,

@@ -61,15 +61,12 @@ class UnfoldedNetwork:
             penalty is softplus(theta_lambda) and whose weight diagonal is
             softplus(theta_w). This is also the .u2m payload order.
         epsilon: regularizer for the elementwise blood weights.
-        normalize: scale inputs by 1/max|D| inside forward passes and scale
-            outputs back (mirrors the baseline solver's setting).
         n_space: row count the network was initialized with, when known;
             infer() rejects inputs whose row count differs.
     """
 
     theta: np.ndarray
     epsilon: float
-    normalize: bool = True
     n_space: int | None = None
 
     def __post_init__(self):
@@ -96,8 +93,8 @@ class TrainConfig:
 
     Args:
         learning_rate: step size for the blood-penalty parameters.
-        wc_learning_rate: step size for the weight diagonals; defaults to
-            learning_rate / 100 (the conventional pairing).
+        wc_learning_rate: step size for the weight diagonals; None resolves
+            here to learning_rate / 100 (the conventional pairing).
         batch_frames: frames per training batch.
         max_epochs: epoch cap.
         patience: early stopping after this many epochs without validation
@@ -116,8 +113,9 @@ class TrainConfig:
     wc_learning_rate: float | None = None
 
     def __post_init__(self):
-        wc_rate = self.learning_rate if self.wc_learning_rate is None else self.wc_learning_rate
-        if not (0 <= self.learning_rate < np.inf and 0 <= wc_rate < np.inf):
+        if self.wc_learning_rate is None:
+            self.wc_learning_rate = self.learning_rate / 100.0
+        if not (0 <= self.learning_rate < np.inf and 0 <= self.wc_learning_rate < np.inf):
             raise ValueError("learning rates must be finite and nonnegative")
         if self.batch_frames < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_frames, max_epochs and patience must be at least 1")
@@ -145,13 +143,13 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
         k: layer count.
         d: inner dimension.
         lambda_b_init: initial blood penalty for every layer.
-        cfg: IrlsConfig supplying lambda_c, epsilon and normalize; the
-            initial weight diagonal is 2*lambda_c*W_c(U0, V0).
+        cfg: IrlsConfig supplying lambda_c and epsilon; the initial weight
+            diagonal is 2*lambda_c*W_c(U0, V0) on the data scaled to peak 1.
 
     Returns:
         UnfoldedNetwork.
     """
-    work, _ = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), d, cfg.normalize)
+    work, _ = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), d)
     if not 0 <= lambda_b_init < np.inf:
         raise ValueError("lambda_b_init must be finite and nonnegative")
     u0, v0 = irls._init_state(work, d)
@@ -159,12 +157,11 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     theta = np.empty((k, 1 + d))
     theta[:, 0] = inv_softplus(lambda_b_init)
     theta[:, 1:] = inv_softplus(w_init)
-    return UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon,
-                           normalize=cfg.normalize, n_space=work.shape[0])
+    return UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon, n_space=work.shape[0])
 
 
 def _layers(net, work, init_state=None):
-    """Yield each layer's (u, v, b, w_b) in the normalized domain, holding only the current state.
+    """Yield each layer's (u, v, b, w_b) for the peak-1 work matrix, holding only the current state.
 
     A layer is one irls.update_step: B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b), with
     w_b the blood weights of the entering B (zero at layer 0), then V and U from w_c.
@@ -181,12 +178,12 @@ def layer_residuals(net, d_mat, init_state=None):
     """Each layer's norm ||D - B_k - U_k V_k^H||_F in input units, as K floats.
 
     The layers run in complex128 whatever the input's dtype; init_state is
-    an optional (u0, v0) in the network's normalized domain. The training
+    an optional (u0, v0) for the input scaled to peak 1. The training
     loss is the mean square of this list. Layer k's full decomposition is
     infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
     d_mat = np.asarray(d_mat, dtype=np.complex128)
-    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
+    work, scale = irls.prepare_input(d_mat, net.d)
     return [float(np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T))
             for u, v, b, _ in _layers(net, work, init_state)]
 
@@ -194,8 +191,8 @@ def layer_residuals(net, d_mat, init_state=None):
 def _analytic_loss_grad(net, d_mat, init_state=None):
     """Loss and its gradient via the adjoint of the layer equations.
 
-    The pass runs in the normalized domain; since the loss is quadratic in
-    the data scale, the gradient (and loss) are multiplied by scale**2.
+    The pass runs on the input scaled to peak 1; since the loss is quadratic
+    in the data scale, the gradient (and loss) are multiplied by scale**2.
 
     The forward pass keeps each layer's small factors and its real blood
     weights, not its complex blood matrix. Going backwards, the blood matrix
@@ -208,8 +205,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     of a product's output changes its rounding.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
-    work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128),
-                                     net.d, net.normalize)
+    work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # factors[k] holds layer k's input factors and factors[k + 1] its output;
     # weights[k] holds layer k's blood weights and b ends as the last layer's B
@@ -298,7 +294,9 @@ def train(net, train_data, val_data, cfg):
 
     Each epoch's losses go to this module's logger at INFO.
 
-    Training runs in complex128 whatever the data's dtype.
+    Training runs in complex128 whatever the data's dtype. The frames stay
+    in input units; each batch and the validation set are scaled by their
+    own peak inside layer_residuals and the adjoint.
 
     Args:
         net: starting UnfoldedNetwork.
@@ -315,8 +313,9 @@ def train(net, train_data, val_data, cfg):
         RuntimeError: when any loss turns non-finite; the partial history is
             attached to the exception as .history.
     """
-    data, _ = irls.prepare_input(np.asarray(train_data, dtype=np.complex128),
-                                 net.d, normalize=False)
+    data = np.asarray(train_data, dtype=np.complex128)
+    if data.ndim != 2:
+        raise ValueError("expected a 2-d Casorati matrix")
     if val_data is None:
         n_val = max(1, int(round(0.2 * data.shape[1])))
         if data.shape[1] - n_val < 1:
@@ -334,8 +333,8 @@ def train(net, train_data, val_data, cfg):
                for i in range(n_batches)]
 
     theta = net.theta
-    wc_lr = cfg.learning_rate / 100.0 if cfg.wc_learning_rate is None else cfg.wc_learning_rate
-    rates = np.array([cfg.learning_rate] + [wc_lr] * net.d)  # broadcast over the layers
+    # one row of rates, broadcast over the layers
+    rates = np.array([cfg.learning_rate] + [cfg.wc_learning_rate] * net.d)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
@@ -397,7 +396,7 @@ def infer(net, d_mat_new):
 
     The layers run in the input's precision, as irls.prepare_input keeps it.
     """
-    work, scale = irls.prepare_input(d_mat_new, net.d, net.normalize)
+    work, scale = irls.prepare_input(d_mat_new, net.d)
     if net.n_space is not None and work.shape[0] != net.n_space:
         raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
     for u, v, b, _ in _layers(net, work):

@@ -103,13 +103,12 @@ def test_criterion_3_unfolding_matches_solver():
         d_mat = t + b + 0.01 * entry * crandn(r, (ns, nt))
 
         cfg = irls.IrlsConfig(d=d, lambda_c=0.03, lambda_b=0.01, max_iter=k,
-                              tol=1e-300, normalize=False)
+                              tol=1e-300)
         dec, trace = irls.run_irls(d_mat, cfg)
         theta = [np.append(unfolded.inv_softplus(0.01),
                            unfolded.inv_softplus(2.0 * 0.03 * w))
                  for w in trace.w_c_history]
-        net = unfolded.UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon,
-                                       normalize=False)
+        net = unfolded.UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon)
         fwd = unfolded.infer(net, d_mat)
         rel_b = (np.linalg.norm(fwd.blood_b - dec.blood_b)
                  / np.linalg.norm(dec.blood_b))

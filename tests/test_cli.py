@@ -307,6 +307,16 @@ class TestCli:
                          "--output", str(dst), "--mode", "csv"]) == 0
         np.testing.assert_array_equal(formats.read_csv(dst), img)
 
+    def test_normalize_setting_is_an_unknown_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"irls": {"normalize": True}}))
+        rc = cli.main(["filter", "--config", str(cfg_path), "--method", "irls",
+                       "--input", str(tiny_dataset(tmp_path)[0]),
+                       "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "unknown key 'normalize'" in err and err.count("\n") == 1
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"no_such_option": 1}))
@@ -318,6 +328,7 @@ class TestCli:
         rc = cli.main(["filter", "--input", str(tmp_path / "absent.umi"),
                        "--output", str(tmp_path / "o"), "--method", "svd"])
         assert rc == 3
+        assert not (tmp_path / "o").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path = tmp_path / "sim.json"
@@ -354,14 +365,14 @@ class TestCli:
 
     def test_malformed_u2m2_model_is_input_exit_code(self, tmp_path, capsys):
         path, seq = tiny_dataset(tmp_path)
-        irls_cfg = config.irls_config({"irls": {"d": 2, "normalize": False}})
+        irls_cfg = config.irls_config({"irls": {"d": 2}})
         net = unfolded.init_network(to_casorati(seq), k=2, d=2,
                                     lambda_b_init=1.0, cfg=irls_cfg)
         model = tmp_path / "net.u2m"
         formats.write_model(net, model)
         raw = bytearray(model.read_bytes())
         assert raw[:4] == b"U2M2"
-        raw[24] = 9  # normalize flag must be 0 or 1
+        raw[24] = 9  # the normalize flag must be 1
         model.write_bytes(bytes(raw))
         rc = cli.main(["infer", "--model", str(model), "--input", str(path),
                        "--output", str(tmp_path / "o")])
@@ -654,6 +665,20 @@ class TestStageBoundary:
         assert rc == 3
         assert err.count("\n") == 1 and "input stage" in err
         assert "phantom" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, setting", [
+        ("filter", "input"), ("infer", "input"), ("infer", "model"), ("train", "input"),
+        ("evaluate", "input"), ("evaluate", "truth"), ("render", "input")])
+    def test_unreadable_input_leaves_no_output(self, tmp_path, capsys, command, setting):
+        args = self.subcommand_args(tmp_path, command)
+        args[args.index(f"--{setting}") + 1] = str(tmp_path / "absent")
+        output = tmp_path / "new" / {"train": "m.u2m", "render": "p.pgm"}.get(command, "out")
+        rc = cli.main([command, *args, "--output", str(output)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and "input stage" in err
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "filter", "train",
                                          "infer", "evaluate", "render"])

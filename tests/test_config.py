@@ -1,5 +1,6 @@
 """Run-configuration validation and hashing."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from microflow import config, unfolded
+from microflow import config, irls, unfolded
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,7 +39,6 @@ def full_config():
             "epsilon": 1e-8,
             "max_iter": 100,
             "tol": 1e-6,
-            "normalize": True,
         },
         "svd": {"low_cut": 3, "high_cut": None, "fraction": 2.0},
         "train": {
@@ -114,6 +114,19 @@ class TestValidation:
         assert config.train_config(cfg) == unfolded.TrainConfig(
             learning_rate=0, batch_frames=1)
 
+    def test_wc_learning_rate_resolves_once(self):
+        assert unfolded.TrainConfig(learning_rate=0.5).wc_learning_rate == 0.005
+        assert unfolded.TrainConfig(learning_rate=0.5, wc_learning_rate=0.2).wc_learning_rate == 0.2
+        assert config.train_config({"train": {"wc_learning_rate": None}}).wc_learning_rate == 1e-4
+
+    def test_sections_name_exactly_the_settings_fields(self):
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+        assert set(config.FIELDS["irls"]) == names(irls.IrlsConfig)
+        network = set(config.NETWORK_DEFAULTS)
+        assert set(config.FIELDS["train"]) == names(unfolded.TrainConfig) | network
+        assert not names(unfolded.TrainConfig) & network
+
     def test_network_shape_is_not_a_train_setting(self):
         cfg = {"train": {"k_layers": 3, "d": 2, "lambda_b_init": 0.5}}
         assert config.train_config(cfg) == unfolded.TrainConfig()
@@ -150,7 +163,7 @@ class TestTyping:
 
     @pytest.mark.parametrize("cfg", [{"irls": {"lambda_c": True}},
                                      {"render": {"dynamic_range_db": False}},
-                                     {"irls": {"normalize": 1}},
+                                     {"svd": {"low_cut": True}},
                                      {"train": {"grad_mode": 0}},
                                      {"input": 3}, {"method": None}])
     def test_booleans_are_not_numbers_and_types_are_exact(self, cfg):

@@ -198,24 +198,26 @@ class TestModel:
         with pytest.raises(ValueError, match="truncat"):
             formats.read_model(path)
 
-    def initialized_net(self, normalize):
+    def initialized_net(self):
         rng = np.random.default_rng(5)
         d_mat = rng.standard_normal((30, 12)) + 1j * rng.standard_normal((30, 12))
-        cfg = irls.IrlsConfig(d=2, lambda_c=0.05, lambda_b=0.5, normalize=normalize)
+        cfg = irls.IrlsConfig(d=2, lambda_c=0.05, lambda_b=0.5)
         net = unfolded.init_network(d_mat, k=2, d=2, lambda_b_init=0.5, cfg=cfg)
         return net, 3.0 * d_mat
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_u2m2_round_trip_keeps_inference(self, tmp_path, normalize):
-        net, d_mat = self.initialized_net(normalize)
+    @pytest.mark.parametrize("single", [False, True])
+    def test_u2m2_round_trip_keeps_inference(self, tmp_path, single):
+        net, d_mat = self.initialized_net()
+        if single:
+            d_mat = d_mat.astype(np.complex64)
         path = tmp_path / "net.u2m"
         formats.write_model(net, path)
         raw = path.read_bytes()
         assert raw[:4] == b"U2M2"
         assert struct.unpack_from("<3I", raw, 4) == (2, 2, 2)
-        assert struct.unpack_from("<IQ", raw, 24) == (int(normalize), 30)
+        assert struct.unpack_from("<IQ", raw, 24) == (1, 30)
         back = formats.read_model(path)
-        assert (back.normalize, back.n_space) == (normalize, 30)
+        assert back.n_space == 30
         np.testing.assert_array_equal(back.theta, net.theta)
         want, got = unfolded.infer(net, d_mat), unfolded.infer(back, d_mat)
         assert np.array_equal(got.blood_b, want.blood_b)
@@ -228,20 +230,28 @@ class TestModel:
         assert rewritten.read_bytes() == raw
 
     def test_u2m2_without_rows_reads_back_none(self, tmp_path):
-        net, _ = self.initialized_net(normalize=False)
-        net.n_space = None
+        net, _ = self.initialized_net()
         path = tmp_path / "net.u2m"
         formats.write_model(net, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 28, 0)
+        path.write_bytes(bytes(raw))
         back = formats.read_model(path)
-        assert back.n_space is None and back.normalize is False
+        assert back.n_space is None
+        # rewritten, a network without a row count is a U2M1 file
+        formats.write_model(back, path)
+        u2m1 = path.read_bytes()
+        assert u2m1[:8] == b"U2M1" + struct.pack("<I", 1)
+        assert u2m1[8:] == bytes(raw[8:24] + raw[36:])
 
     @pytest.mark.parametrize("offset, fmt, value, match", [
-        (24, "<I", 2, "normalize flag"), (28, "<Q", 1, "smaller than d"),
+        (24, "<I", 2, "normalize flag"), (24, "<I", 0, "normalize flag"),
+        (28, "<Q", 1, "smaller than d"),
         (4, "<I", 7, "version"), (16, "<d", 0.0, "epsilon"),
         (16, "<d", float("nan"), "epsilon"), (8, "<I", 0, "layer count"),
         (12, "<I", 0, "at least 1")])
     def test_u2m2_malformed_header(self, tmp_path, offset, fmt, value, match):
-        net, _ = self.initialized_net(normalize=False)
+        net, _ = self.initialized_net()
         path = tmp_path / "net.u2m"
         formats.write_model(net, path)
         raw = bytearray(path.read_bytes())
@@ -274,7 +284,7 @@ class TestModel:
         assert not path.exists()
 
     def test_u2m2_truncated_header(self, tmp_path):
-        net, _ = self.initialized_net(normalize=False)
+        net, _ = self.initialized_net()
         path = tmp_path / "net.u2m"
         formats.write_model(net, path)
         path.write_bytes(path.read_bytes()[:30])
@@ -294,7 +304,7 @@ def networks(draw):
     k, d = draw(st.integers(1, 8)), draw(st.integers(1, 12))
     return unfolded.UnfoldedNetwork(
         theta=draw(arrays(np.float64, (k, 1 + d), elements=_THETA_ENTRIES)),
-        epsilon=draw(_POSITIVE), normalize=draw(st.booleans()),
+        epsilon=draw(_POSITIVE),
         n_space=draw(st.one_of(st.none(), st.integers(d, 2 ** 64 - 1))))
 
 
@@ -322,8 +332,7 @@ class TestRoundTripProperties:
             assert path.read_bytes() == raw
         assert np.array_equal(back.theta, net.theta)
         assert back.theta.tobytes() == net.theta.tobytes()  # keeps -0.0
-        assert ((back.d, back.epsilon, back.normalize, back.n_space)
-                == (net.d, net.epsilon, net.normalize, net.n_space))
+        assert (back.d, back.epsilon, back.n_space) == (net.d, net.epsilon, net.n_space)
 
     @settings(max_examples=200, deadline=None)
     @given(seq=sequences())

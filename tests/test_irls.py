@@ -252,18 +252,17 @@ class TestRunIrls:
     @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(8, 60), nt=st.integers(4, 30),
            rank=st.integers(1, 4), d_frac=st.floats(0.0, 1.0),
            log_lambda_c=st.floats(-3.0, 0.5), log_lambda_b=st.floats(-3.0, 0.0),
-           log_scale=st.floats(-3.0, 3.0), single=st.booleans(), normalize=st.booleans())
+           log_scale=st.floats(-3.0, 3.0), single=st.booleans())
     def test_block_descent_certificate_on_random_instances(
-            self, seed, ns, nt, rank, d_frac, log_lambda_c, log_lambda_b, log_scale,
-            single, normalize):
+            self, seed, ns, nt, rank, d_frac, log_lambda_c, log_lambda_b, log_scale, single):
         t, b0 = lowrank_sparse_instance(seed, ns=ns, nt=nt, rank=rank, support=0.05)
         noise = crandn(np.random.default_rng(seed + 1), (ns, nt), 0.01)
         d_mat = (t + b0 + noise) * 10.0 ** log_scale
         d = 1 + int(d_frac * (min(ns, nt) - 1))
         cfg = make_config(d=d, lambda_c=10.0 ** log_lambda_c, lambda_b=10.0 ** log_lambda_b,
-                          max_iter=8, normalize=normalize or single)
+                          max_iter=8)
         if single:
-            # a normalized complex64 matrix is solved in single precision
+            # a complex64 matrix is solved in single precision
             d_mat, slack = d_mat.astype(np.complex64), 8 * np.finfo(np.float32).eps
         else:
             slack = 1e-9
@@ -331,11 +330,7 @@ def reference_irls(d_mat, cfg):
         spr = float((w_b * np.abs(b) ** 2).sum())
         return fit + cfg.lambda_c * col + cfg.lambda_b * spr
 
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
-    scale, d_work = 1.0, d_mat
-    if cfg.normalize and np.abs(d_mat).max() > 0.0:
-        scale = float(np.abs(d_mat).max())
-        d_work = d_mat / scale
+    d_work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), cfg.d)
     u, v = irls._init_state(d_work, cfg.d)
     b = np.zeros_like(d_work)
     w_c = irls.lowrank_weights(u, v, cfg.epsilon)
@@ -370,9 +365,9 @@ def equivalence_cases():
     cases.append(pytest.param(t + b0, irls.IrlsConfig(d=4, lambda_c=0.5, lambda_b=0.02,
                                                       max_iter=30), id="tall-2000x40"))
     t, b0 = lowrank_sparse_instance(seed=104, ns=300, nt=40, rank=4)
-    cases.append(pytest.param(t + b0, irls.IrlsConfig(d=5, lambda_c=0.3, lambda_b=0.01,
-                                                      normalize=False, max_iter=40),
-                              id="unnormalized"))
+    cases.append(pytest.param(1e6 * (t + b0), irls.IrlsConfig(d=5, lambda_c=0.3, lambda_b=0.01,
+                                                              max_iter=40),
+                              id="scaled-300x40"))
     return cases
 
 
@@ -392,16 +387,16 @@ class TestFusedStepEquivalence:
     def test_solver_iterations_equal_layers(self):
         t, b0 = lowrank_sparse_instance(seed=105, ns=90, nt=30)
         d_mat = t + b0
-        cfg = make_config(d=4, lambda_c=0.2, lambda_b=0.03, max_iter=3, tol=1e-300,
-                          normalize=False)
+        cfg = make_config(d=4, lambda_c=0.2, lambda_b=0.03, max_iter=3, tol=1e-300)
         dec, trace = irls.run_irls(d_mat, cfg)
         # a network whose layers take the solver's exact penalties, with no softplus round trip
         net = SimpleNamespace(d=cfg.d, epsilon=cfg.epsilon, penalties=lambda: [
             (cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for w_c in trace.w_c_history])
-        *_, (u, v, b, _) = unfolded._layers(net, d_mat)
+        work, scale = irls.prepare_input(d_mat, cfg.d)
+        *_, (u, v, b, _) = unfolded._layers(net, work)
         assert np.array_equal(u, dec.basis_u)
-        assert np.array_equal(v, dec.coeffs_v)
-        assert np.array_equal(b, dec.blood_b)
+        assert np.array_equal(v * scale, dec.coeffs_v)
+        assert np.array_equal(b * scale, dec.blood_b)
 
     def test_step_leaves_blood_in_the_residual_buffer(self):
         r = np.random.default_rng(19)
@@ -476,15 +471,28 @@ class TestSinglePrecision:
         assert np.count_nonzero(~np.any(dec.coeffs_v, axis=0)) >= 1
 
     @pytest.mark.parametrize("amplitude", [1e-30, 1e25])
-    def test_unnormalized_complex64_input_runs_in_double(self, amplitude):
-        # single precision would underflow or overflow |B|^2 at these scales
+    def test_complex64_input_runs_in_single_at_any_scale(self, amplitude):
+        # |B|^2 of the raw data would underflow or overflow single precision
+        # here; scaled to peak 1, it lies well inside its range
         d_mat = (amplitude * crandn(np.random.default_rng(21), (30, 10))).astype(np.complex64)
-        cfg = make_config(d=2, normalize=False)
-        assert irls.prepare_input(d_mat, 2, normalize=False)[0].dtype == np.complex128
-        got, got_trace = irls.run_irls(d_mat, cfg)
-        want, want_trace = irls.run_irls(d_mat.astype(np.complex128), cfg)
+        work, scale = irls.prepare_input(d_mat, 2)
+        assert work.dtype == np.complex64 and np.abs(work).max() == 1.0
+        assert scale == np.abs(d_mat).max()
+        got, got_trace = irls.run_irls(d_mat, make_config(d=2))
+        want, want_trace = irls.run_irls(d_mat.astype(np.complex128), make_config(d=2))
+        assert got.blood_b.dtype == np.complex64 and np.all(np.isfinite(got.blood_b))
         assert got_trace.iterations == want_trace.iterations
-        assert np.array_equal(got.blood_b, want.blood_b)
+        rel = np.linalg.norm(got.blood_b - want.blood_b) / np.linalg.norm(want.blood_b)
+        assert rel <= 1e-3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.complex128])
+    def test_every_other_input_is_solved_in_double(self, dtype):
+        d_mat = np.arange(1, 13).reshape(4, 3).astype(dtype)
+        work, scale = irls.prepare_input(d_mat, 2)
+        assert work.dtype == np.complex128 and scale == 12.0
+        assert np.array_equal(work, d_mat.astype(np.complex128) / 12.0)
+        zero, unit = irls.prepare_input(np.zeros((4, 3), dtype=dtype), 2)
+        assert zero.dtype == np.complex128 and not np.any(zero) and unit == 1.0
 
     def test_extreme_penalties_stay_finite_and_quiet(self):
         d_mat = crandn(np.random.default_rng(22), (30, 10)).astype(np.complex64)
@@ -498,10 +506,23 @@ class TestSinglePrecision:
         assert not np.any(blood[1])
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_iterate_is_a_solver_error(self, dtype, bad):
-        d_mat = crandn(np.random.default_rng(20), (30, 10))
-        d_mat[4, -1] = bad
+    def test_non_finite_iterate_is_a_solver_error(self, dtype):
+        # finite data, but 2 lambda_c overflows: the factor solves turn NaN
+        d_mat = crandn(np.random.default_rng(20), (30, 10)).astype(dtype)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SolverError, match="non-finite iterate at iteration 1"):
-            irls.run_irls(d_mat.astype(dtype), make_config(d=2, normalize=False))
+            irls.run_irls(d_mat, make_config(d=2, lambda_c=1.7e308))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_refused(self, dtype, bad):
+        d_mat = crandn(np.random.default_rng(20), (30, 10))
+        d_mat[4, -1] = bad
+        d_mat = d_mat.astype(dtype)
+        net = unfolded.init_network(crandn(np.random.default_rng(21), (30, 10)), 2, 2, 0.1,
+                                    make_config(d=2))
+        for solve in (lambda: irls.run_irls(d_mat, make_config(d=2)),
+                      lambda: unfolded.infer(net, d_mat),
+                      lambda: unfolded.layer_residuals(net, d_mat)):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                solve()

@@ -29,11 +29,11 @@ def lowrank_sparse(seed, ns, nt, rank=2, support=0.03, boost=5.0, noise=0.01):
 def frozen_net_from_irls(d_mat, d, k, lambda_c, lambda_b, epsilon=1e-8):
     """Freeze layer parameters to reproduce k baseline iterations exactly."""
     cfg = irls.IrlsConfig(d=d, lambda_c=lambda_c, lambda_b=lambda_b,
-                          epsilon=epsilon, max_iter=k, tol=1e-300, normalize=False)
+                          epsilon=epsilon, max_iter=k, tol=1e-300)
     dec, trace = irls.run_irls(d_mat, cfg)
     theta = [np.append(unfolded.inv_softplus(lambda_b), unfolded.inv_softplus(2.0 * lambda_c * w))
              for w in trace.w_c_history]
-    net = unfolded.UnfoldedNetwork(theta=theta, epsilon=epsilon, normalize=False)
+    net = unfolded.UnfoldedNetwork(theta=theta, epsilon=epsilon)
     return net, dec
 
 
@@ -72,18 +72,19 @@ class TestInitNetwork:
     def test_zero_lambda_first_layer_returns_residual(self):
         r = np.random.default_rng(1)
         d_mat = crandn(r, (20, 10))
-        cfg = irls.IrlsConfig(d=3, lambda_c=0.01, lambda_b=0.0, normalize=False)
+        cfg = irls.IrlsConfig(d=3, lambda_c=0.01, lambda_b=0.0)
         net = unfolded.init_network(d_mat, k=1, d=3, lambda_b_init=0.0, cfg=cfg)
-        u0, v0 = irls._init_state(d_mat, 3)
-        state = one_layer(d_mat, u0, v0, net.penalties()[0], epsilon=net.epsilon)
-        assert np.array_equal(state[2], d_mat - u0 @ v0.conj().T)
+        work, _ = irls.prepare_input(d_mat, 3)
+        u0, v0 = irls._init_state(work, 3)
+        state = one_layer(work, u0, v0, net.penalties()[0], epsilon=net.epsilon)
+        assert np.array_equal(state[2], work - u0 @ v0.conj().T)
 
     def test_layer_weights_follow_init_factors(self):
         r = np.random.default_rng(2)
         d_mat = crandn(r, (24, 12))
-        cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=1.0, normalize=False)
+        cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=1.0)
         net = unfolded.init_network(d_mat, k=3, d=4, lambda_b_init=1.0, cfg=cfg)
-        u0, v0 = irls._init_state(d_mat, 4)
+        u0, v0 = irls._init_state(irls.prepare_input(d_mat, 4)[0], 4)
         want = 2.0 * 0.05 * irls.lowrank_weights(u0, v0, cfg.epsilon)
         for _, w_c in net.penalties():
             assert np.allclose(w_c, want, rtol=1e-9)
@@ -119,15 +120,16 @@ class TestLayerForward:
     def test_matches_one_baseline_iteration(self):
         d_mat = lowrank_sparse(3, 30, 16)
         net, _ = frozen_net_from_irls(d_mat, d=4, k=1, lambda_c=0.02, lambda_b=0.05)
-        u0, v0 = irls._init_state(d_mat, 4)
-        b0 = np.zeros_like(d_mat)
-        u1, v1, b1, _ = one_layer(d_mat, u0, v0, net.penalties()[0])
+        work, _ = irls.prepare_input(d_mat, 4)
+        u0, v0 = irls._init_state(work, 4)
+        b0 = np.zeros_like(work)
+        u1, v1, b1, _ = one_layer(work, u0, v0, net.penalties()[0])
 
         w_b = sparse_weights(b0, 1e-8)
-        b_ref = update_blood(d_mat, u0, v0, w_b, 0.05)
+        b_ref = update_blood(work, u0, v0, w_b, 0.05)
         w_c = irls.lowrank_weights(u0, v0, 1e-8)
-        v_ref = update_coeffs(d_mat, b_ref, u0, w_c, 0.02)
-        u_ref = update_basis(d_mat, b_ref, v_ref, w_c, 0.02)
+        v_ref = update_coeffs(work, b_ref, u0, w_c, 0.02)
+        u_ref = update_basis(work, b_ref, v_ref, w_c, 0.02)
         assert np.linalg.norm(b1 - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         assert np.linalg.norm(v1 - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
         assert np.linalg.norm(u1 - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
@@ -154,9 +156,10 @@ class TestNetworkForward:
         d_mat = lowrank_sparse(6, 20, 10)
         net, _ = frozen_net_from_irls(d_mat, d=3, k=1, lambda_c=0.01, lambda_b=0.02)
         dec = unfolded.infer(net, d_mat)
-        u0, v0 = irls._init_state(d_mat, 3)
-        u1, v1, b1, _ = one_layer(d_mat, u0, v0, net.penalties()[0], epsilon=net.epsilon)
-        assert np.allclose(dec.blood_b, b1, rtol=1e-12, atol=0)
+        work, scale = irls.prepare_input(d_mat, 3)
+        u0, v0 = irls._init_state(work, 3)
+        u1, v1, b1, _ = one_layer(work, u0, v0, net.penalties()[0], epsilon=net.epsilon)
+        assert np.allclose(dec.blood_b, b1 * scale, rtol=1e-12, atol=0)
         assert len(unfolded.layer_residuals(net, d_mat)) == 1
 
     def test_frozen_equivalence_multi_layer(self):
@@ -179,12 +182,13 @@ class TestNetworkForward:
     def test_scalar_weight_forward_is_rotation_invariant(self):
         d_mat = lowrank_sparse(8, 18, 12)
         row = unfolded.inv_softplus([0.3, 0.7, 0.7, 0.7])
-        net = unfolded.UnfoldedNetwork(theta=[row, row], epsilon=1e-8, normalize=False)
-        u0, v0 = irls._init_state(d_mat, 3)
+        net = unfolded.UnfoldedNetwork(theta=[row, row], epsilon=1e-8)
+        work, _ = irls.prepare_input(d_mat, 3)
+        u0, v0 = irls._init_state(work, 3)
         r = np.random.default_rng(9)
         q, _ = np.linalg.qr(crandn(r, (3, 3)))
         inits = (u0, v0), (u0 @ q, v0 @ q)
-        b1, b2 = (list(unfolded._layers(net, d_mat, init))[-1][2] for init in inits)
+        b1, b2 = (list(unfolded._layers(net, work, init))[-1][2] for init in inits)
         assert np.allclose(b1, b2, rtol=1e-9, atol=1e-12)
         r1, r2 = (unfolded.layer_residuals(net, d_mat, init_state=init) for init in inits)
         assert np.mean(np.square(r1)) == pytest.approx(np.mean(np.square(r2)), rel=1e-9)
@@ -198,16 +202,19 @@ class TestLoss:
         u = crandn(r, (10, 2))
         v = crandn(r, (6, 2))
         d_mat = u @ v.conj().T
-        net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([0.5, 1e-6, 1e-6])],
-                                       epsilon=1e-8, normalize=False)
-        residuals = unfolded.layer_residuals(net, d_mat, init_state=(u, v))
+        # the weights act on the factors of the data scaled to peak 1, whose
+        # V is smaller by that scale than the raw one
+        net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([0.5, 1e-8, 1e-8])],
+                                       epsilon=1e-8)
+        _, scale = irls.prepare_input(d_mat, 2)
+        residuals = unfolded.layer_residuals(net, d_mat, init_state=(u, v / scale))
         assert residuals[0] <= 1e-6 * np.linalg.norm(d_mat)
 
     def test_scalar_case(self):
         # zero factors stay zero and a huge penalty keeps B near zero, so D is all misfit
         zero = np.zeros((1, 1), dtype=complex)
         net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([1e12, 1.0])],
-                                       epsilon=1e-8, normalize=False)
+                                       epsilon=1e-8)
         residuals = unfolded.layer_residuals(net, np.array([[1.0 + 0j]]),
                                              init_state=(zero, zero))
         assert residuals == [pytest.approx(1.0)]
@@ -231,13 +238,12 @@ class TestLoss:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(4, 40), nt=st.integers(3, 20),
-           d=st.integers(1, 4), k=st.integers(1, 4), j=st.integers(-30, 30),
-           normalize=st.booleans())
-    def test_forward_loss_is_the_adjoint_loss(self, seed, ns, nt, d, k, j, normalize):
+           d=st.integers(1, 4), k=st.integers(1, 4), j=st.integers(-30, 30))
+    def test_forward_loss_is_the_adjoint_loss(self, seed, ns, nt, d, k, j):
         r = np.random.default_rng(seed)
         d = min(d, ns, nt)
         d_mat = 2.0 ** j * crandn(r, (ns, nt))
-        cfg = irls.IrlsConfig(d=d, lambda_c=0.05, lambda_b=0.5, normalize=normalize)
+        cfg = irls.IrlsConfig(d=d, lambda_c=0.05, lambda_b=0.5)
         net = unfolded.init_network(d_mat, k=k, d=d, lambda_b_init=0.5, cfg=cfg)
         net.theta += 0.1 * r.standard_normal(net.theta.shape)
         forward = np.mean(np.square(unfolded.layer_residuals(net, d_mat)))
@@ -280,12 +286,12 @@ class TestParameterGradient:
         ns, nt, d = 14, 9, 3
         d_mat = crandn(r, (ns, nt))
         row = unfolded.inv_softplus([0.8] + [1.0] * d)
-        net = unfolded.UnfoldedNetwork(theta=[row, row], epsilon=1e-8, normalize=False)
+        net = unfolded.UnfoldedNetwork(theta=[row, row], epsilon=1e-8)
         u0 = np.zeros((ns, d), dtype=complex)
         u0[0, 0] = 1.0
         u0[1, 1] = 1.0
         # column 2 carries no energy: its weight cannot influence the loss
-        v0 = d_mat.conj().T @ u0
+        v0 = irls.prepare_input(d_mat, d)[0].conj().T @ u0
         g_fd = finite_difference_gradient(net, d_mat, init_state=(u0, v0))
         g_an = unfolded._analytic_loss_grad(net, d_mat, init_state=(u0, v0))[1]
         # weight 2 of each layer
@@ -301,7 +307,7 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     return the same bits.
     """
     from scipy.special import expit
-    work, scale = irls.prepare_input(d_mat, net.d, net.normalize)
+    work, scale = irls.prepare_input(d_mat, net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # entry k holds layer k's input, entry k + 1 its output
     states = [(u0, v0, 0.0)] + [(u, v, b) for u, v, b, _ in
@@ -373,15 +379,13 @@ def adjoint_cases():
         net, d_mat = tiny_net_and_data(seed=seed)
         cases.append(pytest.param(net, d_mat, None, id=f"tiny-seed{seed}"))
     d_mat = lowrank_sparse(25, 400, 60)
-    cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=2.0, normalize=False)
-    raw = unfolded.init_network(d_mat, k=6, d=4, lambda_b_init=2.0, cfg=cfg)
-    cases.append(pytest.param(raw, d_mat, None, id="400x60-unnormalized"))
     cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=2.0)
     net = unfolded.init_network(d_mat, k=6, d=4, lambda_b_init=2.0, cfg=cfg)
+    cases.append(pytest.param(net, d_mat, None, id="400x60"))
     cases.append(pytest.param(perturbed(net, 1), d_mat, None, id="perturbed"))
-    u0, v0 = irls._init_state(d_mat, 4)
+    u0, v0 = irls._init_state(irls.prepare_input(d_mat, 4)[0], 4)
     q, _ = np.linalg.qr(crandn(np.random.default_rng(26), (4, 4)))
-    cases.append(pytest.param(raw, d_mat, (u0 @ q, v0 @ q), id="init-state"))
+    cases.append(pytest.param(net, d_mat, (u0 @ q, v0 @ q), id="init-state"))
     k1 = unfolded.init_network(d_mat, k=1, d=4, lambda_b_init=2.0, cfg=cfg)
     cases.append(pytest.param(perturbed(k1, 2), d_mat, None, id="one-layer"))
     zeros = np.zeros((30, 12), dtype=complex)
@@ -471,10 +475,12 @@ class TestTrain:
             unfolded.train(net, d_mat, None, cfg)
         assert hasattr(excinfo.value, "history")
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_losses_are_the_forward_loss(self, normalize):
+    @pytest.mark.parametrize("single", [True, False])
+    def test_losses_are_the_forward_loss(self, single):
         net, d_mat = tiny_net_and_data(seed=24, ns=16, nt=40)
-        net = dataclasses.replace(net, normalize=normalize)
+        if single:
+            # train widens complex64 frames, as the forward loss does
+            d_mat = d_mat.astype(np.complex64)
         # one 32-frame batch and 8 validation frames; a zero rate leaves theta fixed
         cfg = unfolded.TrainConfig(learning_rate=0.0, batch_frames=32, max_epochs=1,
                                    patience=1)
@@ -484,6 +490,13 @@ class TestTrain:
         assert hist.train_loss[0] == unfolded._analytic_loss_grad(net, batch)[0]
         assert hist.train_loss[0] == pytest.approx(
             np.mean(np.square(unfolded.layer_residuals(net, batch))), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(120,), (10, 12, 1)])
+    def test_non_matrix_data_rejected(self, shape):
+        net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
+        cfg = unfolded.TrainConfig(batch_frames=4, max_epochs=1, patience=1)
+        with pytest.raises(ValueError, match="2-d"):
+            unfolded.train(net, d_mat.reshape(shape), None, cfg)
 
     def test_batch_larger_than_data_rejected(self):
         net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
@@ -539,8 +552,8 @@ class TestSharedNormalization:
                               c * unfolded.infer(net, d_mat).blood_b)
 
     @settings(max_examples=20, deadline=None)
-    @given(ns=st.integers(1, 30), nt=st.integers(1, 12), normalize=st.booleans())
-    def test_zero_input_gives_zero_blood(self, ns, nt, normalize):
-        cfg = irls.IrlsConfig(d=min(ns, nt), lambda_c=0.05, lambda_b=0.1, normalize=normalize)
+    @given(ns=st.integers(1, 30), nt=st.integers(1, 12))
+    def test_zero_input_gives_zero_blood(self, ns, nt):
+        cfg = irls.IrlsConfig(d=min(ns, nt), lambda_c=0.05, lambda_b=0.1)
         dec, _ = irls.run_irls(np.zeros((ns, nt), dtype=complex), cfg)
         assert np.all(dec.blood_b == 0)
