@@ -43,7 +43,7 @@ def build_parser():
         p.add_argument("--input", help="input dataset or image")
         p.add_argument("--output", help="output directory or file")
         p.add_argument("--seed", type=int, help="simulation seed")
-        p.add_argument("--method", choices=["svd", "irls", "unfolded"],
+        p.add_argument("--method", choices=config_mod.FIELDS["method"].kind,
                        help="filtering method")
         p.add_argument("--model", help="model file (.u2m)")
         p.add_argument("--truth", help="directory with the truth bundle")

@@ -16,12 +16,11 @@ from typing import NamedTuple
 from .irls import IrlsConfig
 from .unfolded import TrainConfig
 
-# The irls and train sections' limits live in IrlsConfig and TrainConfig
-# alone; validate_config builds both objects to check them. The defaults here
-# have no other home: the solver's required fields and the network shape
-# handed to init_network.
-_IRLS_DEFAULTS = {"d": 6, "lambda_c": 1.0, "lambda_b": 0.01}
-NETWORK_DEFAULTS = {"k_layers": 10, "d": 10, "lambda_b_init": 6.0}
+# The irls and train sections' limits and the solver defaults live in
+# IrlsConfig and TrainConfig alone; validate_config builds both objects to
+# check them. The network shape handed to init_network has no other home; its
+# layers start at the solver's blood penalty.
+NETWORK_DEFAULTS = {"k_layers": 10, "d": 10, "lambda_b_init": IrlsConfig.lambda_b}
 
 
 class Field(NamedTuple):
@@ -109,7 +108,7 @@ def validate_config(cfg):
 
 def irls_config(cfg):
     """Solver settings of a validated config: its irls section over defaults."""
-    return IrlsConfig(**{**_IRLS_DEFAULTS, **cfg.get("irls", {})})
+    return IrlsConfig(**cfg.get("irls", {}))
 
 
 def train_config(cfg):

@@ -42,9 +42,9 @@ class IrlsConfig:
     across datasets.
     """
 
-    d: int
-    lambda_c: float
-    lambda_b: float
+    d: int = 6
+    lambda_c: float = 1.0
+    lambda_b: float = 0.01
     epsilon: float = 1e-8
     max_iter: int = 100
     tol: float = 1e-6
@@ -269,37 +269,39 @@ def run_irls(d_mat, cfg):
 
     conv, obj, obj_pre, wc_hist = [], [], [], []
     iterations = 0
-    for k in range(1, cfg.max_iter + 1):
-        wc_hist.append(w_c.copy())
-        b = None  # the entering B lives on only as |B|^2 and S
-        u, v, b, w_b = update_step(work, u, resid, b_sq, cfg.lambda_b,
-                                   2.0 * cfg.lambda_c * w_c, cfg.epsilon)
-        obj_pre.append(objective(fit, energy, w_c, w_b, b_sq))
+    # overflow and NaN in an iterate surface as a non-finite objective below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.max_iter + 1):
+            wc_hist.append(w_c.copy())
+            b = None  # the entering B lives on only as |B|^2 and S
+            u, v, b, w_b = update_step(work, u, resid, b_sq, cfg.lambda_b,
+                                       2.0 * cfg.lambda_c * w_c, cfg.epsilon)
+            obj_pre.append(objective(fit, energy, w_c, w_b, b_sq))
 
-        # T's buffer becomes the new S and the old S's buffer its change,
-        # so neither needs a full matrix of its own
-        t = u @ v.conj().T
-        resid = work - t
-        s_now = np.add(t, b, out=t)
-        change = np.linalg.norm(np.subtract(s_now, s, out=s)) ** 2
-        s = s_now
-        fit = 0.5 * np.linalg.norm(resid - b) ** 2
-        energy = _column_energy(u, v)
-        b_sq = np.abs(b) ** 2
-        obj.append(objective(fit, energy, w_c, w_b, b_sq))
-        # the fit term 0.5 ||resid - B||^2 is not finite when B is not
-        if not np.isfinite(obj[-1]):
-            raise SolverError(f"non-finite iterate at iteration {k}")
+            # T's buffer becomes the new S and the old S's buffer its change,
+            # so neither needs a full matrix of its own
+            t = u @ v.conj().T
+            resid = work - t
+            s_now = np.add(t, b, out=t)
+            change = np.linalg.norm(np.subtract(s_now, s, out=s)) ** 2
+            s = s_now
+            fit = 0.5 * np.linalg.norm(resid - b) ** 2
+            energy = _column_energy(u, v)
+            b_sq = np.abs(b) ** 2
+            obj.append(objective(fit, energy, w_c, w_b, b_sq))
+            # the fit term 0.5 ||resid - B||^2 is not finite when B is not
+            if not np.isfinite(obj[-1]):
+                raise SolverError(f"non-finite iterate at iteration {k}")
 
-        metric = _relative_change(change, s_sq)
-        s_sq = np.linalg.norm(s) ** 2
-        conv.append(metric)
-        w_c = lowrank_weights(u, v, cfg.epsilon)
+            metric = _relative_change(change, s_sq)
+            s_sq = np.linalg.norm(s) ** 2
+            conv.append(metric)
+            w_c = lowrank_weights(u, v, cfg.epsilon)
 
-        iterations = k
-        _log.info("iter %3d  change %.3e  objective %.6e", k, metric, obj[-1])
-        if metric < cfg.tol:
-            break
+            iterations = k
+            _log.info("iter %3d  change %.3e  objective %.6e", k, metric, obj[-1])
+            if metric < cfg.tol:
+                break
 
     dec = Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)
     trace = IrlsTrace(

@@ -19,7 +19,6 @@ class PowerDopplerImage:
     """Nonnegative per-pixel power averaged over an ensemble of frames."""
 
     values: np.ndarray
-    ensemble: int
 
 
 def power_doppler(b, nz, nx):
@@ -42,8 +41,7 @@ def power_doppler(b, nz, nx):
     if b.shape[1] < 1:
         raise ValueError("need at least one frame")
     power = np.mean(np.abs(b) ** 2, axis=1)
-    return PowerDopplerImage(values=power.reshape(nz, nx, order="F"),
-                             ensemble=b.shape[1])
+    return PowerDopplerImage(values=power.reshape(nz, nx, order="F"))
 
 
 def doppler_velocity(b, prf, f0, c=1540.0):

@@ -31,10 +31,9 @@ class FlowNetwork:
     ----------
     unit : FlowUnit
         Source geometry.
-    a, a_h, a_nh : ndarray
-        Incidence matrix and its hanging/non-hanging column blocks.
-    hanging, interior : list of int
-        Node indices of each class; hanging[0] is the inlet.
+    a_h, a_nh : ndarray
+        Hanging and non-hanging column blocks of the incidence matrix; the
+        first hanging column is the inlet.
     c : ndarray
         Edge conductances, m^3/(Pa s).
     p_h, p_nh : ndarray
@@ -46,11 +45,8 @@ class FlowNetwork:
     """
 
     unit: geometry.FlowUnit
-    a: np.ndarray
     a_h: np.ndarray
     a_nh: np.ndarray
-    hanging: list
-    interior: list
     c: np.ndarray
     p_h: np.ndarray
     p_nh: np.ndarray
@@ -170,19 +166,17 @@ def build_network(unit, mu=BLOOD_VISCOSITY, inlet_pressure=1.0):
     The inlet gets inlet_pressure and every leaf 0 Pa; use scale_to_target
     afterward to impose a physical root velocity.
     """
-    a, a_h, a_nh = assemble_incidence(unit)
-    hanging, interior = node_partition(unit)
+    _, a_h, a_nh = assemble_incidence(unit)
     c = edge_conductance(unit, mu)
-    p_h = np.zeros(len(hanging))
+    p_h = np.zeros(a_h.shape[1])
     p_h[0] = inlet_pressure
     p_nh = solve_pressures(a_h, a_nh, c, p_h)
     dp_e = a_h @ p_h + a_nh @ p_nh
     q_e = c * dp_e
     radii = np.array([v.radius for v in unit.vessels]) * 1e-3
     v_max = -edge_velocities(c, dp_e, radii)
-    return FlowNetwork(unit=unit, a=a, a_h=a_h, a_nh=a_nh, hanging=hanging,
-                       interior=interior, c=c, p_h=p_h, p_nh=p_nh, dp_e=dp_e,
-                       q_e=q_e, v_max=v_max)
+    return FlowNetwork(unit=unit, a_h=a_h, a_nh=a_nh, c=c, p_h=p_h, p_nh=p_nh,
+                       dp_e=dp_e, q_e=q_e, v_max=v_max)
 
 
 def scale_to_target(network, v_target):

@@ -6,10 +6,10 @@ the deformation diag(1, 1, 0.8) and rotated by a random angle within
 are arranged radially inside it, each hydraulically solved and rescaled to
 its sampled root velocity.
 
-The simulation is quasi-2D: scatterers live in the imaging plane at an area
-density chosen so that a slab one resolution-cell thick reproduces the
-volumetric 189 per mm^3 (10 scatterers per cell). Tissue scatterer
-amplitudes average 20 times the flow amplitudes.
+The simulation is quasi-2D: scatterers live in the imaging plane at 10 per
+2-D resolution cell, the planar density of a slab 10 / (189 * cell area) mm
+thick (about 0.21 mm at 7.5 MHz) holding the volumetric 189 per mm^3. Tissue
+scatterer amplitudes average 20 times the flow amplitudes.
 
 Motion combines a parametric compression cycle, strain
 eps(t) = strain_max * sin^2(pi * cycle_hz * t) applied as axial squeeze
@@ -29,23 +29,12 @@ import numpy as np
 
 from . import geometry, hydraulics, imaging
 
-VOLUME_DENSITY = 189.0  # scatterers per mm^3
 AMPLITUDE_RATIO = 20.0  # mean tissue amplitude over mean flow amplitude
 AXIAL_SQUEEZE = 0.8     # deformation matrix diag(1, 1, 0.8), axial entry
 GRID_MARGIN_MM = 2.0    # imaging grid margin beyond the tissue boundary
 INNER_OFFSET_MM = 3.0   # center to each unit's root inlet, radially
 
 _log = logging.getLogger(__name__)
-
-
-def slab_thickness_mm(center_freq=7.5e6, sound_speed=1540.0):
-    """Slab thickness making the planar density consistent with 189 per mm^3.
-
-    Ten scatterers per axial-by-lateral resolution cell, divided by the
-    volumetric density, fixes the effective elevation extent.
-    """
-    fwhm_z, fwhm_x = imaging.psf_fwhm_mm(center_freq, sound_speed)
-    return 10.0 / (VOLUME_DENSITY * fwhm_z * fwhm_x)
 
 
 def area_density_mm2(center_freq=7.5e6, sound_speed=1540.0):
@@ -67,7 +56,6 @@ class PhantomScene:
     seed: int
     ellipse_axes: np.ndarray
     rotation_deg: float
-    slab_mm: float
     pixel_mm: float
     x0: float
     z0: float
@@ -224,7 +212,6 @@ def build_phantom(seed, n_units=8, cylinder_radius_mm=17.5, pixel_mm=0.2):
         seed=seed,
         ellipse_axes=np.array([semi_x, semi_z]),
         rotation_deg=rotation_deg,
-        slab_mm=slab_thickness_mm(),
         pixel_mm=pixel_mm,
         x0=x0, z0=z0, nx=nx, nz=nz,
         tissue_pos=tissue_pos,

@@ -280,17 +280,16 @@ def test_criterion_8_metric_hand_values():
     blood = np.zeros((8, 8), dtype=bool)
     blood[:, :4] = True
     tissue = ~blood
-    pd = metrics.PowerDopplerImage(values=values, ensemble=200)
+    pd = metrics.PowerDopplerImage(values=values)
 
     cnr_err = abs(metrics.cnr(pd, blood, tissue) - 10.0 * np.log10(99.0))
     snr_err = abs(metrics.snr(pd, blood, tissue) - 20.0)
-    peak = metrics.PowerDopplerImage(values=np.where(blood, 1000.0, 1.0),
-                                     ensemble=200)
+    peak = metrics.PowerDopplerImage(values=np.where(blood, 1000.0, 1.0))
     psl_err = abs(metrics.psl(peak, blood, tissue) - 30.0)
 
     scale_err = 0.0
     for alpha in (1e-6, 3.7, 1e6):
-        scaled = metrics.PowerDopplerImage(values=alpha * values, ensemble=200)
+        scaled = metrics.PowerDopplerImage(values=alpha * values)
         scale_err = max(
             scale_err,
             abs(metrics.cnr(scaled, blood, tissue) - metrics.cnr(pd, blood, tissue)),

@@ -363,6 +363,27 @@ class TestCli:
         assert rc == 5
         assert "rank deficient" in err and err.count("\n") == 1
 
+    def test_overflowing_penalty_is_one_filter_line(self, tmp_path, capsys):
+        path, _ = tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"irls": {"lambda_c": 1e307}}))
+        rc = cli.main(["filter", "--config", str(cfg_path), "--input", str(path),
+                       "--output", str(tmp_path / "o"), "--method", "irls"])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert "non-finite iterate" in err and err.count("\n") == 1
+
+    def test_default_initial_blood_penalty_is_the_solver_default(self, tmp_path):
+        path, _ = tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"train": {"k_layers": 2, "d": 2, "learning_rate": 0,
+                                                  "batch_frames": 4, "max_epochs": 1}}))
+        model = tmp_path / "net.u2m"
+        assert cli.main(["train", "--config", str(cfg_path), "--input", str(path),
+                         "--output", str(model)]) == 0
+        lambda_b = unfolded.softplus(formats.read_model(model).theta[:, 0])
+        np.testing.assert_allclose(lambda_b, 0.01, rtol=1e-12)
+
     def test_malformed_u2m2_model_is_input_exit_code(self, tmp_path, capsys):
         path, seq = tiny_dataset(tmp_path)
         irls_cfg = config.irls_config({"irls": {"d": 2}})

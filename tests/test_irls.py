@@ -507,11 +507,12 @@ class TestSinglePrecision:
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_non_finite_iterate_is_a_solver_error(self, dtype):
-        # finite data, but 2 lambda_c overflows: the factor solves turn NaN
+        # finite data, but 2 lambda_c (1.7e308) or the penalty term (1e307)
+        # overflows: the factor solves turn NaN, and no warning is printed
         d_mat = crandn(np.random.default_rng(20), (30, 10)).astype(dtype)
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(SolverError, match="non-finite iterate at iteration 1"):
-            irls.run_irls(d_mat, make_config(d=2, lambda_c=1.7e308))
+        for lambda_c, k in ((1.7e308, 1), (1e307, 2)):
+            with pytest.raises(SolverError, match=f"non-finite iterate at iteration {k}"):
+                irls.run_irls(d_mat, make_config(d=2, lambda_c=lambda_c))
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -22,7 +22,6 @@ class TestPowerDoppler:
         b = np.exp(1j * np.linspace(0, 5, 24)).reshape(6, 4)
         pd = metrics.power_doppler(b, 3, 2)
         np.testing.assert_allclose(pd.values, 1.0, rtol=1e-12)
-        assert pd.ensemble == 4
 
     def test_zero_input(self):
         pd = metrics.power_doppler(np.zeros((6, 5), dtype=complex), 2, 3)
@@ -119,7 +118,7 @@ def two_region_pd(mean_blood, mean_tissue, tissue_spread):
     blood = np.zeros((8, 8), dtype=bool)
     blood[:, :4] = True
     tissue = ~blood
-    pd = metrics.PowerDopplerImage(values=values, ensemble=200)
+    pd = metrics.PowerDopplerImage(values=values)
     return pd, blood, tissue
 
 
@@ -142,7 +141,7 @@ class TestContrastMetrics:
     def test_population_std_convention(self):
         values = np.zeros((1, 4))
         values[0, 2:] = [3.0, 7.0]
-        pd = metrics.PowerDopplerImage(values=values, ensemble=1)
+        pd = metrics.PowerDopplerImage(values=values)
         blood = np.array([[True, True, False, False]])
         tissue = ~blood
         values[0, :2] = 50.0
@@ -151,7 +150,7 @@ class TestContrastMetrics:
 
     def test_scale_invariance(self):
         pd, blood, tissue = two_region_pd(100.0, 1.0, 1.0)
-        scaled = metrics.PowerDopplerImage(values=7.5 * pd.values, ensemble=200)
+        scaled = metrics.PowerDopplerImage(values=7.5 * pd.values)
         for fn in (metrics.cnr, metrics.snr, metrics.psl):
             assert fn(scaled, blood, tissue) == \
                 pytest.approx(fn(pd, blood, tissue), rel=1e-12)
@@ -164,7 +163,7 @@ class TestContrastMetrics:
         blood[:5, :5] = True
         tissue = np.zeros((10, 10), dtype=bool)
         tissue[5:, 5:] = True
-        pd = metrics.PowerDopplerImage(values=values, ensemble=10)
+        pd = metrics.PowerDopplerImage(values=values)
         mb = values[blood].mean()
         mt = values[tissue].mean()
         st = values[tissue].std()

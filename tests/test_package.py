@@ -61,6 +61,23 @@ def test_every_module_level_definition_has_a_caller():
     assert unused == []
 
 
+def test_every_dataclass_field_is_read():
+    """Each annotated class field in src/microflow is read as an attribute
+    somewhere in src/microflow, perfbench/ or tests/: no write-only state."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for top in (SRC, ROOT / "perfbench", ROOT / "tests")
+             for path in sorted(top.rglob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.name}.{item.target.id}"
+              for path, tree in trees.items() if path.is_relative_to(SRC)
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert unread == []
+
+
 def test_documented_exit_codes_match_the_pipeline():
     """README's exit-code table and the cli docstring list STAGE_EXIT_CODES in order."""
     want = list(pipeline.STAGE_EXIT_CODES.items())

@@ -1,9 +1,7 @@
 """Scene assembly, motion, and IQ synthesis.
 
-Frozen references: slab thickness 0.2091548937560069 mm (10 scatterers per
-2*lambda x 3*lambda resolution cell at 189 per mm^3), wavelength
-0.20533... mm at 7.5 MHz in 1540 m/s tissue, and pure-kinematics advection
-distances checked against v_max * dt.
+Frozen references: wavelength 0.20533... mm at 7.5 MHz in 1540 m/s tissue,
+and pure-kinematics advection distances checked against v_max * dt.
 """
 
 import dataclasses
@@ -36,7 +34,6 @@ def mini_scene(with_flow=True, strain_max=0.02, snr_db=np.inf, v_max=25.0,
         seed=seed,
         ellipse_axes=np.array([30.0, 24.0]),
         rotation_deg=0.0,
-        slab_mm=scene.slab_thickness_mm(),
         pixel_mm=0.25,
         x0=-4.0, z0=-4.0, nx=33, nz=33,
         tissue_pos=tissue_pos,
@@ -84,16 +81,12 @@ class TestBuildPhantom:
         with pytest.raises(ValueError, match="positive and finite"):
             scene.build_phantom(3, **sizes)
 
-    def test_slab_thickness_frozen(self):
-        assert scene.slab_thickness_mm() == pytest.approx(0.2091548937560069,
-                                                          rel=1e-12)
-
     def test_volume_density(self):
         sc, _ = scene.build_phantom(0, n_units=2, cylinder_radius_mm=12.0)
         semi_x, semi_z = sc.ellipse_axes
         area = np.pi * semi_x * semi_z
-        density = len(sc.tissue_pos) / (area * sc.slab_mm)
-        assert abs(density - 189.0) <= 0.05 * 189.0
+        density = len(sc.tissue_pos) / area
+        assert abs(density - scene.area_density_mm2()) <= 0.05 * scene.area_density_mm2()
 
     def test_amplitude_ratio(self):
         sc, _ = scene.build_phantom(1, n_units=2, cylinder_radius_mm=12.0)
