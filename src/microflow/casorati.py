@@ -2,9 +2,10 @@
 
 Layout convention used everywhere in this package: a frame stack has shape
 (nz, nx, nt) and vectorizes column-major with the axial (first) index fastest,
-so Casorati column t is frame t flattened in Fortran order. Datasets are
-complex64 from the file on; the filters' full-matrix products keep that
-precision, while the small d x d solves run in complex128.
+so Casorati column t is frame t flattened in Fortran order and the matrix is
+F-ordered; the solvers work on the C-ordered copy irls.prepare_input makes.
+Datasets are complex64 from the file on; the filters' full-matrix products
+keep that precision, while the small d x d solves run in complex128.
 """
 
 from dataclasses import dataclass

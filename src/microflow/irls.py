@@ -169,9 +169,10 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     w_b = (b_sq + max(epsilon, float(np.finfo(b_sq.dtype).tiny))) ** -0.5
-    # a penalty weight beyond the dtype's range makes the divisor inf: B = 0
+    # a penalty weight beyond the dtype's range makes the divisor inf: B = 0. The product
+    # has np.divide's bytes, whose complex loop (Smith's method) forms 1 / divisor too
     with np.errstate(over="ignore"):
-        b = np.divide(resid, 1.0 + 2.0 * lambda_b * w_b, out=resid)
+        b = np.multiply(resid, 1.0 / (1.0 + 2.0 * lambda_b * w_b), out=resid)
     r = d_mat - b
     v = _factor_solve(u, u.conj().T @ r, w_diag)
     u = _factor_solve(v, (r @ v).conj().T, w_diag)
@@ -198,8 +199,9 @@ def prepare_input(d_mat, d):
         d: inner dimension, which must lie in [1, min(shape)].
 
     Returns:
-        (work, scale) with work = D / scale and scale = max|D|; a zero
-        matrix is returned as it is, with scale 1.0.
+        (work, scale) with work = D / scale and scale = max|D|, or D and
+        1.0 for a zero matrix. work is C-ordered whatever D's layout, like
+        every temporary it meets: a pass that mixes layouts takes twice as long or more.
     """
     d_mat = np.asarray(d_mat)
     if d_mat.dtype != np.complex64:
@@ -212,8 +214,8 @@ def prepare_input(d_mat, d):
     if not np.isfinite(peak):
         raise ValueError("input matrix has non-finite entries")
     if peak > 0.0:
-        return d_mat / peak, peak
-    return d_mat, 1.0
+        return np.divide(d_mat, peak, order="C"), peak
+    return np.ascontiguousarray(d_mat), 1.0
 
 
 def _init_state(d_mat, d):

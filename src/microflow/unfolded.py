@@ -182,7 +182,7 @@ def layer_residuals(net, d_mat, init_state=None):
     loss is the mean square of this list. Layer k's full decomposition is
     infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
-    d_mat = np.asarray(d_mat, dtype=np.complex128)
+    d_mat = np.asarray(d_mat, dtype=np.complex128, order="C")
     work, scale = irls.prepare_input(d_mat, net.d)
     return [float(np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T))
             for u, v, b, _ in _layers(net, work, init_state)]
@@ -197,12 +197,12 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     The forward pass keeps each layer's small factors and its real blood
     weights, not its complex blood matrix. Going backwards, the blood matrix
     entering layer k is rebuilt with the forward pass's own operations,
-    B_{k-1} = (D - U_{k-2} V_{k-2}^H) / (1 + 2 lambda_{k-1} w_{k-1}), so the
-    result is bit-identical to keeping every B. The rebuilt matrices
-    overwrite the last layer's B, and the other full-matrix temporaries of
-    all layers share four more complex and two real buffers. All are
-    C-ordered, as numpy's own temporaries here are (B included): the order
-    of a product's output changes its rounding.
+    B_{k-1} = (D - U_{k-2} V_{k-2}^H) * (1 / (1 + 2 lambda_{k-1} w_{k-1})), so
+    the result is bit-identical to keeping every B. The rebuilt matrices
+    overwrite the last layer's B; the other full-matrix temporaries of all
+    layers share four more complex and three real buffers. All are C-ordered,
+    like the work matrix and numpy's own temporaries (B included): the order
+    of a product's output changes its rounding, and mixed orders are slow.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
     work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), net.d)
@@ -224,6 +224,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
 
     r, e, g_r, g_b_next = (np.empty(work.shape, complex) for _ in range(4))
     den = divisor(n_layers - 1, np.empty(work.shape))
+    recip = np.divide(1.0, den)
     real_tmp = np.empty(work.shape)
 
     loss_norm = 0.0
@@ -265,7 +266,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
 
         # R = D - B, then B = (D - U_in V_in^H) / den
         g_b_tot = np.subtract(g_b, g_r, out=g_b)
-        g_r0 = np.divide(g_b_tot, den, out=g_r)
+        g_r0 = np.multiply(g_b_tot, recip, out=g_r)
         # den's last use: tmp takes its buffer, and den is refilled for layer k - 1 below
         tmp = np.divide(np.multiply(np.conj(g_b_tot, out=r), b, out=r).real, den, out=den)
         g_lam = -4.0 * float(np.sum(np.multiply(tmp, w_b, out=real_tmp)))
@@ -274,10 +275,11 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
             g_b_in = np.power(w_b, 3, out=real_tmp)
             g_b_in *= tmp
             g_b_in *= 2.0 * lam
-            divisor(k - 1, den)
+            # real_tmp holds g_b_in until g_b_next is formed, so 1 / den has its own buffer
+            np.divide(1.0, divisor(k - 1, den), out=recip)
             u_prev, v_prev = factors[k - 1]
             np.matmul(u_prev, v_prev.conj().T, out=b)
-            np.divide(np.subtract(work, b, out=b), den, out=b)
+            np.multiply(np.subtract(work, b, out=b), recip, out=b)
             np.multiply(g_b_in, b, out=g_b_next)
         g_u_in = g_u_in - g_r0 @ v_in
         g_v_in = -(np.conj(g_r0, out=e).T @ u_in)

@@ -7,6 +7,9 @@ separate forms as the reference that both must reproduce bit for bit.
 unfolded.train steps on the adjoint gradient; finite_difference_gradient
 takes central differences of the same loss, the reference the adjoint is
 checked against.
+
+layouts gives one matrix in the three memory layouts the solvers meet; their
+outputs must not depend on which one they get.
 """
 
 import dataclasses
@@ -100,3 +103,16 @@ def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):
             raise RuntimeError(f"non-finite loss while perturbing parameter {i}")
         grad[i] = (lp - lm) / (2.0 * h)
     return grad
+
+
+def layouts(d_mat):
+    """d_mat C-ordered, F-ordered, and as a column slice of a wider F matrix.
+
+    to_casorati returns F-ordered matrices, and a benchmark or pipeline
+    ensemble is a column range of one.
+    """
+    n_frames = d_mat.shape[1]
+    wide = np.zeros((d_mat.shape[0], n_frames + 7), dtype=d_mat.dtype, order="F")
+    wide[:, 3:3 + n_frames] = d_mat
+    return {"C": np.ascontiguousarray(d_mat), "F": np.asfortranarray(d_mat),
+            "slice": wide[:, 3:3 + n_frames]}

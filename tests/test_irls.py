@@ -11,8 +11,8 @@ from microflow import formats, irls, unfolded
 from microflow.casorati import SolverError, hermitian_solve, to_casorati
 from microflow.phantom import imaging
 from microflow.phantom import scene as phantom_scene
-from solver_reference import (convergence_metric, sparse_weights, update_basis, update_blood,
-                              update_coeffs)
+from solver_reference import (convergence_metric, layouts, sparse_weights, update_basis,
+                              update_blood, update_coeffs)
 
 
 def crandn(r, shape, scale=1.0):
@@ -527,3 +527,89 @@ class TestSinglePrecision:
                       lambda: unfolded.layer_residuals(net, d_mat)):
             with pytest.raises(ValueError, match="non-finite entries"):
                 solve()
+
+
+class TestWorkLayout:
+    """The work matrix is C-ordered, like every temporary the solver forms."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_prepare_input_returns_c_order_for_every_layout(self, dtype):
+        d_mat = crandn(np.random.default_rng(25), (40, 12)).astype(dtype)
+        for name, x in layouts(d_mat).items():
+            for data in (x, np.zeros_like(x)):
+                work, _ = irls.prepare_input(data, 3)
+                assert work.flags.c_contiguous, name
+                assert work.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_solver_output_bytes_do_not_depend_on_the_input_layout(self, dtype):
+        t, b0 = lowrank_sparse_instance(26, ns=300, nt=40)
+        cfg = make_config(d=4, max_iter=8, tol=1e-300)
+        runs = {name: irls.run_irls(x, cfg)
+                for name, x in layouts((t + b0).astype(dtype)).items()}
+        want_dec, want_trace = runs.pop("C")
+        for name, (dec, trace) in runs.items():
+            for got, want in ((dec.basis_u, want_dec.basis_u),
+                              (dec.coeffs_v, want_dec.coeffs_v),
+                              (dec.blood_b, want_dec.blood_b),
+                              (trace.convergence, want_trace.convergence),
+                              (trace.objective, want_trace.objective),
+                              (trace.objective_pre, want_trace.objective_pre),
+                              (np.array(trace.w_c_history), np.array(want_trace.w_c_history))):
+                assert got.tobytes() == want.tobytes(), name
+            assert trace.iterations == want_trace.iterations
+
+
+class TestReciprocalBloodUpdate:
+    """update_step multiplies by 1 / divisor, which must give np.divide's B."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_blood_has_the_bytes_of_a_true_division(self, desk_ensemble, dtype):
+        work, _ = irls.prepare_input(desk_ensemble.astype(dtype), 10)
+        u, v = irls._init_state(work, 10)
+        w_diag = np.full(10, 2.0)
+        b_sq = np.zeros(work.shape, dtype=work.real.dtype)
+        u, v, b, _ = irls.update_step(work, u, work - u @ v.conj().T, b_sq, 0.02, w_diag, 1e-8)
+        resid = work - u @ v.conj().T
+        entering = resid.copy()
+        _, _, got, w_b = irls.update_step(work, u, resid, np.abs(b) ** 2, 0.02, w_diag, 1e-8)
+        want = np.divide(entering, 1.0 + 2.0 * 0.02 * w_b)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_tiny_and_zero_entries_match_a_true_division(self, dtype):
+        # magnitudes down to the subnormal range of the dtype, and exact zeros
+        # of both signs; a -0 real part may come out +0 under the division,
+        # so these compare by value
+        r = np.random.default_rng(27)
+        tiny = float(np.finfo(dtype).tiny)
+        mags = np.array([1e-20, 100.0 * tiny, tiny, 1e-3 * tiny, 0.0])
+        resid = (crandn(r, (40, mags.size)) * mags).astype(dtype)
+        resid.real[::3, :] *= -0.0
+        resid.imag[::4, :] = 0.0
+        d_mat = crandn(r, resid.shape).astype(dtype)
+        u = crandn(r, (resid.shape[0], 2)).astype(dtype)
+        b_sq = (r.random(resid.shape) * (r.random(resid.shape) < 0.5)).astype(resid.real.dtype)
+        entering = resid.copy()
+        _, _, got, w_b = irls.update_step(d_mat, u, resid, b_sq, 0.3, np.ones(2), 1e-8)
+        want = np.divide(entering, 1.0 + 2.0 * 0.3 * w_b)
+        assert np.count_nonzero(got) < got.size and np.any(got)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_overflowing_divisor_gives_exactly_zero_blood_quietly(self, dtype):
+        d_mat = crandn(np.random.default_rng(28), (30, 8)).astype(dtype)
+        u, v = irls._init_state(d_mat, 2)
+        resid = d_mat - u @ v.conj().T
+        entering = resid.copy()
+        lambda_b = float(np.finfo(dtype).max)
+        b_sq = np.zeros(d_mat.shape, dtype=d_mat.real.dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, got, w_b = irls.update_step(d_mat, u, resid, b_sq, lambda_b, np.ones(2), 1e-8)
+        with np.errstate(over="ignore"):
+            divisor = 1.0 + 2.0 * lambda_b * w_b
+        assert np.all(np.isinf(divisor))
+        assert not np.any(got)
+        assert np.array_equal(got, np.divide(entering, divisor))

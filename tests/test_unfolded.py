@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microflow import irls, unfolded
-from solver_reference import (finite_difference_gradient, sparse_weights, update_basis,
+from solver_reference import (finite_difference_gradient, layouts, sparse_weights, update_basis,
                               update_blood, update_coeffs)
 
 
@@ -557,3 +557,25 @@ class TestSharedNormalization:
         cfg = irls.IrlsConfig(d=min(ns, nt), lambda_c=0.05, lambda_b=0.1)
         dec, _ = irls.run_irls(np.zeros((ns, nt), dtype=complex), cfg)
         assert np.all(dec.blood_b == 0)
+
+
+class TestWorkLayout:
+    """The network and its adjoint give the same bytes for every input layout."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_outputs_do_not_depend_on_the_input_layout(self, dtype):
+        d_mat = lowrank_sparse(29, 300, 40).astype(dtype)
+        cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=2.0)
+        net = perturbed(unfolded.init_network(d_mat, k=5, d=4, lambda_b_init=2.0, cfg=cfg), 4)
+
+        def outputs(x):
+            dec = unfolded.infer(net, x)
+            loss, grad = unfolded._analytic_loss_grad(net, x)
+            return [dec.basis_u, dec.coeffs_v, dec.blood_b,
+                    np.array(unfolded.layer_residuals(net, x)), np.array(loss), grad]
+
+        runs = {name: outputs(x) for name, x in layouts(d_mat).items()}
+        want = runs.pop("C")
+        assert want[2].dtype == dtype
+        for name, got in runs.items():
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], name
