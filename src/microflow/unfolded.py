@@ -13,7 +13,8 @@ the mean square of layer_residuals, with a bias-corrected adaptive-moment
 optimizer. No autodiff framework is used: the gradient comes from a
 hand-derived adjoint pass through the layer equations, which the tests check
 against central differences of the loss. One generator runs the layers;
-infer, layer_residuals and the adjoint all consume it.
+infer, layer_residuals and the adjoint all consume it, in the precision
+irls.prepare_input picks, so the network trains in the precision it infers in.
 
 Positivity of both learnable groups is enforced by parameterizing them
 through softplus; the unconstrained values, one (K, 1 + d) array, are what
@@ -138,8 +139,8 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     """Build a network whose layers start at the baseline initialization.
 
     Args:
-        d_mat: representative data matrix (provides the factor init); it is
-            widened to complex128, as training is.
+        d_mat: representative data matrix (provides the factor init), in
+            the precision training runs in.
         k: layer count.
         d: inner dimension.
         lambda_b_init: initial blood penalty for every layer.
@@ -149,7 +150,7 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     Returns:
         UnfoldedNetwork.
     """
-    work, _ = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), d)
+    work, _ = irls.prepare_input(d_mat, d)
     if not 0 <= lambda_b_init < np.inf:
         raise ValueError("lambda_b_init must be finite and nonnegative")
     u0, v0 = irls._init_state(work, d)
@@ -177,13 +178,13 @@ def _layers(net, work, init_state=None):
 def layer_residuals(net, d_mat, init_state=None):
     """Each layer's norm ||D - B_k - U_k V_k^H||_F in input units, as K floats.
 
-    The layers run in complex128 whatever the input's dtype; init_state is
-    an optional (u0, v0) for the input scaled to peak 1. The training
-    loss is the mean square of this list. Layer k's full decomposition is
-    infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
+    The layers and the input-units misfits run in the work matrix's
+    precision; init_state is an optional (u0, v0) for the input scaled to
+    peak 1. The training loss is the mean square of this list. Layer k's
+    full decomposition is infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
-    d_mat = np.asarray(d_mat, dtype=np.complex128, order="C")
     work, scale = irls.prepare_input(d_mat, net.d)
+    d_mat = np.asarray(d_mat, dtype=work.dtype, order="C")
     return [float(np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T))
             for u, v, b, _ in _layers(net, work, init_state)]
 
@@ -203,9 +204,11 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     layers share four more complex and three real buffers. All are C-ordered,
     like the work matrix and numpy's own temporaries (B included): the order
     of a product's output changes its rounding, and mixed orders are slow.
+    The buffers take the work matrix's precision; the two d x d inverses are
+    formed in double, as in irls._factor_solve, and narrowed before use.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
-    work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), net.d)
+    work, scale = irls.prepare_input(d_mat, net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # factors[k] holds layer k's input factors and factors[k + 1] its output;
     # weights[k] holds layer k's blood weights and b ends as the last layer's B
@@ -222,10 +225,10 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         np.multiply(2.0 * penalties[k][0], weights[k], out=out)
         return np.add(1.0, out, out=out)
 
-    r, e, g_r, g_b_next = (np.empty(work.shape, complex) for _ in range(4))
-    den = divisor(n_layers - 1, np.empty(work.shape))
+    r, e, g_r, g_b_next = (np.empty(work.shape, work.dtype) for _ in range(4))
+    den = divisor(n_layers - 1, np.empty(work.shape, work.real.dtype))
     recip = np.divide(1.0, den)
-    real_tmp = np.empty(work.shape)
+    real_tmp = np.empty(work.shape, work.real.dtype)
 
     loss_norm = 0.0
     g_theta = np.zeros(net.theta.shape)
@@ -238,7 +241,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         lam, w_c = penalties[k]
         np.subtract(work, b, out=r)
         e = np.subtract(r, np.matmul(u, v.conj().T, out=e), out=e)
-        loss_norm += np.linalg.norm(e) ** 2
+        loss_norm += float(np.linalg.norm(e)) ** 2
 
         g_u = -c * (e @ v)
         g_v = -c * (np.conj(e, out=g_r).T @ u)
@@ -249,7 +252,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
             np.add(g_b, g_b_next, out=g_b)
 
         # basis update U = R V inv(M_U)
-        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c))
+        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype, copy=False)
         np.matmul(g_u @ q_u, v.conj().T, out=g_r)
         g_p = np.conj(r, out=g_b_next).T @ g_u
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
@@ -257,7 +260,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         g_w = 2.0 * np.real(np.diag(g_m_u))
 
         # coefficient update V = R^H U_in inv(M_V)
-        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c))
+        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c)).astype(work.dtype, copy=False)
         g_p2 = r @ g_v
         g_r += np.matmul(u_in, q_v @ g_v.conj().T, out=r)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
@@ -296,16 +299,15 @@ def train(net, train_data, val_data, cfg):
 
     Each epoch's losses go to this module's logger at INFO.
 
-    Training runs in complex128 whatever the data's dtype. The frames stay
+    Training runs in the data's precision, as infer does. The frames stay
     in input units; each batch and the validation set are scaled by their
     own peak inside layer_residuals and the adjoint.
 
     Args:
         net: starting UnfoldedNetwork.
-        train_data: (n_space, n_frames) matrix, split into consecutive
-            batches of cfg.batch_frames (remainder frames are dropped).
-        val_data: validation matrix, or None to hold out the last 20% of
-            train_data.
+        train_data: (n_space, n_frames) matrix; its last 20% of frames validate,
+            the rest form consecutive batches of cfg.batch_frames (remainder dropped).
+        val_data: must be None, the slot kept for positional callers.
         cfg: TrainConfig.
 
     Returns:
@@ -315,18 +317,16 @@ def train(net, train_data, val_data, cfg):
         RuntimeError: when any loss turns non-finite; the partial history is
             attached to the exception as .history.
     """
-    data = np.asarray(train_data, dtype=np.complex128)
+    if val_data is not None:
+        raise ValueError("val_data must be None: the last 20% of train_data validates")
+    data = np.asarray(train_data)
     if data.ndim != 2:
         raise ValueError("expected a 2-d Casorati matrix")
-    if val_data is None:
-        n_val = max(1, int(round(0.2 * data.shape[1])))
-        if data.shape[1] - n_val < 1:
-            raise ValueError("not enough frames to split off a validation set")
-        val = data[:, data.shape[1] - n_val:]
-        fit = data[:, :data.shape[1] - n_val]
-    else:
-        val = np.asarray(val_data, dtype=np.complex128)
-        fit = data
+    n_val = max(1, int(round(0.2 * data.shape[1])))
+    if data.shape[1] - n_val < 1:
+        raise ValueError("not enough frames to split off a validation set")
+    val = data[:, data.shape[1] - n_val:]
+    fit = data[:, :data.shape[1] - n_val]
     n_batches = fit.shape[1] // cfg.batch_frames
     if n_batches < 1:
         raise ValueError(

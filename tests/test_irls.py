@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microflow import formats, irls, unfolded
-from microflow.casorati import SolverError, hermitian_solve, to_casorati
-from microflow.phantom import imaging
-from microflow.phantom import scene as phantom_scene
+from microflow import irls, unfolded
+from microflow.casorati import SolverError, hermitian_solve
 from solver_reference import (convergence_metric, layouts, sparse_weights, update_basis,
                               update_blood, update_coeffs)
 
@@ -433,14 +431,6 @@ class TestFusedStepEquivalence:
         # the adjoint rebuilds each layer's B this way instead of storing it
         rebuilt = (d_mat - u @ v.conj().T) / (1.0 + 2.0 * lambda_b * w_b)
         assert np.array_equal(rebuilt, b)
-
-
-@pytest.fixture(scope="module")
-def desk_ensemble():
-    """A 5670x100 desk-phantom ensemble (seed 7, 25 dB) as a dataset file stores it."""
-    scene, _ = phantom_scene.build_phantom(7, n_units=2, cylinder_radius_mm=6.0, pixel_mm=0.2)
-    seq, _ = imaging.synthesize_iq(scene, 100, noise_snr_db=25.0)
-    return to_casorati(formats.complex64_voxels(seq.voxels))
 
 
 class TestSinglePrecision:

@@ -78,6 +78,23 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
+def test_unfolded_names_no_complex_dtype():
+    """irls.prepare_input is the one place a precision is picked: unfolded.py
+    names no complex dtype, as an attribute (np.complex128), a name (the
+    builtin complex) or a string, so the network runs in what it is handed."""
+    complex_dtypes = {"complex", "complex64", "complex128", "complex256", "complex_",
+                      "cfloat", "csingle", "cdouble", "clongdouble"}
+    path = SRC / "unfolded.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(name, str) and name in complex_dtypes:
+            found.append(f"unfolded.py:{node.lineno} names {name}")
+    assert found == []
+
+
 def test_documented_exit_codes_match_the_pipeline():
     """README's exit-code table and the cli docstring list STAGE_EXIT_CODES in order."""
     want = list(pipeline.STAGE_EXIT_CODES.items())

@@ -229,12 +229,33 @@ class TestLoss:
             ref.append(np.linalg.norm(d_mat - dec.blood_b - dec.basis_u @ dec.coeffs_v.conj().T))
         np.testing.assert_allclose(unfolded.layer_residuals(net, d_mat), ref, rtol=1e-12)
 
-    def test_layers_run_in_complex128(self):
-        d_mat = lowrank_sparse(13, 22, 11).astype(np.complex64)
+    def test_complex64_stays_complex64(self, monkeypatch):
+        """init_network, layer_residuals, the adjoint and train keep the
+        precision irls.prepare_input keeps; nothing in between widens."""
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                seen.extend(a.dtype for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("_init_state", "update_step"):
+            monkeypatch.setattr(irls, name, spy(getattr(irls, name)))
+        d_mat = lowrank_sparse(13, 22, 40).astype(np.complex64)
         cfg = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0)
         net = unfolded.init_network(d_mat, k=3, d=3, lambda_b_init=2.0, cfg=cfg)
-        assert (unfolded.layer_residuals(net, d_mat)
-                == unfolded.layer_residuals(net, d_mat.astype(np.complex128)))
+        got = unfolded.layer_residuals(net, d_mat)
+        loss, _ = unfolded._analytic_loss_grad(net, d_mat)
+        train_cfg = unfolded.TrainConfig(learning_rate=0.01, batch_frames=16, max_epochs=1,
+                                         patience=1)
+        unfolded.train(net, d_mat, None, train_cfg)
+        assert set(seen) == {np.dtype(np.complex64), np.dtype(np.float32)}
+        assert type(loss) is float
+        # single-precision layers round differently from double ones, but only at float32 size
+        want = unfolded.layer_residuals(net, d_mat.astype(np.complex128))
+        assert got != want
+        np.testing.assert_allclose(got, want, rtol=1e-5)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(4, 40), nt=st.integers(3, 20),
@@ -407,10 +428,12 @@ class TestAdjointReference:
         assert np.array_equal(got_loss, want_loss)
         assert np.array_equal(got_grad, want_grad)
 
-    def test_peak_memory_is_bounded_by_the_input(self):
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_peak_memory_is_bounded_by_the_input(self, dtype):
         # k=15 complex blood matrices alone are 15x the input; the adjoint
-        # keeps the real blood weights (7.5x) and a few reused buffers
-        d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6))
+        # keeps the real blood weights (7.5x) and a few reused buffers, all in
+        # the input's precision, so complex64 input allocates no double-size copy
+        d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6)).astype(dtype)
         cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
         net = unfolded.init_network(d_mat, k=15, d=10, lambda_b_init=6.0, cfg=cfg)
         small, data = tiny_net_and_data()
@@ -422,6 +445,22 @@ class TestAdjointReference:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * d_mat.nbytes, f"peak {peak / d_mat.nbytes:.1f}x the input"
+
+    def test_complex64_tracks_complex128(self, desk_ensemble):
+        """On a dataset-file ensemble the single-precision adjoint gives the
+        double-precision gradient's signs and, to float32 size, its values."""
+        wide = desk_ensemble.astype(np.complex128)
+        cfg = irls.IrlsConfig(d=10, lambda_c=1.0, lambda_b=0.02)
+        net = unfolded.init_network(wide, k=15, d=10, lambda_b_init=0.02, cfg=cfg)
+        got_loss, got_grad = unfolded._analytic_loss_grad(net, desk_ensemble)
+        want_loss, want_grad = unfolded._analytic_loss_grad(net, wide)
+        top = np.max(np.abs(want_grad))
+        assert np.max(np.abs(got_grad - want_grad)) <= 1e-4 * top
+        clear = np.abs(want_grad) > 1e-3 * top
+        assert np.array_equal(np.sign(got_grad[clear]), np.sign(want_grad[clear]))
+        assert got_loss == pytest.approx(want_loss, rel=1e-6)
+        np.testing.assert_allclose(unfolded.layer_residuals(net, desk_ensemble),
+                                   unfolded.layer_residuals(net, wide), rtol=1e-6)
 
 
 class TestTrain:
@@ -478,9 +517,13 @@ class TestTrain:
     @pytest.mark.parametrize("single", [True, False])
     def test_losses_are_the_forward_loss(self, single):
         net, d_mat = tiny_net_and_data(seed=24, ns=16, nt=40)
+        # the adjoint sums its misfits on data scaled to peak 1 and
+        # layer_residuals in input units; in complex64 the two sums round
+        # apart at float32 size, in complex128 at float64 size
+        rel = 1e-12
         if single:
-            # train widens complex64 frames, as the forward loss does
             d_mat = d_mat.astype(np.complex64)
+            rel = 10 * np.finfo(np.float32).eps
         # one 32-frame batch and 8 validation frames; a zero rate leaves theta fixed
         cfg = unfolded.TrainConfig(learning_rate=0.0, batch_frames=32, max_epochs=1,
                                    patience=1)
@@ -489,7 +532,7 @@ class TestTrain:
         assert hist.val_loss[0] == np.mean(np.square(unfolded.layer_residuals(net, val)))
         assert hist.train_loss[0] == unfolded._analytic_loss_grad(net, batch)[0]
         assert hist.train_loss[0] == pytest.approx(
-            np.mean(np.square(unfolded.layer_residuals(net, batch))), rel=1e-12)
+            np.mean(np.square(unfolded.layer_residuals(net, batch))), rel=rel)
 
     @pytest.mark.parametrize("shape", [(120,), (10, 12, 1)])
     def test_non_matrix_data_rejected(self, shape):
@@ -497,6 +540,12 @@ class TestTrain:
         cfg = unfolded.TrainConfig(batch_frames=4, max_epochs=1, patience=1)
         with pytest.raises(ValueError, match="2-d"):
             unfolded.train(net, d_mat.reshape(shape), None, cfg)
+
+    def test_separate_validation_data_rejected(self):
+        net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
+        cfg = unfolded.TrainConfig(batch_frames=4, max_epochs=1, patience=1)
+        with pytest.raises(ValueError, match="val_data must be None"):
+            unfolded.train(net, d_mat, d_mat, cfg)
 
     def test_batch_larger_than_data_rejected(self):
         net, d_mat = tiny_net_and_data(seed=21, ns=10, nt=12)
