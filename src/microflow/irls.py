@@ -142,6 +142,21 @@ def _factor_solve(f, rhs, w_diag):
     return x.astype(f.dtype, copy=False)
 
 
+def blood_weights(b_sq, epsilon):
+    """Elementwise blood weights (|B|^2 + epsilon)^(-1/2) from b_sq = |B|^2.
+
+    epsilon counts as at least the smallest normal number of b_sq's dtype, so
+    the weights stay finite where B is zero; a smaller epsilon would round
+    away. The weights take b_sq's precision. This is the one place their order
+    of operations is written: the network's adjoint recomputes weights with it
+    and must match update_step's bits.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    w_b = np.add(b_sq, max(epsilon, float(np.finfo(b_sq.dtype).tiny)))
+    return np.power(w_b, -0.5, out=w_b)
+
+
 def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
     """One solver iteration, which is also one unfolded network layer.
 
@@ -158,17 +173,13 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
         lambda_b: blood penalty weight.
         w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
             solver, the learned weight diagonal in a network layer.
-        epsilon: positive blood-weight regularizer. It counts as at least
-            the smallest normal number of b_sq's dtype, so the weights stay
-            finite where B is zero; a smaller epsilon would round away.
+        epsilon: positive blood-weight regularizer (see blood_weights).
 
     Returns:
         (u, v, b, w_b): the updated factors and blood matrix, and the blood
         weights the step used.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    w_b = (b_sq + max(epsilon, float(np.finfo(b_sq.dtype).tiny))) ** -0.5
+    w_b = blood_weights(b_sq, epsilon)
     # a penalty weight beyond the dtype's range makes the divisor inf: B = 0. The product
     # has np.divide's bytes, whose complex loop (Smith's method) forms 1 / divisor too
     with np.errstate(over="ignore"):

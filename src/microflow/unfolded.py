@@ -22,6 +22,7 @@ the optimizer steps on, in that shape, and what the model file stores.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,35 +196,60 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     The pass runs on the input scaled to peak 1; since the loss is quadratic
     in the data scale, the gradient (and loss) are multiplied by scale**2.
 
-    The forward pass keeps each layer's small factors and its real blood
-    weights, not its complex blood matrix. Going backwards, the blood matrix
-    entering layer k is rebuilt with the forward pass's own operations,
-    B_{k-1} = (D - U_{k-2} V_{k-2}^H) * (1 / (1 + 2 lambda_{k-1} w_{k-1})), so
-    the result is bit-identical to keeping every B. The rebuilt matrices
-    overwrite the last layer's B; the other full-matrix temporaries of all
-    layers share four more complex and three real buffers. All are C-ordered,
-    like the work matrix and numpy's own temporaries (B included): the order
-    of a product's output changes its rounding, and mixed orders are slow.
-    The buffers take the work matrix's precision; the two d x d inverses are
-    formed in double, as in irls._factor_solve, and narrowed before use.
+    The forward pass keeps each layer's small factors, not its complex blood
+    matrix. Going backwards, the blood matrix entering layer k is rebuilt
+    with the forward pass's own operations,
+    B_{k-1} = (D - U_{k-2} V_{k-2}^H) * (1 / (1 + 2 lambda_{k-1} w_{k-1})).
+    The real blood weights w_k are kept only at the checkpoints
+    k % s == 0, s = ceil(sqrt(K)), and across the last segment
+    k >= floor((K - 1) / s) * s: about 2 sqrt(K) matrices instead of K.
+    On entering a segment whose weights were dropped, the sweep rebuilds
+    them from its checkpoint, B_j as above and
+    w_{j+1} = irls.blood_weights(|B_j|^2), the forward pass's operations
+    again. So every weight, the loss and the gradient are bit-identical to
+    keeping every B, and trained .u2m files do not change. At 5670 x 100 in
+    complex128 (d = 10) the tracemalloc peak is 110 MiB at K = 15 and
+    130 MiB at K = 25, against 148 and 200 MiB with every layer's weights.
+
+    The rebuilt matrices overwrite the last layer's B; the other
+    full-matrix temporaries of all layers share four more complex and three
+    real buffers. All are C-ordered, like the work matrix and numpy's own
+    temporaries (B included): the order of a product's output changes its
+    rounding, and mixed orders are slow. A product X^H Y is formed as
+    conj(X^T conj(Y)), the same bits without a full-matrix conjugate copy.
+    The buffers take the work matrix's precision; the two d x d inverses
+    are formed in double, as in irls._factor_solve, and narrowed before use.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
     work, scale = irls.prepare_input(d_mat, net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
-    # factors[k] holds layer k's input factors and factors[k + 1] its output;
-    # weights[k] holds layer k's blood weights and b ends as the last layer's B
-    factors, weights = [(u0, v0)], []
-    for u, v, b, w_b in _layers(net, work, (u0, v0)):
-        factors.append((u, v))
-        weights.append(w_b)
     penalties = net.penalties()
     n_layers = len(penalties)
     c = 1.0 / n_layers
+    stride = math.isqrt(n_layers - 1) + 1
+    last_segment = (n_layers - 1) // stride * stride
+    # factors[k] holds layer k's input factors and factors[k + 1] its output;
+    # weights[k] holds layer k's blood weights where kept, else None, and b
+    # ends as the last layer's B
+    factors, weights = [(u0, v0)], []
+    for k, (u, v, b, w_b) in enumerate(_layers(net, work, (u0, v0))):
+        factors.append((u, v))
+        weights.append(w_b if k % stride == 0 or k >= last_segment else None)
 
     def divisor(k, out):
         """1 + 2 lambda_b w_b of layer k, in the forward pass's order of operations."""
         np.multiply(2.0 * penalties[k][0], weights[k], out=out)
         return np.add(1.0, out, out=out)
+
+    def blood(k, out):
+        """Layer k's B into out, as the forward pass forms it.
+
+        den ends as layer k's divisor and recip as 1 / den.
+        """
+        np.divide(1.0, divisor(k, den), out=recip)
+        u_in, v_in = factors[k]
+        np.matmul(u_in, v_in.conj().T, out=out)
+        return np.multiply(np.subtract(work, out, out=out), recip, out=out)
 
     r, e, g_r, g_b_next = (np.empty(work.shape, work.dtype) for _ in range(4))
     den = divisor(n_layers - 1, np.empty(work.shape, work.real.dtype))
@@ -244,7 +270,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         loss_norm += float(np.linalg.norm(e)) ** 2
 
         g_u = -c * (e @ v)
-        g_v = -c * (np.conj(e, out=g_r).T @ u)
+        g_v = -c * (e.T @ u.conj()).conj()
         g_b = np.multiply(-c, e, out=e)
         if g_u_next is not None:
             g_u = g_u + g_u_next
@@ -254,7 +280,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         # basis update U = R V inv(M_U)
         q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype, copy=False)
         np.matmul(g_u @ q_u, v.conj().T, out=g_r)
-        g_p = np.conj(r, out=g_b_next).T @ g_u
+        g_p = (r.T @ g_u.conj()).conj()
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
@@ -278,14 +304,18 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
             g_b_in = np.power(w_b, 3, out=real_tmp)
             g_b_in *= tmp
             g_b_in *= 2.0 * lam
+            w_b = None  # layer k's weights are spent: free them before a segment is rebuilt
+            if weights[k - 1] is None:
+                # layer k - 1 ends a segment whose weights were dropped: rebuild them
+                # from its checkpoint k - stride, with b, den and recip as scratch
+                for j in range(k - stride, k - 1):
+                    blood(j, b)
+                    weights[j + 1] = irls.blood_weights(np.square(np.abs(b, out=den), out=den),
+                                                        net.epsilon)
             # real_tmp holds g_b_in until g_b_next is formed, so 1 / den has its own buffer
-            np.divide(1.0, divisor(k - 1, den), out=recip)
-            u_prev, v_prev = factors[k - 1]
-            np.matmul(u_prev, v_prev.conj().T, out=b)
-            np.multiply(np.subtract(work, b, out=b), recip, out=b)
-            np.multiply(g_b_in, b, out=g_b_next)
+            np.multiply(g_b_in, blood(k - 1, b), out=g_b_next)
         g_u_in = g_u_in - g_r0 @ v_in
-        g_v_in = -(np.conj(g_r0, out=e).T @ u_in)
+        g_v_in = -(g_r0.T @ u_in.conj()).conj()
 
         g_theta[k, 0] = g_lam * expit(net.theta[k, 0])
         g_theta[k, 1:] = g_w * expit(net.theta[k, 1:])

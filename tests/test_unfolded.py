@@ -324,15 +324,17 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     """Reference adjoint that keeps every layer's complex B.
 
     It recomputes each layer's blood weights from the B entering it;
-    _analytic_loss_grad, which stores the weights and rebuilds B, must
-    return the same bits.
+    _analytic_loss_grad, which keeps the weights of every ceil(sqrt(K))-th
+    layer, rebuilds the rest and rebuilds B, must return the same bits. Like
+    it, the reference runs in the work matrix's precision, with the d x d
+    inverses narrowed to it and the loss summed in double.
     """
     from scipy.special import expit
     work, scale = irls.prepare_input(d_mat, net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # entry k holds layer k's input, entry k + 1 its output
-    states = [(u0, v0, 0.0)] + [(u, v, b) for u, v, b, _ in
-                                unfolded._layers(net, work, (u0, v0))]
+    states = [(u0, v0, np.zeros_like(work))] + [(u, v, b) for u, v, b, _ in
+                                                unfolded._layers(net, work, (u0, v0))]
     n_layers = len(net.theta)
     c = 1.0 / n_layers
 
@@ -350,7 +352,7 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
         den = 1.0 + 2.0 * lam * w_b
         r = work - b
         e = work - b - u @ v.conj().T
-        loss_norm += np.linalg.norm(e) ** 2
+        loss_norm += float(np.linalg.norm(e)) ** 2
 
         g_u = -c * (e @ v)
         g_v = -c * (e.conj().T @ u)
@@ -360,14 +362,14 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
             g_v = g_v + g_v_next
             g_b = g_b + g_b_next
 
-        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c))
+        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype)
         g_r = (g_u @ q_u) @ v.conj().T
         g_p = r.conj().T @ g_u
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
 
-        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c))
+        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c)).astype(work.dtype)
         g_p2 = r @ g_v
         g_r = g_r + u_in @ (q_v @ g_v.conj().T)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
@@ -409,6 +411,16 @@ def adjoint_cases():
     cases.append(pytest.param(net, d_mat, (u0 @ q, v0 @ q), id="init-state"))
     k1 = unfolded.init_network(d_mat, k=1, d=4, lambda_b_init=2.0, cfg=cfg)
     cases.append(pytest.param(perturbed(k1, 2), d_mat, None, id="one-layer"))
+    # the adjoint keeps the blood weights of layers k % s == 0, s = ceil(sqrt(K)), and
+    # of the last segment, and recomputes the rest: K=10 (s=4) rebuilds layers 1-3 and
+    # 5-7 and keeps 8 and 9; K=13 (s=4) rebuilds three segments and its last layer, 12,
+    # is a checkpoint; K=17 (s=5) rebuilds three segments of four and keeps 15 and 16
+    for k in (10, 13):
+        deep = unfolded.init_network(d_mat, k=k, d=4, lambda_b_init=2.0, cfg=cfg)
+        cases.append(pytest.param(deep, d_mat, None, id=f"k{k}"))
+    deeper = perturbed(unfolded.init_network(d_mat, k=17, d=4, lambda_b_init=2.0, cfg=cfg), 4)
+    cases.append(pytest.param(deeper, d_mat, None, id="k17-perturbed"))
+    cases.append(pytest.param(deeper, d_mat.astype(np.complex64), None, id="k17-complex64"))
     zeros = np.zeros((30, 12), dtype=complex)
     cfg = irls.IrlsConfig(d=2, lambda_c=0.05, lambda_b=1.0)
     cases.append(pytest.param(unfolded.init_network(zeros, k=3, d=2, lambda_b_init=1.0, cfg=cfg),
@@ -428,14 +440,21 @@ class TestAdjointReference:
         assert np.array_equal(got_loss, want_loss)
         assert np.array_equal(got_grad, want_grad)
 
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_peak_memory_is_bounded_by_the_input(self, dtype):
-        # k=15 complex blood matrices alone are 15x the input; the adjoint
-        # keeps the real blood weights (7.5x) and a few reused buffers, all in
-        # the input's precision, so complex64 input allocates no double-size copy
+    @pytest.mark.parametrize("dtype, k", [
+        pytest.param(np.complex64, 15, id="complex64"),
+        pytest.param(np.complex128, 15, id="complex128"),
+        pytest.param(np.complex64, 40, id="complex64-k40"),
+        pytest.param(np.complex128, 40, id="complex128-k40"),
+    ])
+    def test_peak_memory_is_bounded_by_the_input(self, dtype, k):
+        # k complex blood matrices alone would be k times the input; the
+        # adjoint keeps the real blood weights (half the input each) of about
+        # 2 sqrt(k) layers, every ceil(sqrt(k))-th and the last segment, and
+        # a few reused buffers, all in the input's precision, so complex64
+        # input allocates no double-size copy and depth costs little memory
         d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6)).astype(dtype)
         cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
-        net = unfolded.init_network(d_mat, k=15, d=10, lambda_b_init=6.0, cfg=cfg)
+        net = unfolded.init_network(d_mat, k=k, d=10, lambda_b_init=6.0, cfg=cfg)
         small, data = tiny_net_and_data()
         unfolded._analytic_loss_grad(small, data)  # imports scipy.special outside the trace
         tracemalloc.start()
