@@ -128,10 +128,15 @@ def _factor_solve(f, rhs, w_diag):
     imaginary part below finfo.tiny / finfo.eps of that dtype (about 9.9e-32
     for complex64, 1e-292 for complex128) is set to zero. The column
     reweighting shrinks the columns it switches off geometrically; flushed
-    at this floor, such a column turns exactly zero, its right-hand side is
-    then zero too, and the full-matrix products never meet subnormal
-    numbers, which are many times slower. A floor of finfo.tiny alone is not
-    enough: products of entries just above it still underflow.
+    at this floor, such a column turns exactly zero, and its right-hand side
+    is then zero too. A floor of finfo.tiny alone is not enough: products of
+    entries just above it still underflow. The floor does not keep every
+    subnormal number out of the products, though. Columns on their way
+    down sit far above it for many iterations: after 6 solver iterations on
+    the complex64 desk ensemble (5670 x 100, d = 10, lambda_b = 0.02), six
+    columns of U peak between 2.5e-18 and 3.1e-23, so 23 entries of U^H U
+    have subnormal parts, and that product takes about 8.6 ms against
+    0.23 ms with those columns zeroed.
     """
     gram = (f.conj().T @ f).astype(np.complex128, copy=False) + np.diag(w_diag)
     x = hermitian_solve(gram, rhs.astype(np.complex128, copy=False)).conj().T
@@ -157,6 +162,18 @@ def blood_weights(b_sq, epsilon):
     return np.power(w_b, -0.5, out=w_b)
 
 
+def factor_updates(u, r, w_diag):
+    """V and then U from r = D - B: a step's two factor updates.
+
+    r feeds both updates and is not changed. This is the one place their
+    order of operations is written: the network's adjoint reruns them to
+    rebuild the factors it dropped and must match update_step's bits.
+    """
+    v = _factor_solve(u, u.conj().T @ r, w_diag)
+    u = _factor_solve(v, (r @ v).conj().T, w_diag)
+    return u, v
+
+
 def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
     """One solver iteration, which is also one unfolded network layer.
 
@@ -169,7 +186,8 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
         u: basis entering the step.
         resid: D - U V^H for the entering factors. The step overwrites it:
             its buffer becomes the new B.
-        b_sq: |B|^2 of the entering blood matrix.
+        b_sq: |B|^2 of the entering blood matrix; a (1, 1) zero stands for
+            B = 0 and makes the weights one broadcast value.
         lambda_b: blood penalty weight.
         w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
             solver, the learned weight diagonal in a network layer.
@@ -184,9 +202,7 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
     # has np.divide's bytes, whose complex loop (Smith's method) forms 1 / divisor too
     with np.errstate(over="ignore"):
         b = np.multiply(resid, 1.0 / (1.0 + 2.0 * lambda_b * w_b), out=resid)
-    r = d_mat - b
-    v = _factor_solve(u, u.conj().T @ r, w_diag)
-    u = _factor_solve(v, (r @ v).conj().T, w_diag)
+    u, v = factor_updates(u, d_mat - b, w_diag)
     return u, v, b, w_b
 
 
@@ -276,7 +292,7 @@ def run_irls(d_mat, cfg):
     resid = work - s                    # D - U V^H
     fit = 0.5 * np.linalg.norm(resid) ** 2
     s_sq = np.linalg.norm(s) ** 2
-    b_sq = np.zeros(work.shape, dtype=work.real.dtype)
+    b_sq = np.zeros((1, 1), dtype=work.real.dtype)  # B = 0: its weights are one broadcast value
     energy = _column_energy(u, v)
     w_c = lowrank_weights(u, v, cfg.epsilon)
 

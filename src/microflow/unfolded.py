@@ -166,12 +166,14 @@ def _layers(net, work, init_state=None):
     """Yield each layer's (u, v, b, w_b) for the peak-1 work matrix, holding only the current state.
 
     A layer is one irls.update_step: B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b), with
-    w_b the blood weights of the entering B (zero at layer 0), then V and U from w_c.
+    w_b the blood weights of the entering B, then V and U from w_c. Layer 0's entering B
+    is zero, so its |B|^2 is a (1, 1) zero and its w_b one broadcast value.
     """
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
-    b = np.zeros_like(work)
+    b, zero_sq = None, np.zeros((1, 1), dtype=work.real.dtype)
     for lambda_b, w_c in net.penalties():
-        u, v, b, w_b = irls.update_step(work, u, work - u @ v.conj().T, np.abs(b) ** 2,
+        u, v, b, w_b = irls.update_step(work, u, work - u @ v.conj().T,
+                                        zero_sq if b is None else np.abs(b) ** 2,
                                         lambda_b, w_c, net.epsilon)
         yield u, v, b, w_b
 
@@ -196,29 +198,37 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     The pass runs on the input scaled to peak 1; since the loss is quadratic
     in the data scale, the gradient (and loss) are multiplied by scale**2.
 
-    The forward pass keeps each layer's small factors, not its complex blood
-    matrix. Going backwards, the blood matrix entering layer k is rebuilt
-    with the forward pass's own operations,
+    The forward pass keeps no complex blood matrix but the last layer's.
+    Going backwards, the blood matrix entering layer k is rebuilt with the
+    forward pass's own operations,
     B_{k-1} = (D - U_{k-2} V_{k-2}^H) * (1 / (1 + 2 lambda_{k-1} w_{k-1})).
-    The real blood weights w_k are kept only at the checkpoints
-    k % s == 0, s = ceil(sqrt(K)), and across the last segment
-    k >= floor((K - 1) / s) * s: about 2 sqrt(K) matrices instead of K.
-    On entering a segment whose weights were dropped, the sweep rebuilds
-    them from its checkpoint, B_j as above and
-    w_{j+1} = irls.blood_weights(|B_j|^2), the forward pass's operations
-    again. So every weight, the loss and the gradient are bit-identical to
-    keeping every B, and trained .u2m files do not change. At 5670 x 100 in
-    complex128 (d = 10) the tracemalloc peak is 110 MiB at K = 15 and
-    130 MiB at K = 25, against 148 and 200 MiB with every layer's weights.
+    Layer k's real blood weights w_k and its input factors are kept only at
+    the checkpoints k % s == 0, s = ceil(sqrt(K)), and across the last
+    segment k >= floor((K - 1) / s) * s, with the final output factors:
+    about 2 sqrt(K) of each instead of K. Layer 0's weights are one
+    broadcast value, as its entering B is zero. On entering a segment whose
+    state was dropped, the sweep rebuilds it layer by layer from its
+    checkpoint j: B_j as above, then w_{j+1} = irls.blood_weights(|B_j|^2)
+    and the factors from irls.factor_updates on D - B_j, the forward pass's
+    operations again. So every weight and factor, the loss and the gradient
+    are bit-identical to keeping every B, and trained .u2m files do not
+    change. At 5670 x 100 in complex128 (d = 10) the tracemalloc peak is
+    85 MiB at K = 15 and 100 MiB at K = 25, against 110 and 130 MiB with
+    every layer's factors and seven work buffers, and 148 and 200 MiB with
+    every layer's weights too.
 
-    The rebuilt matrices overwrite the last layer's B; the other
-    full-matrix temporaries of all layers share four more complex and three
-    real buffers. All are C-ordered, like the work matrix and numpy's own
-    temporaries (B included): the order of a product's output changes its
-    rounding, and mixed orders are slow. A product X^H Y is formed as
-    conj(X^T conj(Y)), the same bits without a full-matrix conjugate copy.
-    The buffers take the work matrix's precision; the two d x d inverses
-    are formed in double, as in irls._factor_solve, and narrowed before use.
+    Besides the work matrix and the last layer's B, which the rebuilt
+    matrices overwrite, the backward sweep's full-matrix temporaries share
+    three complex and two real buffers. The complex ones change roles from
+    layer to layer, each taken over as soon as its last reader is done. Of
+    the divisor 1 + 2 lambda_k w_k only the reciprocal crosses from one
+    layer to the next; the divisor is formed again where it divides. All
+    buffers are C-ordered, like the work matrix and numpy's own temporaries
+    (B included): the order of a product's output changes its rounding, and
+    mixed orders are slow. A product X^H Y is formed as conj(X^T conj(Y)),
+    the same bits without a full-matrix conjugate copy. The buffers take the
+    work matrix's precision; the two d x d inverses are formed in double, as
+    in irls._factor_solve, and narrowed before use.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
     work, scale = irls.prepare_input(d_mat, net.d)
@@ -228,41 +238,41 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     c = 1.0 / n_layers
     stride = math.isqrt(n_layers - 1) + 1
     last_segment = (n_layers - 1) // stride * stride
-    # factors[k] holds layer k's input factors and factors[k + 1] its output;
-    # weights[k] holds layer k's blood weights where kept, else None, and b
-    # ends as the last layer's B
+
+    def kept(k):
+        return k % stride == 0 or k >= last_segment
+
+    # factors[k] holds layer k's input factors and factors[k + 1] its output,
+    # weights[k] layer k's blood weights, each where kept, else None; b ends
+    # as the last layer's B
     factors, weights = [(u0, v0)], []
     for k, (u, v, b, w_b) in enumerate(_layers(net, work, (u0, v0))):
-        factors.append((u, v))
-        weights.append(w_b if k % stride == 0 or k >= last_segment else None)
+        weights.append(w_b if kept(k) else None)
+        factors.append((u, v) if kept(k + 1) else None)
 
-    def divisor(k, out):
-        """1 + 2 lambda_b w_b of layer k, in the forward pass's order of operations."""
-        np.multiply(2.0 * penalties[k][0], weights[k], out=out)
+    def divisor(lam, w_b, out):
+        """1 + 2 lam w_b into out, in the forward pass's order of operations."""
+        np.multiply(2.0 * lam, w_b, out=out)
         return np.add(1.0, out, out=out)
 
     def blood(k, out):
-        """Layer k's B into out, as the forward pass forms it.
-
-        den ends as layer k's divisor and recip as 1 / den.
-        """
-        np.divide(1.0, divisor(k, den), out=recip)
+        """Layer k's B into out, as the forward pass forms it; recip ends as 1 / divisor."""
+        np.divide(1.0, divisor(penalties[k][0], weights[k], recip), out=recip)
         u_in, v_in = factors[k]
         np.matmul(u_in, v_in.conj().T, out=out)
         return np.multiply(np.subtract(work, out, out=out), recip, out=out)
 
-    r, e, g_r, g_b_next = (np.empty(work.shape, work.dtype) for _ in range(4))
-    den = divisor(n_layers - 1, np.empty(work.shape, work.real.dtype))
-    recip = np.divide(1.0, den)
-    real_tmp = np.empty(work.shape, work.real.dtype)
+    r, e, g_b_next = (np.empty(work.shape, work.dtype) for _ in range(3))
+    recip, real_tmp = (np.empty(work.shape, work.real.dtype) for _ in range(2))
+    np.divide(1.0, divisor(penalties[-1][0], weights[-1], recip), out=recip)
 
     loss_norm = 0.0
     g_theta = np.zeros(net.theta.shape)
     g_u_next = None
     g_v_next = None
     for k in range(n_layers - 1, -1, -1):
+        u, v = factors.pop()
         u_in, v_in = factors[k]
-        u, v = factors[k + 1]
         w_b = weights.pop()
         lam, w_c = penalties[k]
         np.subtract(work, b, out=r)
@@ -277,9 +287,9 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
             g_v = g_v + g_v_next
             np.add(g_b, g_b_next, out=g_b)
 
-        # basis update U = R V inv(M_U)
+        # basis update U = R V inv(M_U); g_r takes the spent g_b_next's buffer
         q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype, copy=False)
-        np.matmul(g_u @ q_u, v.conj().T, out=g_r)
+        g_r = np.matmul(g_u @ q_u, v.conj().T, out=g_b_next)
         g_p = (r.T @ g_u.conj()).conj()
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
@@ -296,8 +306,11 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         # R = D - B, then B = (D - U_in V_in^H) / den
         g_b_tot = np.subtract(g_b, g_r, out=g_b)
         g_r0 = np.multiply(g_b_tot, recip, out=g_r)
-        # den's last use: tmp takes its buffer, and den is refilled for layer k - 1 below
-        tmp = np.divide(np.multiply(np.conj(g_b_tot, out=r), b, out=r).real, den, out=den)
+        g_u_in = g_u_in - g_r0 @ v_in
+        g_v_in = -(g_r0.T @ u_in.conj()).conj()
+        # recip's last use was g_r0: its buffer takes den again, and then tmp
+        tmp = np.divide(np.multiply(np.conj(g_b_tot, out=r), b, out=r).real,
+                        divisor(lam, w_b, recip), out=recip)
         g_lam = -4.0 * float(np.sum(np.multiply(tmp, w_b, out=real_tmp)))
         if k > 0:
             # layer 0's input B is the fixed zero start, which needs no gradient
@@ -306,16 +319,18 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
             g_b_in *= 2.0 * lam
             w_b = None  # layer k's weights are spent: free them before a segment is rebuilt
             if weights[k - 1] is None:
-                # layer k - 1 ends a segment whose weights were dropped: rebuild them
-                # from its checkpoint k - stride, with b, den and recip as scratch
+                # layer k - 1 ends a segment whose state was dropped: rebuild it from
+                # its checkpoint k - stride, with b, recip and r as scratch; each layer's
+                # factors come before its weights, which would otherwise sit beside
+                # the factor updates' temporaries
                 for j in range(k - stride, k - 1):
                     blood(j, b)
-                    weights[j + 1] = irls.blood_weights(np.square(np.abs(b, out=den), out=den),
+                    factors[j + 1] = irls.factor_updates(factors[j][0], np.subtract(work, b, out=r),
+                                                         penalties[j][1])
+                    weights[j + 1] = irls.blood_weights(np.square(np.abs(b, out=recip), out=recip),
                                                         net.epsilon)
-            # real_tmp holds g_b_in until g_b_next is formed, so 1 / den has its own buffer
-            np.multiply(g_b_in, blood(k - 1, b), out=g_b_next)
-        g_u_in = g_u_in - g_r0 @ v_in
-        g_v_in = -(g_r0.T @ u_in.conj()).conj()
+            # r's buffer takes the next g_b_next; g_r's and e's take the next r and e
+            r, g_b_next = g_r, np.multiply(g_b_in, blood(k - 1, b), out=r)
 
         g_theta[k, 0] = g_lam * expit(net.theta[k, 0])
         g_theta[k, 1:] = g_w * expit(net.theta[k, 1:])
