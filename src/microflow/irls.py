@@ -153,8 +153,7 @@ def blood_weights(b_sq, epsilon):
     epsilon counts as at least the smallest normal number of b_sq's dtype, so
     the weights stay finite where B is zero; a smaller epsilon would round
     away. The weights take b_sq's precision. This is the one place their order
-    of operations is written: the network's adjoint recomputes weights with it
-    and must match update_step's bits.
+    of operations is written; update_step and the network's adjoint share it.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -162,12 +161,24 @@ def blood_weights(b_sq, epsilon):
     return np.power(w_b, -0.5, out=w_b)
 
 
+def blood_divisor(lambda_b, w_b, out=None):
+    """The blood update's divisor 1 + 2 lambda_b w_b, in w_b's precision, into out if given.
+
+    This is the one place its order of operations is written; update_step
+    and the network's adjoint share it. A penalty weight beyond the dtype's
+    range makes the divisor inf, and the blood update then gives B = 0.
+    """
+    with np.errstate(over="ignore"):
+        out = np.multiply(2.0 * lambda_b, w_b, out=out)
+    return np.add(1.0, out, out=out)
+
+
 def factor_updates(u, r, w_diag):
     """V and then U from r = D - B: a step's two factor updates.
 
     r feeds both updates and is not changed. This is the one place their
-    order of operations is written: the network's adjoint reruns them to
-    rebuild the factors it dropped and must match update_step's bits.
+    order of operations is written; update_step and the network's adjoint
+    share it.
     """
     v = _factor_solve(u, u.conj().T @ r, w_diag)
     u = _factor_solve(v, (r @ v).conj().T, w_diag)
@@ -198,10 +209,8 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
         weights the step used.
     """
     w_b = blood_weights(b_sq, epsilon)
-    # a penalty weight beyond the dtype's range makes the divisor inf: B = 0. The product
-    # has np.divide's bytes, whose complex loop (Smith's method) forms 1 / divisor too
-    with np.errstate(over="ignore"):
-        b = np.multiply(resid, 1.0 / (1.0 + 2.0 * lambda_b * w_b), out=resid)
+    # the product has np.divide's bytes, whose complex loop (Smith's method) forms 1 / divisor too
+    b = np.multiply(resid, 1.0 / blood_divisor(lambda_b, w_b), out=resid)
     u, v = factor_updates(u, d_mat - b, w_diag)
     return u, v, b, w_b
 

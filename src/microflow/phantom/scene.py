@@ -37,9 +37,9 @@ INNER_OFFSET_MM = 3.0   # center to each unit's root inlet, radially
 _log = logging.getLogger(__name__)
 
 
-def area_density_mm2(center_freq=7.5e6, sound_speed=1540.0):
-    """Planar scatterer density: 10 per 2-D resolution cell."""
-    fwhm_z, fwhm_x = imaging.psf_fwhm_mm(center_freq, sound_speed)
+def area_density_mm2():
+    """Planar scatterer density: 10 per 2-D resolution cell of PhantomScene's probe."""
+    fwhm_z, fwhm_x = imaging.psf_fwhm_mm(PhantomScene.center_freq, PhantomScene.sound_speed)
     return 10.0 / (fwhm_z * fwhm_x)
 
 

@@ -291,6 +291,10 @@ def run_pipeline(cfg):
     power, velocity, scalars = _evaluate(blood, seq, truth, cfg)
 
     with stage("render"):
+        # the only writer that checks a setting goes first, so a refused one leaves no files
+        formats.write_pgm(power, outdir / "power.pgm",
+                          comment=f"cfg:{config_mod.config_hash(cfg)}",
+                          **cfg.get("render", {}))
         if simulated:
             formats.write_dataset(seq, outdir / "dataset.umi")
             artifacts["dataset"] = "dataset.umi"
@@ -300,9 +304,6 @@ def run_pipeline(cfg):
                                                           seq.nx)),
             outdir / "blood.umi")
         formats.write_csv(power, outdir / "power.csv")
-        formats.write_pgm(power, outdir / "power.pgm",
-                          comment=f"cfg:{config_mod.config_hash(cfg)}",
-                          **cfg.get("render", {}))
         formats.write_csv(velocity, outdir / "velocity.csv")
         artifacts.update({"blood": "blood.umi", "power_csv": "power.csv",
                           "power_pgm": "power.pgm",

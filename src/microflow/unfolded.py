@@ -12,9 +12,10 @@ exactly. Training minimizes the layer-averaged data-consistency loss
 the mean square of layer_residuals, with a bias-corrected adaptive-moment
 optimizer. No autodiff framework is used: the gradient comes from a
 hand-derived adjoint pass through the layer equations, which the tests check
-against central differences of the loss. One generator runs the layers;
-infer, layer_residuals and the adjoint all consume it, in the precision
-irls.prepare_input picks, so the network trains in the precision it infers in.
+against central differences of the loss. One generator runs the layers for
+infer and layer_residuals; the adjoint forms the same layers with the same
+irls functions. All run in the precision irls.prepare_input picks, so the
+network trains in the precision it infers in.
 
 Positivity of both learnable groups is enforced by parameterizing them
 through softplus; the unconstrained values, one (K, 1 + d) array, are what
@@ -163,7 +164,7 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
 
 
 def _layers(net, work, init_state=None):
-    """Yield each layer's (u, v, b, w_b) for the peak-1 work matrix, holding only the current state.
+    """Yield each layer's (u, v, b) for the peak-1 work matrix, holding only the current state.
 
     A layer is one irls.update_step: B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b), with
     w_b the blood weights of the entering B, then V and U from w_c. Layer 0's entering B
@@ -172,10 +173,10 @@ def _layers(net, work, init_state=None):
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
     b, zero_sq = None, np.zeros((1, 1), dtype=work.real.dtype)
     for lambda_b, w_c in net.penalties():
-        u, v, b, w_b = irls.update_step(work, u, work - u @ v.conj().T,
-                                        zero_sq if b is None else np.abs(b) ** 2,
-                                        lambda_b, w_c, net.epsilon)
-        yield u, v, b, w_b
+        u, v, b, _ = irls.update_step(work, u, work - u @ v.conj().T,
+                                      zero_sq if b is None else np.abs(b) ** 2,
+                                      lambda_b, w_c, net.epsilon)
+        yield u, v, b
 
 
 def layer_residuals(net, d_mat, init_state=None):
@@ -189,7 +190,7 @@ def layer_residuals(net, d_mat, init_state=None):
     work, scale = irls.prepare_input(d_mat, net.d)
     d_mat = np.asarray(d_mat, dtype=work.dtype, order="C")
     return [float(np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T))
-            for u, v, b, _ in _layers(net, work, init_state)]
+            for u, v, b in _layers(net, work, init_state)]
 
 
 def _analytic_loss_grad(net, d_mat, init_state=None):
@@ -197,34 +198,29 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
 
     The pass runs on the input scaled to peak 1; since the loss is quadratic
     in the data scale, the gradient (and loss) are multiplied by scale**2.
+    It keeps three things.
 
-    The forward pass keeps no complex blood matrix but the last layer's.
-    Going backwards, the blood matrix entering layer k is rebuilt with the
-    forward pass's own operations,
-    B_{k-1} = (D - U_{k-2} V_{k-2}^H) * (1 / (1 + 2 lambda_{k-1} w_{k-1})).
-    Layer k's real blood weights w_k and its input factors are kept only at
-    the checkpoints k % s == 0, s = ceil(sqrt(K)), and across the last
-    segment k >= floor((K - 1) / s) * s, with the final output factors:
-    about 2 sqrt(K) of each instead of K. Layer 0's weights are one
-    broadcast value, as its entering B is zero. On entering a segment whose
-    state was dropped, the sweep rebuilds it layer by layer from its
-    checkpoint j: B_j as above, then w_{j+1} = irls.blood_weights(|B_j|^2)
-    and the factors from irls.factor_updates on D - B_j, the forward pass's
-    operations again. So every weight and factor, the loss and the gradient
-    are bit-identical to keeping every B, and trained .u2m files do not
-    change. At 5670 x 100 in complex128 (d = 10) the tracemalloc peak is
-    85 MiB at K = 15 and 100 MiB at K = 25, against 110 and 130 MiB with
-    every layer's factors and seven work buffers, and 148 and 200 MiB with
-    every layer's weights too.
+    Bits. Layer k's state is (U_in, V_in, w_k): its input factors and the
+    blood weights of the B entering it. One routine, advance, forms each
+    layer's output state, forward and rebuilt, with the functions
+    irls.update_step calls: B_k = (D - U_in V_in^H) * (1 / blood_divisor),
+    then factor_updates on D - B_k, then blood_weights(|B_k|^2). So the loss
+    and gradient are bit-identical to an adjoint that keeps every layer's B,
+    and trained .u2m files do not change.
 
-    Besides the work matrix and the last layer's B, which the rebuilt
-    matrices overwrite, the backward sweep's full-matrix temporaries share
-    three complex and two real buffers. The complex ones change roles from
-    layer to layer, each taken over as soon as its last reader is done. Of
-    the divisor 1 + 2 lambda_k w_k only the reciprocal crosses from one
-    layer to the next; the divisor is formed again where it divides. All
-    buffers are C-ordered, like the work matrix and numpy's own temporaries
-    (B included): the order of a product's output changes its rounding, and
+    Checkpoints. The forward pass keeps layer k's state only where
+    k % s == 0, s = ceil(sqrt(K)), and across the last segment
+    k >= floor((K - 1) / s) * s, plus the final output factors: about
+    2 sqrt(K) states instead of K. Layer 0's weights are one broadcast
+    value, as its entering B is zero. On entering a segment whose states
+    were dropped, the backward sweep reruns it from its checkpoint.
+
+    Buffers. Besides the work matrix, the full-matrix temporaries share four
+    complex buffers (B among them) and two real ones. No B is kept: each
+    backward step forms its own B_k, and B_k's gradient through the next
+    layer's weights is a real factor, left by that layer's step, times B_k.
+    All buffers are C-ordered, like the work matrix and numpy's own
+    temporaries: the order of a product's output changes its rounding, and
     mixed orders are slow. A product X^H Y is formed as conj(X^T conj(Y)),
     the same bits without a full-matrix conjugate copy. The buffers take the
     work matrix's precision; the two d x d inverses are formed in double, as
@@ -239,57 +235,62 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     stride = math.isqrt(n_layers - 1) + 1
     last_segment = (n_layers - 1) // stride * stride
 
-    def kept(k):
-        return k % stride == 0 or k >= last_segment
+    b, r = (np.empty(work.shape, work.dtype) for _ in range(2))
+    recip = np.empty(work.shape, work.real.dtype)
 
-    # factors[k] holds layer k's input factors and factors[k + 1] its output,
-    # weights[k] layer k's blood weights, each where kept, else None; b ends
-    # as the last layer's B
-    factors, weights = [(u0, v0)], []
-    for k, (u, v, b, w_b) in enumerate(_layers(net, work, (u0, v0))):
-        weights.append(w_b if kept(k) else None)
-        factors.append((u, v) if kept(k + 1) else None)
+    def blood(k, state):
+        """Layer k's B into b from its state; recip ends as 1 / divisor."""
+        u_in, v_in, w_b = state
+        np.divide(1.0, irls.blood_divisor(penalties[k][0], w_b, out=recip), out=recip)
+        np.matmul(u_in, v_in.conj().T, out=b)
+        np.multiply(np.subtract(work, b, out=b), recip, out=b)
 
-    def divisor(lam, w_b, out):
-        """1 + 2 lam w_b into out, in the forward pass's order of operations."""
-        np.multiply(2.0 * lam, w_b, out=out)
-        return np.add(1.0, out, out=out)
+    def advance(k, state):
+        """Layer k's output state from its input state, with b, r and recip as scratch.
 
-    def blood(k, out):
-        """Layer k's B into out, as the forward pass forms it; recip ends as 1 / divisor."""
-        np.divide(1.0, divisor(penalties[k][0], weights[k], recip), out=recip)
-        u_in, v_in = factors[k]
-        np.matmul(u_in, v_in.conj().T, out=out)
-        return np.multiply(np.subtract(work, out, out=out), recip, out=out)
+        The factors come before the weights, which would otherwise sit beside
+        the factor updates' temporaries; the last layer's weights feed nothing.
+        """
+        blood(k, state)
+        u, v = irls.factor_updates(state[0], np.subtract(work, b, out=r), penalties[k][1])
+        if k + 1 == n_layers:
+            return u, v, None
+        return u, v, irls.blood_weights(np.square(np.abs(b, out=recip), out=recip), net.epsilon)
 
-    r, e, g_b_next = (np.empty(work.shape, work.dtype) for _ in range(3))
-    recip, real_tmp = (np.empty(work.shape, work.real.dtype) for _ in range(2))
-    np.divide(1.0, divisor(penalties[-1][0], weights[-1], recip), out=recip)
+    state = (u0, v0, irls.blood_weights(np.zeros((1, 1), work.real.dtype), net.epsilon))
+    states = [state]
+    for k in range(n_layers):
+        state = advance(k, state)
+        states.append(state if (k + 1) % stride == 0 or k + 1 >= last_segment else None)
+    u, v, _ = states.pop()
 
+    # the backward sweep's own buffers, made only now so the forward pass stays small;
+    # no layer follows the last, so the factor starts at zero
+    e, g = (np.empty(work.shape, work.dtype) for _ in range(2))
+    factor = np.zeros(work.shape, work.real.dtype)
     loss_norm = 0.0
     g_theta = np.zeros(net.theta.shape)
-    g_u_next = None
-    g_v_next = None
+    g_u_next = g_v_next = 0.0
     for k in range(n_layers - 1, -1, -1):
-        u, v = factors.pop()
-        u_in, v_in = factors[k]
-        w_b = weights.pop()
+        if states[k] is None:
+            # entering a segment whose states were dropped: rerun it from its checkpoint
+            for j in range(k - k % stride, k):
+                states[j + 1] = advance(j, states[j])
+        u_in, v_in, w_b = states.pop()
         lam, w_c = penalties[k]
+        blood(k, (u_in, v_in, w_b))
         np.subtract(work, b, out=r)
-        e = np.subtract(r, np.matmul(u, v.conj().T, out=e), out=e)
+        np.subtract(r, np.matmul(u, v.conj().T, out=e), out=e)
         loss_norm += float(np.linalg.norm(e)) ** 2
 
-        g_u = -c * (e @ v)
-        g_v = -c * (e.T @ u.conj()).conj()
-        g_b = np.multiply(-c, e, out=e)
-        if g_u_next is not None:
-            g_u = g_u + g_u_next
-            g_v = g_v + g_v_next
-            np.add(g_b, g_b_next, out=g_b)
+        g_u = -c * (e @ v) + g_u_next
+        g_v = -c * (e.T @ u.conj()).conj() + g_v_next
+        # B's gradient: the loss term's, plus the factor from layer k + 1's step times B
+        g_b = np.add(np.multiply(-c, e, out=e), np.multiply(factor, b, out=g), out=e)
 
-        # basis update U = R V inv(M_U); g_r takes the spent g_b_next's buffer
+        # basis update U = R V inv(M_U); g_r takes the spent incoming gradient's buffer
         q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype, copy=False)
-        g_r = np.matmul(g_u @ q_u, v.conj().T, out=g_b_next)
+        g_r = np.matmul(g_u @ q_u, v.conj().T, out=g)
         g_p = (r.T @ g_u.conj()).conj()
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
@@ -300,43 +301,27 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         g_p2 = r @ g_v
         g_r += np.matmul(u_in, q_v @ g_v.conj().T, out=r)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
-        g_u_in = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T)
         g_w = g_w + 2.0 * np.real(np.diag(g_m_v))
 
-        # R = D - B, then B = (D - U_in V_in^H) / den
-        g_b_tot = np.subtract(g_b, g_r, out=g_b)
-        g_r0 = np.multiply(g_b_tot, recip, out=g_r)
-        g_u_in = g_u_in - g_r0 @ v_in
-        g_v_in = -(g_r0.T @ u_in.conj()).conj()
-        # recip's last use was g_r0: its buffer takes den again, and then tmp
-        tmp = np.divide(np.multiply(np.conj(g_b_tot, out=r), b, out=r).real,
-                        divisor(lam, w_b, recip), out=recip)
-        g_lam = -4.0 * float(np.sum(np.multiply(tmp, w_b, out=real_tmp)))
-        if k > 0:
-            # layer 0's input B is the fixed zero start, which needs no gradient
-            g_b_in = np.power(w_b, 3, out=real_tmp)
-            g_b_in *= tmp
-            g_b_in *= 2.0 * lam
-            w_b = None  # layer k's weights are spent: free them before a segment is rebuilt
-            if weights[k - 1] is None:
-                # layer k - 1 ends a segment whose state was dropped: rebuild it from
-                # its checkpoint k - stride, with b, recip and r as scratch; each layer's
-                # factors come before its weights, which would otherwise sit beside
-                # the factor updates' temporaries
-                for j in range(k - stride, k - 1):
-                    blood(j, b)
-                    factors[j + 1] = irls.factor_updates(factors[j][0], np.subtract(work, b, out=r),
-                                                         penalties[j][1])
-                    weights[j + 1] = irls.blood_weights(np.square(np.abs(b, out=recip), out=recip),
-                                                        net.epsilon)
-            # r's buffer takes the next g_b_next; g_r's and e's take the next r and e
-            r, g_b_next = g_r, np.multiply(g_b_in, blood(k - 1, b), out=r)
+        # R = D - B, then B = (D - U_in V_in^H) / divisor
+        g_b = np.subtract(g_b, g_r, out=g_b)
+        g_r0 = np.multiply(g_b, recip, out=g_r)
+        g_u_next = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T) - g_r0 @ v_in
+        g_v_next = -(g_r0.T @ u_in.conj()).conj()
+        # recip's last use was g_r0: its buffer takes the divisor, and then tmp
+        tmp = np.divide(np.multiply(np.conj(g_b, out=r), b, out=r).real,
+                        irls.blood_divisor(lam, w_b, out=recip), out=recip)
+        g_theta[k, 0] = -4.0 * float(np.sum(np.multiply(tmp, w_b, out=factor)))
+        g_theta[k, 1:] = g_w
+        # B_{k-1}'s gradient through w_k is this factor, 2 lambda_k w_k^3 tmp, times B_{k-1}
+        np.power(w_b, 3, out=factor)
+        factor *= tmp
+        factor *= 2.0 * lam
+        # layer k's input factors are layer k - 1's output; its spent weights are
+        # freed before the next step rebuilds a segment beside them
+        u, v, w_b = u_in, v_in, None
 
-        g_theta[k, 0] = g_lam * expit(net.theta[k, 0])
-        g_theta[k, 1:] = g_w * expit(net.theta[k, 1:])
-        g_u_next, g_v_next = g_u_in, g_v_in
-
-    return c * loss_norm * scale ** 2, g_theta * scale ** 2
+    return c * loss_norm * scale ** 2, g_theta * expit(net.theta) * scale ** 2
 
 
 def train(net, train_data, val_data, cfg):
@@ -446,6 +431,6 @@ def infer(net, d_mat_new):
     work, scale = irls.prepare_input(d_mat_new, net.d)
     if net.n_space is not None and work.shape[0] != net.n_space:
         raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
-    for u, v, b, _ in _layers(net, work):
+    for u, v, b in _layers(net, work):
         pass
     return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)

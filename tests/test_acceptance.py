@@ -3,8 +3,8 @@
 Every test prints a single summary line, "criterion N: PASS (...)" or
 "criterion N: FAIL (...)", so a run with ``pytest -s tests/test_acceptance.py``
 doubles as the acceptance report. The same line is the assertion message on
-failure. Criteria 5 and 7 synthesize a two-unit flow phantom and take a few
-minutes of CPU; everything else finishes in seconds.
+failure. Criteria 5 and 7 synthesize a two-unit flow phantom; criterion 5,
+which also trains a network, takes a few minutes of CPU and is marked slow.
 
 Shared figures used below:
   * recovery instances: 500x100 Casorati-shaped matrices, rank-3 tissue,
@@ -153,6 +153,7 @@ def desk_phantom(snr_db):
     return dataclasses.replace(scene, snr_db=snr_db)
 
 
+@pytest.mark.slow
 def test_criterion_5_training_beats_baselines():
     start = time.perf_counter()
     scene = desk_phantom(snr_db=25.0)

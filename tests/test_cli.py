@@ -496,7 +496,17 @@ class TestCli:
                          "--output", str(outdir), "--method", "svd"]) == rc
         err = capsys.readouterr().err
         assert "nan" in err and err.count("\n") == 1
-        assert not (outdir / "power.pgm").exists()
+        assert list(outdir.iterdir()) == []
+
+    def test_refused_render_setting_leaves_no_simulated_files(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"simulate": sim_section(frames=4), "seed": 1,
+                                        "render": {"dynamic_range_db": float("nan")}}))
+        outdir = tmp_path / "o"
+        assert cli.main(["filter", "--config", str(cfg_path), "--output", str(outdir),
+                         "--method", "svd"]) == 8
+        assert "nan" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
     # pixel_mm 1e-6 asks for a 9.55 PiB frame stack, beyond the 128 TiB a
     # 64-bit process can address, so allocation fails before touching memory

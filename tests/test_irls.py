@@ -391,7 +391,7 @@ class TestFusedStepEquivalence:
         net = SimpleNamespace(d=cfg.d, epsilon=cfg.epsilon, penalties=lambda: [
             (cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for w_c in trace.w_c_history])
         work, scale = irls.prepare_input(d_mat, cfg.d)
-        *_, (u, v, b, _) = unfolded._layers(net, work)
+        *_, (u, v, b) = unfolded._layers(net, work)
         assert np.array_equal(u, dec.basis_u)
         assert np.array_equal(v * scale, dec.coeffs_v)
         assert np.array_equal(b * scale, dec.blood_b)

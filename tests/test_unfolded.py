@@ -38,7 +38,7 @@ def frozen_net_from_irls(d_mat, d, k, lambda_c, lambda_b, epsilon=1e-8):
 
 
 def one_layer(d_mat, u0, v0, penalties, epsilon=1e-8):
-    """(u, v, b, w_b) after one network layer with raw penalties, from (u0, v0) and B = 0."""
+    """(u, v, b) after one network layer with raw penalties, from (u0, v0) and B = 0."""
     net = SimpleNamespace(d=u0.shape[1], epsilon=epsilon, penalties=lambda: [penalties])
     return next(unfolded._layers(net, d_mat, init_state=(u0, v0)))
 
@@ -123,7 +123,7 @@ class TestLayerForward:
         work, _ = irls.prepare_input(d_mat, 4)
         u0, v0 = irls._init_state(work, 4)
         b0 = np.zeros_like(work)
-        u1, v1, b1, _ = one_layer(work, u0, v0, net.penalties()[0])
+        u1, v1, b1 = one_layer(work, u0, v0, net.penalties()[0])
 
         w_b = sparse_weights(b0, 1e-8)
         b_ref = update_blood(work, u0, v0, w_b, 0.05)
@@ -139,7 +139,7 @@ class TestLayerForward:
         u = crandn(r, (12, 2))
         v = crandn(r, (8, 2))
         d_mat = u @ v.conj().T
-        u1, v1, b1, _ = one_layer(d_mat, u, v, (0.5, np.full(2, 1e-6)))
+        u1, v1, b1 = one_layer(d_mat, u, v, (0.5, np.full(2, 1e-6)))
         assert np.allclose(b1, 0, atol=1e-14)
         assert np.linalg.norm(u1 @ v1.conj().T - d_mat) <= 1e-6 * np.linalg.norm(d_mat)
 
@@ -147,7 +147,7 @@ class TestLayerForward:
         r = np.random.default_rng(5)
         d_mat = crandn(r, (10, 6))
         u0, v0 = irls._init_state(d_mat, 2)
-        _, _, b1, _ = one_layer(d_mat, u0, v0, (1e12, np.ones(2)))
+        _, _, b1 = one_layer(d_mat, u0, v0, (1e12, np.ones(2)))
         assert np.linalg.norm(b1) <= 1e-6 * np.linalg.norm(d_mat - u0 @ v0.conj().T)
 
 
@@ -158,7 +158,7 @@ class TestNetworkForward:
         dec = unfolded.infer(net, d_mat)
         work, scale = irls.prepare_input(d_mat, 3)
         u0, v0 = irls._init_state(work, 3)
-        u1, v1, b1, _ = one_layer(work, u0, v0, net.penalties()[0], epsilon=net.epsilon)
+        u1, v1, b1 = one_layer(work, u0, v0, net.penalties()[0], epsilon=net.epsilon)
         assert np.allclose(dec.blood_b, b1 * scale, rtol=1e-12, atol=0)
         assert len(unfolded.layer_residuals(net, d_mat)) == 1
 
@@ -324,9 +324,9 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     """Reference adjoint that keeps every layer's complex B.
 
     It recomputes each layer's blood weights from the B entering it;
-    _analytic_loss_grad, which keeps the weights and factors of every
-    ceil(sqrt(K))-th layer, rebuilds the rest and rebuilds B, must return
-    the same bits. Like it, the reference runs in the work matrix's
+    _analytic_loss_grad, which keeps the states of every ceil(sqrt(K))-th
+    layer and of the last segment, reruns the rest and forms each B again,
+    must return the same bits. Like it, the reference runs in the work matrix's
     precision, with the d x d inverses narrowed to it and the loss summed
     in double.
     """
@@ -334,8 +334,7 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     work, scale = irls.prepare_input(d_mat, net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # entry k holds layer k's input, entry k + 1 its output
-    states = [(u0, v0, np.zeros_like(work))] + [(u, v, b) for u, v, b, _ in
-                                                unfolded._layers(net, work, (u0, v0))]
+    states = [(u0, v0, np.zeros_like(work))] + list(unfolded._layers(net, work, (u0, v0)))
     n_layers = len(net.theta)
     c = 1.0 / n_layers
 
@@ -452,13 +451,13 @@ class TestAdjointReference:
     ])
     def test_peak_memory_is_bounded_by_the_input(self, dtype, k):
         # k complex blood matrices alone would be k times the input. The
-        # adjoint holds the work matrix, the last B and five work matrices
-        # (three complex, two real: 6x the input), and keeps the real blood
+        # adjoint holds the work matrix, four complex work matrices (B among
+        # them) and two real ones: 6x the input. It keeps the real blood
         # weights (half the input each) and the factors of about 2 sqrt(k)
         # layers, every ceil(sqrt(k))-th and the last segment; layer 0's
         # weights are one value. All take the input's precision, so complex64
-        # input allocates no double-size copy. Seven work matrices, or every
-        # layer's factors, would exceed these bounds
+        # input allocates no double-size copy. Keeping every layer's factors
+        # would exceed these bounds
         d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6)).astype(dtype)
         cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
         net = unfolded.init_network(d_mat, k=k, d=10, lambda_b_init=6.0, cfg=cfg)
