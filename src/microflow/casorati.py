@@ -19,6 +19,12 @@ class SolverError(RuntimeError):
     """A dense factorization or solve could not meet its accuracy contract."""
 
 
+# Speed of sound in tissue, m/s. A dataset header stores the frame rate,
+# center frequency and PRF but no sound speed, so the phantom that renders
+# the frames and the velocity estimator that reads them share this value.
+SOUND_SPEED = 1540.0
+
+
 @dataclass
 class FrameSequence:
     """IQ frame stack (nz, nx, nt) with its acquisition timing in Hz."""

@@ -86,18 +86,16 @@ def main(argv=None):
                   f"{report['dataset']['nz']}x{report['dataset']['nx']} "
                   f"grid into {cfg['output']}")
         elif args.command == "filter":
-            result = pipeline.run_pipeline(cfg)
-            print(f"filtered with {cfg['method']}; artifacts in "
-                  f"{result.output_dir}")
+            pipeline.run_pipeline(cfg)
+            print(f"filtered with {cfg['method']}; artifacts in {cfg['output']}")
         elif args.command == "train":
             _, history = pipeline.run_train(cfg)
             best = history.val_loss[history.best_epoch]
             print(f"trained to validation loss {best:.6g} "
                   f"(epoch {history.best_epoch}); model at {cfg['output']}")
         elif args.command == "infer":
-            result = pipeline.run_infer(cfg)
-            print(f"inferred blood estimate; artifacts in "
-                  f"{result.output_dir}")
+            pipeline.run_infer(cfg)
+            print(f"inferred blood estimate; artifacts in {cfg['output']}")
         elif args.command == "evaluate":
             report = pipeline.run_evaluate(cfg)
             m = report["metrics"]

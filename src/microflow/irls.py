@@ -16,7 +16,7 @@ a column-wise l2,1 penalty on the factors and an elementwise l1 penalty on B.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class IrlsTrace:
     convergence: np.ndarray
     objective: np.ndarray
     objective_pre: np.ndarray
-    w_c_history: list = field(default_factory=list)
+    w_c_history: list
 
 
 def _column_energy(u, v):
@@ -306,11 +306,10 @@ def run_irls(d_mat, cfg):
     w_c = lowrank_weights(u, v, cfg.epsilon)
 
     conv, obj, obj_pre, wc_hist = [], [], [], []
-    iterations = 0
     # overflow and NaN in an iterate surface as a non-finite objective below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
-            wc_hist.append(w_c.copy())
+            wc_hist.append(w_c)
             b = None  # the entering B lives on only as |B|^2 and S
             u, v, b, w_b = update_step(work, u, resid, b_sq, cfg.lambda_b,
                                        2.0 * cfg.lambda_c * w_c, cfg.epsilon)
@@ -336,14 +335,13 @@ def run_irls(d_mat, cfg):
             conv.append(metric)
             w_c = lowrank_weights(u, v, cfg.epsilon)
 
-            iterations = k
             _log.info("iter %3d  change %.3e  objective %.6e", k, metric, obj[-1])
             if metric < cfg.tol:
                 break
 
     dec = Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)
     trace = IrlsTrace(
-        iterations=iterations,
+        iterations=len(conv),
         convergence=np.asarray(conv),
         objective=np.asarray(obj),
         objective_pre=np.asarray(obj_pre),

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .casorati import SOUND_SPEED
+
 
 @dataclass
 class PowerDopplerImage:
@@ -44,13 +46,13 @@ def power_doppler(b, nz, nx):
     return PowerDopplerImage(values=power.reshape(nz, nx, order="F"))
 
 
-def doppler_velocity(b, prf, f0, c=1540.0):
+def doppler_velocity(b, prf, f0):
     """Axial velocity per pixel from the lag-one autocorrelation phase.
 
-    v = (c * prf / (4 pi f0)) * arg(sum_t B(t+1) conj(B(t))), converted to
-    mm/s. Positive velocities point toward the probe. prf is the pulse
-    repetition frequency of the ensemble actually fed in; pass the frame
-    rate when operating on a frame sequence.
+    v = (c * prf / (4 pi f0)) * arg(sum_t B(t+1) conj(B(t))) with
+    c = SOUND_SPEED, converted to mm/s. Positive velocities point toward the
+    probe. prf is the pulse repetition frequency of the ensemble actually fed
+    in; pass the frame rate when operating on a frame sequence.
 
     Parameters
     ----------
@@ -58,8 +60,6 @@ def doppler_velocity(b, prf, f0, c=1540.0):
         Casorati matrix (pixels, ensemble), ensemble >= 2.
     prf, f0 : float
         Repetition and center frequency, Hz.
-    c : float
-        Speed of sound, m/s.
 
     Returns
     -------
@@ -74,7 +74,7 @@ def doppler_velocity(b, prf, f0, c=1540.0):
     low_confidence = np.abs(autocorr) == 0.0
     phase = np.where(low_confidence, 0.0, np.angle(autocorr))
     with np.errstate(over="ignore"):  # positive, finite rates can still overflow it
-        scale = c * prf / (4.0 * np.pi * f0)
+        scale = SOUND_SPEED * prf / (4.0 * np.pi * f0)
         if not np.isfinite(scale * np.pi * 1e3):
             raise ValueError(f"velocity scale overflows for prf {prf} and center frequency {f0}")
     return scale * phase * 1e3, low_confidence

@@ -1,13 +1,14 @@
 """Poiseuille hydraulics on a branching unit.
 
 The unit's tree becomes a small resistor network: each vessel is an edge
-with conductance C = pi R^4 / (8 mu L), boundary (hanging) node pressures
-are imposed at the inlet and the leaf ends, and the interior (non-hanging)
-pressures follow from flow conservation. Solved flows obey the incidence
-sign convention, where an edge's pressure difference is the head pressure
-minus the tail pressure; with a positive inlet pressure the flows therefore
-come out negative along the root-to-leaf orientation. Peak velocities are
-reported as positive speeds along that orientation.
+with conductance C = pi R^4 / (8 mu L), mu = BLOOD_VISCOSITY, boundary
+(hanging) node pressures are imposed at the inlet (1 Pa) and the leaf ends
+(0 Pa), and the interior (non-hanging) pressures follow from flow
+conservation. Solved flows obey the incidence sign convention, where an
+edge's pressure difference is the head pressure minus the tail pressure;
+with the positive inlet pressure the flows therefore come out negative
+along the root-to-leaf orientation. Peak velocities are reported as
+positive speeds along that orientation.
 
 All solves run in SI units; vessel geometry arrives in mm and velocities
 are returned in mm/s.
@@ -90,26 +91,24 @@ def assemble_incidence(unit):
     return a, a[:, hanging], a[:, interior]
 
 
-def edge_conductance(unit, mu=BLOOD_VISCOSITY):
+def edge_conductance(unit):
     """Diagonal of the conductance matrix, one entry per vessel.
 
     Parameters
     ----------
     unit : FlowUnit
         Geometry in mm.
-    mu : float
-        Dynamic viscosity in Pa s.
 
     Returns
     -------
     ndarray
-        C_e = pi R^4 / (8 mu L) in m^3/(Pa s).
+        C_e = pi R^4 / (8 mu L) in m^3/(Pa s), mu = BLOOD_VISCOSITY.
     """
     lengths = np.array([v.length for v in unit.vessels]) * 1e-3
     radii = np.array([v.radius for v in unit.vessels]) * 1e-3
     if np.any(lengths <= 0) or np.any(radii <= 0):
         raise ValueError("vessel lengths and radii must be positive")
-    return np.pi * radii ** 4 / (8.0 * mu * lengths)
+    return np.pi * radii ** 4 / (8.0 * BLOOD_VISCOSITY * lengths)
 
 
 def solve_pressures(a_h, a_nh, c, p_h):
@@ -160,16 +159,16 @@ def edge_velocities(c, dp_e, radii):
     return 2.0 * c * dp_e / (np.pi * np.asarray(radii) ** 2) * 1e3
 
 
-def build_network(unit, mu=BLOOD_VISCOSITY, inlet_pressure=1.0):
+def build_network(unit):
     """Assemble and solve the whole unit in one call.
 
-    The inlet gets inlet_pressure and every leaf 0 Pa; use scale_to_target
-    afterward to impose a physical root velocity.
+    The inlet gets 1 Pa and every leaf 0 Pa; use scale_to_target afterward
+    to impose a physical root velocity.
     """
     _, a_h, a_nh = assemble_incidence(unit)
-    c = edge_conductance(unit, mu)
+    c = edge_conductance(unit)
     p_h = np.zeros(a_h.shape[1])
-    p_h[0] = inlet_pressure
+    p_h[0] = 1.0
     p_nh = solve_pressures(a_h, a_nh, c, p_h)
     dp_e = a_h @ p_h + a_nh @ p_nh
     q_e = c * dp_e

@@ -14,23 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..casorati import FrameSequence
+from ..casorati import SOUND_SPEED, FrameSequence
 
 AXIAL_FWHM_WAVELENGTHS = 2.0
 LATERAL_FWHM_WAVELENGTHS = 3.0
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 _NOISE_STREAM = 4
+ROI_CLEARANCE_MM = 1.0        # tissue ROI exclusion beyond each vessel's radius and ends
+ROI_BOUNDARY_MARGIN_MM = 2.0  # tissue ROI shrink of both ellipse semi-axes
 _log = logging.getLogger(__name__)
 
 
-def wavelength_mm(center_freq, sound_speed):
-    """Acoustic wavelength in mm."""
-    return sound_speed / center_freq * 1e3
+def wavelength_mm(center_freq):
+    """Acoustic wavelength in mm at SOUND_SPEED."""
+    return SOUND_SPEED / center_freq * 1e3
 
 
-def psf_fwhm_mm(center_freq, sound_speed):
+def psf_fwhm_mm(center_freq):
     """(axial, lateral) full width at half maximum of the PSF envelope, mm."""
-    lam = wavelength_mm(center_freq, sound_speed)
+    lam = wavelength_mm(center_freq)
     return AXIAL_FWHM_WAVELENGTHS * lam, LATERAL_FWHM_WAVELENGTHS * lam
 
 
@@ -55,7 +57,7 @@ def _render_frame(positions, amplitudes, scene):
     acc_im = np.zeros(nz * nx)
     if len(positions):
         phase = -4.0 * np.pi * scene.center_freq \
-            * (positions[:, 1] * 1e-3) / scene.sound_speed
+            * (positions[:, 1] * 1e-3) / SOUND_SPEED
         values = amplitudes * np.exp(1j * phase)
         gx = (positions[:, 0] - scene.x0) / scene.pixel_mm
         gz = (positions[:, 1] - scene.z0) / scene.pixel_mm
@@ -71,7 +73,7 @@ def _render_frame(positions, amplitudes, scene):
             flat = iz[ok] * nx + ix[ok]
             acc_re += np.bincount(flat, (w * values.real)[ok], minlength=nz * nx)
             acc_im += np.bincount(flat, (w * values.imag)[ok], minlength=nz * nx)
-    fwhm_z, fwhm_x = psf_fwhm_mm(scene.center_freq, scene.sound_speed)
+    fwhm_z, fwhm_x = psf_fwhm_mm(scene.center_freq)
     sigma = (fwhm_z * _FWHM_TO_SIGMA / scene.pixel_mm,
              fwhm_x * _FWHM_TO_SIGMA / scene.pixel_mm)
     img_re = ndimage.gaussian_filter(acc_re.reshape(nz, nx), sigma, mode="constant")
@@ -114,22 +116,15 @@ def _vessel_walk(scene, clearance_mm=0.0):
     return grid_x, grid_z, mask, velocity, near
 
 
-def roi_masks(scene, clearance_mm=1.0, boundary_margin_mm=2.0):
+def roi_masks(scene):
     """Blood and tissue evaluation masks from the scene geometry.
 
     The blood mask is the vessel lumen on the pixel grid. The tissue mask
-    keeps pixels inside the deformed ellipse shrunk by boundary_margin_mm
-    while excluding everything within clearance_mm of any vessel, so the
-    two regions are disjoint and the tissue sample is not contaminated by
-    PSF leakage from the lumen.
-
-    Parameters
-    ----------
-    scene : PhantomScene
-    clearance_mm : float
-        Exclusion margin around each vessel, beyond its radius and ends.
-    boundary_margin_mm : float
-        Shrink applied to both ellipse semi-axes for the tissue region.
+    keeps pixels inside the deformed ellipse with both semi-axes shrunk by
+    ROI_BOUNDARY_MARGIN_MM (2 mm), while excluding everything within
+    ROI_CLEARANCE_MM (1 mm) of any vessel beyond its radius and ends, so
+    the two regions are disjoint and the tissue sample is not contaminated
+    by PSF leakage from the lumen.
 
     Returns
     -------
@@ -137,12 +132,12 @@ def roi_masks(scene, clearance_mm=1.0, boundary_margin_mm=2.0):
         Boolean (nz, nx) arrays.
     """
     semi_x, semi_z = scene.ellipse_axes
-    ax = semi_x - boundary_margin_mm
-    az = semi_z - boundary_margin_mm
+    ax = semi_x - ROI_BOUNDARY_MARGIN_MM
+    az = semi_z - ROI_BOUNDARY_MARGIN_MM
     if ax <= 0 or az <= 0:
         raise ValueError("boundary margin swallows the whole ellipse")
 
-    grid_x, grid_z, blood, _, near = _vessel_walk(scene, clearance_mm)
+    grid_x, grid_z, blood, _, near = _vessel_walk(scene, ROI_CLEARANCE_MM)
     theta = np.deg2rad(scene.rotation_deg)
     local_x = grid_x * np.cos(theta) + grid_z * np.sin(theta)
     local_z = -grid_x * np.sin(theta) + grid_z * np.cos(theta)

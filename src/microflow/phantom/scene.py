@@ -39,7 +39,7 @@ _log = logging.getLogger(__name__)
 
 def area_density_mm2():
     """Planar scatterer density: 10 per 2-D resolution cell of PhantomScene's probe."""
-    fwhm_z, fwhm_x = imaging.psf_fwhm_mm(PhantomScene.center_freq, PhantomScene.sound_speed)
+    fwhm_z, fwhm_x = imaging.psf_fwhm_mm(PhantomScene.center_freq)
     return 10.0 / (fwhm_z * fwhm_x)
 
 
@@ -78,7 +78,6 @@ class PhantomScene:
     frame_rate: float = 1000.0
     prf: float = 5000.0
     center_freq: float = 7.5e6
-    sound_speed: float = 1540.0
 
     def strain_at(self, t):
         """Axial strain of the compression cycle at time t (seconds)."""

@@ -5,7 +5,8 @@ deterministic set of artifacts in the output directory: the blood estimate
 (blood.umi), the power image as CSV and log-compressed PGM, the velocity
 image as CSV, and a JSON report with the metrics and the echoed
 configuration. Reports never contain timestamps or absolute paths, so
-rerunning the same configuration reproduces them byte for byte.
+rerunning the same configuration with the same BLAS thread count
+reproduces them byte for byte.
 
 Failures carry the stage they occurred in (config, input, simulate,
 filter, train, evaluate, render) so callers can map them to exit codes.
@@ -60,17 +61,6 @@ class PipelineError(RuntimeError):
     def __init__(self, stage, message):
         super().__init__(f"{stage} stage: {message}")
         self.stage = stage
-
-
-@dataclasses.dataclass
-class PipelineResult:
-    """In-memory view of one pipeline run."""
-
-    report: dict
-    blood: np.ndarray
-    power: np.ndarray
-    velocity: np.ndarray
-    output_dir: Path
 
 
 @contextlib.contextmanager
@@ -279,7 +269,7 @@ def _write_report(outdir, cfg, seq, **entries):
 def run_pipeline(cfg):
     """Run input, filter, evaluate, and render stages for one config.
 
-    Returns a PipelineResult; artifacts land in cfg["output"]. Raises
+    Returns the report dict; artifacts land in cfg["output"]. Raises
     PipelineError with the failing stage attached.
     """
     cfg = _validated(cfg, ("output",), ("input", "simulate"), ("method",))
@@ -309,11 +299,9 @@ def run_pipeline(cfg):
                           "power_pgm": "power.pgm",
                           "velocity_csv": "velocity.csv",
                           "report": "report.json"})
-        report = _write_report(outdir, cfg, seq, method=cfg["method"],
-                               metrics=scalars, artifacts=artifacts,
-                               **extra_report)
-    return PipelineResult(report=report, blood=blood, power=power,
-                          velocity=velocity, output_dir=outdir)
+        return _write_report(outdir, cfg, seq, method=cfg["method"],
+                             metrics=scalars, artifacts=artifacts,
+                             **extra_report)
 
 
 def run_infer(cfg):

@@ -235,7 +235,7 @@ def test_criterion_6_hydraulic_network():
         variant_id=0, target_v1=25.0,
         vessels=[geometry.Vessel(hierarchy=1, parent=None, length=3.5,
                                  angle=0.0, radius=1.25)])
-    xi = 1.0 / hydraulics.edge_conductance(single, mu=0.004)[0]
+    xi = 1.0 / hydraulics.edge_conductance(single)[0]
     xi_ok = (xi == pytest.approx(14602529.690658635, rel=1e-12)
              and xi == pytest.approx(1.460e7, rel=1e-3))
 
@@ -243,7 +243,7 @@ def test_criterion_6_hydraulic_network():
         variant_id=0, target_v1=25.0,
         vessels=[geometry.Vessel(hierarchy=1, parent=None, length=1.0,
                                  angle=0.0, radius=1.25)])
-    c = hydraulics.edge_conductance(short, mu=0.004)
+    c = hydraulics.edge_conductance(short)
     v_peak = hydraulics.edge_velocities(c, np.array([1.0]),
                                         np.array([1.25e-3]))[0]
     v_ok = v_peak == pytest.approx(97.65625, rel=1e-12)

@@ -45,6 +45,11 @@ def tiny_truth(dirpath, nz=6, nx=5, velocity=None):
     return dirpath
 
 
+def written_blood(outdir):
+    """The blood estimate a run wrote to blood.umi, as a Casorati matrix."""
+    return to_casorati(formats.read_dataset(Path(outdir) / "blood.umi"))
+
+
 def sim_section(frames=10):
     return {
         "n_units": 1,
@@ -61,9 +66,9 @@ class TestRunPipeline:
         cfg = {"method": "svd", "svd": {"low_cut": 0},
                "input": str(path), "output": str(tmp_path / "out"),
                "ensemble": 4}
-        result = pipeline.run_pipeline(cfg)
+        pipeline.run_pipeline(cfg)
         d = to_casorati(seq)
-        rel = np.linalg.norm(result.blood - d) / np.linalg.norm(d)
+        rel = np.linalg.norm(written_blood(tmp_path / "out") - d) / np.linalg.norm(d)
         assert rel <= 1e-10
 
     def test_auto_low_cut_from_the_filter_factorization(self, tmp_path):
@@ -76,29 +81,30 @@ class TestRunPipeline:
                                             center_freq=7.5e6, prf=5000.0), path)
         d_mat = to_casorati(formats.read_dataset(path))
         cfg = {"method": "svd", "input": str(path), "output": str(tmp_path / "out")}
-        result = pipeline.run_pipeline(cfg)
+        report = pipeline.run_pipeline(cfg)
         low = svdfilt.estimate_low_cut(np.linalg.svd(d_mat, compute_uv=False))
-        assert result.report["svd_low_cut"] == low == 3
+        assert report["svd_low_cut"] == low == 3
         want = svdfilt.svd_clutter_filter(d_mat, svdfilt.SvdCutoffs(low))
-        assert np.linalg.norm(result.blood - want) <= 1e-12 * np.linalg.norm(want)
+        blood = written_blood(tmp_path / "out")
+        assert np.linalg.norm(blood - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_integral_float_cutoffs_accepted(self, tmp_path):
         path, seq = tiny_dataset(tmp_path)
         cfg = {"method": "svd", "svd": {"low_cut": 1.0, "high_cut": 5.0},
                "input": str(path), "output": str(tmp_path / "out")}
-        result = pipeline.run_pipeline(cfg)
+        report = pipeline.run_pipeline(cfg)
         want = svdfilt.svd_clutter_filter(to_casorati(seq), svdfilt.SvdCutoffs(1, 5))
-        assert np.array_equal(result.blood, want)
-        assert result.report["svd_low_cut"] == 1
+        assert np.array_equal(written_blood(tmp_path / "out"), want)
+        assert report["svd_low_cut"] == 1
 
     def test_report_contents_without_truth(self, tmp_path):
         path, _ = tiny_dataset(tmp_path)
         outdir = tmp_path / "out"
         cfg = {"method": "svd", "svd": {"low_cut": 1},
                "input": str(path), "output": str(outdir), "ensemble": 4}
-        result = pipeline.run_pipeline(cfg)
+        returned = pipeline.run_pipeline(cfg)
         report = json.loads((outdir / "report.json").read_text())
-        assert report == result.report
+        assert report == returned
         assert report["config_hash"] == config.config_hash(cfg)
         assert report["config"] == cfg
         assert report["dataset"]["nt"] == 12
@@ -121,17 +127,16 @@ class TestRunPipeline:
         outdir = tmp_path / "out"
         cfg = {"method": "svd", "simulate": sim_section(), "seed": 5,
                "output": str(outdir), "ensemble": 8}
-        result = pipeline.run_pipeline(cfg)
-        m = result.report["metrics"]
+        m = pipeline.run_pipeline(cfg)["metrics"]
         for key in ("cnr_db", "snr_db", "psl_db", "r_squared", "slope"):
             assert isinstance(m[key], float), key
         assert (outdir / "dataset.umi").exists()
         assert (outdir / "truth_velocity.csv").exists()
         assert (outdir / "truth_flow_mask.csv").exists()
         assert (outdir / "truth_tissue_mask.csv").exists()
-        img = formats.read_csv(outdir / "power.csv")
-        assert img.shape == result.power.shape
-        assert result.velocity.shape == result.power.shape
+        truth = formats.read_csv(outdir / "truth_velocity.csv")
+        assert formats.read_csv(outdir / "power.csv").shape == truth.shape
+        assert formats.read_csv(outdir / "velocity.csv").shape == truth.shape
 
     def test_byte_identical_reports_on_rerun(self, tmp_path):
         outdir = tmp_path / "out"
@@ -150,8 +155,8 @@ class TestRunPipeline:
                "irls": {"d": 3, "lambda_b": 0.05, "max_iter": 20},
                "simulate": sim_section(), "seed": 5,
                "output": str(outdir), "ensemble": 8}
-        result = pipeline.run_pipeline(cfg)
-        assert np.isfinite(result.report["metrics"]["cnr_db"])
+        report = pipeline.run_pipeline(cfg)
+        assert np.isfinite(report["metrics"]["cnr_db"])
 
     def test_unfolded_train_then_model_reuse(self, tmp_path):
         outdir = tmp_path / "out"
@@ -162,7 +167,7 @@ class TestRunPipeline:
                          "grad_mode": "analytic"},
                "simulate": sim_section(frames=16), "seed": 5,
                "output": str(outdir), "ensemble": 8}
-        result = pipeline.run_pipeline(cfg)
+        pipeline.run_pipeline(cfg)
         model_path = outdir / "model.u2m"
         assert model_path.exists()
         net = formats.read_model(model_path)
@@ -172,9 +177,9 @@ class TestRunPipeline:
         cfg2 = {"method": "unfolded", "model": str(model_path),
                 "input": str(outdir / "dataset.umi"), "truth": str(outdir),
                 "output": str(outdir2), "ensemble": 8}
-        result2 = pipeline.run_pipeline(cfg2)
-        assert result2.blood.shape == result.blood.shape
-        assert isinstance(result2.report["metrics"]["cnr_db"], float)
+        report2 = pipeline.run_pipeline(cfg2)
+        assert written_blood(outdir2).shape == written_blood(outdir).shape
+        assert isinstance(report2["metrics"]["cnr_db"], float)
 
     def test_published_training_scale_config_runs(self, tmp_path):
         # the sizing used for the in-silico study: 10 layers, subspace 10,
@@ -188,11 +193,11 @@ class TestRunPipeline:
                "simulate": sim_section(frames=260), "seed": 5,
                "output": str(outdir), "ensemble": 50}
         config.validate_config(cfg)
-        result = pipeline.run_pipeline(cfg)
+        report = pipeline.run_pipeline(cfg)
         net = formats.read_model(outdir / "model.u2m")
         assert net.theta.shape == (10, 11)
         assert np.all(np.isfinite(net.theta))
-        assert np.isfinite(result.report["metrics"]["cnr_db"])
+        assert np.isfinite(report["metrics"]["cnr_db"])
 
 
 class TestPipelineErrors:

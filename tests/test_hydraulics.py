@@ -5,6 +5,8 @@ and flows are checked against an independent dense nodal-analysis solve and,
 for the complete topology, a series/parallel conductance reduction.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,10 +44,10 @@ def symmetric_complete_unit():
     return manual_unit(specs, variant_id=8)
 
 
-def nodal_oracle(unit, mu, p_inlet):
-    """Dense conductance-Laplacian solve of the full node-law system."""
+def nodal_oracle(unit):
+    """Dense conductance-Laplacian solve of the full node-law system at a 1 Pa inlet."""
     edges = geometry.edge_list(unit)
-    c = hydraulics.edge_conductance(unit, mu)
+    c = hydraulics.edge_conductance(unit)
     n_nodes = len(unit.vessels) + 1
     lap = np.zeros((n_nodes, n_nodes))
     for (f, t), ce in zip(edges, c):
@@ -55,7 +57,7 @@ def nodal_oracle(unit, mu, p_inlet):
         lap[t, f] -= ce
     hanging, interior = hydraulics.node_partition(unit)
     p_known = np.zeros(len(hanging))
-    p_known[0] = p_inlet
+    p_known[0] = 1.0
     p = np.zeros(n_nodes)
     p[hanging] = p_known
     if interior:
@@ -176,7 +178,7 @@ class TestIncidence:
 class TestConductance:
     def test_xi_spot_value(self):
         unit = manual_unit([(None, 3.5, 0.0, 1.25)])
-        c = hydraulics.edge_conductance(unit, mu=0.004)
+        c = hydraulics.edge_conductance(unit)
         xi = 1.0 / c[0]
         assert xi == pytest.approx(14602529.690658635, rel=1e-12)
         assert xi == pytest.approx(1.460e7, rel=1e-3)
@@ -184,30 +186,30 @@ class TestConductance:
     def test_radius_fourth_power(self):
         base = manual_unit([(None, 3.5, 0.0, 1.0)])
         wide = manual_unit([(None, 3.5, 0.0, 2.0)])
-        c0 = hydraulics.edge_conductance(base, 0.004)[0]
-        c1 = hydraulics.edge_conductance(wide, 0.004)[0]
+        c0 = hydraulics.edge_conductance(base)[0]
+        c1 = hydraulics.edge_conductance(wide)[0]
         assert c1 == pytest.approx(16.0 * c0, rel=1e-12)
 
     def test_length_halves(self):
         short = manual_unit([(None, 1.75, 0.0, 1.25)])
         long = manual_unit([(None, 3.5, 0.0, 1.25)])
-        c_short = hydraulics.edge_conductance(short, 0.004)[0]
-        c_long = hydraulics.edge_conductance(long, 0.004)[0]
+        c_short = hydraulics.edge_conductance(short)[0]
+        c_long = hydraulics.edge_conductance(long)[0]
         assert c_long == pytest.approx(0.5 * c_short, rel=1e-12)
 
     def test_nonpositive_geometry_rejected(self):
         bad = manual_unit([(None, 3.5, 0.0, -1.0)])
         with pytest.raises(ValueError):
-            hydraulics.edge_conductance(bad, 0.004)
+            hydraulics.edge_conductance(bad)
         with pytest.raises(ValueError):
-            hydraulics.edge_conductance(manual_unit([(None, 0.0, 0.0, 1.0)]), 0.004)
+            hydraulics.edge_conductance(manual_unit([(None, 0.0, 0.0, 1.0)]))
 
 
 class TestSolve:
     def test_series_middle_pressure(self):
         unit = manual_unit([(None, 2.0, 0.0, 1.0), (0, 2.0, 0.0, 1.0)])
-        net = hydraulics.build_network(unit, inlet_pressure=3.0)
-        assert net.p_nh[0] == pytest.approx(1.5, rel=1e-12)
+        net = hydraulics.build_network(unit)
+        assert net.p_nh[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_symmetric_complete_split(self):
         net = hydraulics.build_network(symmetric_complete_unit())
@@ -221,8 +223,8 @@ class TestSolve:
         for seed in range(50):
             vid = seed % 8 + 1
             unit = geometry.sample_flow_unit(seed, vid)
-            net = hydraulics.build_network(unit, inlet_pressure=1.0)
-            p_ref, q_ref = nodal_oracle(unit, mu=0.004, p_inlet=1.0)
+            net = hydraulics.build_network(unit)
+            p_ref, q_ref = nodal_oracle(unit)
             _, interior = hydraulics.node_partition(unit)
             np.testing.assert_allclose(net.p_nh, p_ref[interior], rtol=1e-10)
             np.testing.assert_allclose(net.q_e, q_ref, rtol=1e-10)
@@ -240,11 +242,11 @@ class TestSolve:
 
         for seed in (1, 4, 9):
             unit = geometry.sample_flow_unit(seed, 8)
-            c = hydraulics.edge_conductance(unit, 0.004)
+            c = hydraulics.edge_conductance(unit)
             left = series(c[1], c[3] + c[4])
             right = series(c[2], c[5] + c[6])
             total = series(c[0], left + right)
-            net = hydraulics.build_network(unit, inlet_pressure=1.0)
+            net = hydraulics.build_network(unit)
             q_root = total * 1.0
             assert abs(net.q_e[0]) == pytest.approx(q_root, rel=1e-12)
             p_split = 1.0 - q_root / c[0]
@@ -262,14 +264,14 @@ class TestSolve:
 class TestVelocities:
     def test_spot_value(self):
         unit = manual_unit([(None, 1.0, 0.0, 1.25)])
-        c = hydraulics.edge_conductance(unit, 0.004)
+        c = hydraulics.edge_conductance(unit)
         v = hydraulics.edge_velocities(c, np.array([1.0]),
                                        np.array([1.25e-3]))
         assert v[0] == pytest.approx(97.65625, rel=1e-12)
 
     def test_zero_drop_is_zero(self):
         unit = manual_unit([(None, 1.0, 0.0, 1.25)])
-        c = hydraulics.edge_conductance(unit, 0.004)
+        c = hydraulics.edge_conductance(unit)
         v = hydraulics.edge_velocities(c, np.array([0.0]), np.array([1.25e-3]))
         assert v[0] == 0.0
 
@@ -283,7 +285,7 @@ class TestVelocities:
             np.testing.assert_allclose(q_from_v, np.abs(net.q_e), rtol=1e-12)
 
     def test_network_velocity_positive_toward_leaves(self):
-        net = hydraulics.build_network(symmetric_complete_unit(), inlet_pressure=1.0)
+        net = hydraulics.build_network(symmetric_complete_unit())
         assert np.all(net.v_max > 0)
         assert np.all(net.q_e < 0)  # incidence sign convention
 
@@ -310,7 +312,7 @@ class TestScaleToTarget:
         np.testing.assert_allclose(doubled.q_e, 2.0 * net.q_e, rtol=1e-12)
 
     def test_zero_baseline_rejected(self):
-        net = hydraulics.build_network(geometry.sample_flow_unit(5, 8),
-                                       inlet_pressure=0.0)
+        net = hydraulics.build_network(geometry.sample_flow_unit(5, 8))
+        net = dataclasses.replace(net, v_max=np.zeros_like(net.v_max))
         with pytest.raises(ValueError):
             hydraulics.scale_to_target(net, 25.0)

@@ -53,7 +53,7 @@ class TestPowerDoppler:
 class TestDopplerVelocity:
     def test_constant_phase_is_zero(self):
         b = np.full((5, 8), 2.0 * np.exp(0.7j))
-        v, low = metrics.doppler_velocity(b, 1000.0, 7.5e6, 1540.0)
+        v, low = metrics.doppler_velocity(b, 1000.0, 7.5e6)
         # hardware fused multiplies leave ~1e-16 in the autocorrelation phase
         np.testing.assert_allclose(v, 0.0, atol=1e-12)
         assert not low.any()
@@ -61,7 +61,7 @@ class TestDopplerVelocity:
     def test_phase_ramp_frozen_value(self):
         t = np.arange(16)
         b = np.exp(1j * 0.1 * t)[None, :] * np.ones((3, 1))
-        v, low = metrics.doppler_velocity(b, 1000.0, 7.5e6, 1540.0)
+        v, low = metrics.doppler_velocity(b, 1000.0, 7.5e6)
         np.testing.assert_allclose(v, 1.6339907490767922, rtol=1e-12)
         assert not low.any()
 
@@ -69,43 +69,42 @@ class TestDopplerVelocity:
         # phase decreasing over time: scatterer receding, negative velocity
         t = np.arange(10)
         b = np.exp(-1j * 0.2 * t)[None, :]
-        v, _ = metrics.doppler_velocity(b, 1000.0, 7.5e6, 1540.0)
+        v, _ = metrics.doppler_velocity(b, 1000.0, 7.5e6)
         assert v[0] < 0
 
     def test_nyquist_bound(self):
         rng = np.random.default_rng(2)
         b = crandn(rng, (40, 12))
-        v, _ = metrics.doppler_velocity(b, 1000.0, 7.5e6, 1540.0)
+        v, _ = metrics.doppler_velocity(b, 1000.0, 7.5e6)
         bound = 1540.0 * 1000.0 / (4.0 * 7.5e6) * 1e3
         assert bound == pytest.approx(51.333333333333336, rel=1e-12)
         assert np.max(np.abs(v)) <= bound * (1 + 1e-12)
 
     def test_zero_autocorrelation_flagged(self):
         b = np.array([[1.0, 1.0, -1.0]], dtype=complex)
-        v, low = metrics.doppler_velocity(b, 1000.0, 7.5e6, 1540.0)
+        v, low = metrics.doppler_velocity(b, 1000.0, 7.5e6)
         assert v[0] == 0.0
         assert low[0]
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(3)
         b = crandn(rng, (15, 9))
-        v0, _ = metrics.doppler_velocity(b, 1000.0, 7.5e6, 1540.0)
-        v1, _ = metrics.doppler_velocity(2.5 * b, 1000.0, 7.5e6, 1540.0)
-        v2, _ = metrics.doppler_velocity(np.exp(0.4j) * b, 1000.0, 7.5e6, 1540.0)
+        v0, _ = metrics.doppler_velocity(b, 1000.0, 7.5e6)
+        v1, _ = metrics.doppler_velocity(2.5 * b, 1000.0, 7.5e6)
+        v2, _ = metrics.doppler_velocity(np.exp(0.4j) * b, 1000.0, 7.5e6)
         np.testing.assert_allclose(v1, v0, rtol=1e-12)
         np.testing.assert_allclose(v2, v0, rtol=1e-9, atol=1e-12)
 
     def test_single_frame_rejected(self):
         with pytest.raises(ValueError):
-            metrics.doppler_velocity(np.ones((4, 1), dtype=complex),
-                                     1000.0, 7.5e6, 1540.0)
+            metrics.doppler_velocity(np.ones((4, 1), dtype=complex), 1000.0, 7.5e6)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("prf, f0", [(1000.0, 1e-300), (1e306, 1.0)])
     def test_overflowing_velocity_scale_rejected(self, prf, f0):
         b = np.array([[1.0, 1j, -1.0]])
         with pytest.raises(ValueError, match="velocity scale overflows"):
-            metrics.doppler_velocity(b, prf, f0, 1540.0)
+            metrics.doppler_velocity(b, prf, f0)
 
 
 def two_region_pd(mean_blood, mean_tissue, tissue_spread):

@@ -95,6 +95,17 @@ def test_unfolded_names_no_complex_dtype():
     assert found == []
 
 
+def test_sound_speed_is_written_once():
+    """The phantom renders and the velocity estimator reads with one speed of
+    sound, casorati.SOUND_SPEED: 1540 appears once as a number in the source."""
+    found = [path.relative_to(SRC).as_posix()
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+             and node.value == 1540]
+    assert found == ["casorati.py"]
+
+
 def test_documented_exit_codes_match_the_pipeline():
     """README's exit-code table and the cli docstring list STAGE_EXIT_CODES in order."""
     want = list(pipeline.STAGE_EXIT_CODES.items())

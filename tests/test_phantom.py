@@ -194,9 +194,9 @@ class TestAdvanceScene:
 
 class TestSynthesizeIq:
     def test_wavelength_and_psf_frozen(self):
-        lam = imaging.wavelength_mm(7.5e6, 1540.0)
+        lam = imaging.wavelength_mm(7.5e6)
         assert lam == pytest.approx(0.20533333333333334, rel=1e-12)
-        fz, fx = imaging.psf_fwhm_mm(7.5e6, 1540.0)
+        fz, fx = imaging.psf_fwhm_mm(7.5e6)
         assert fz == pytest.approx(0.41066666666666668, rel=1e-12)
         assert fx == pytest.approx(0.616, rel=1e-12)
 
@@ -271,7 +271,7 @@ class TestSynthesizeIq:
         iz = int(round((1.0 - sc.z0) / sc.pixel_mm))
         ix = int(round((0.0 - sc.x0) / sc.pixel_mm))
         value = seq.voxels[iz, ix, 0]
-        expected = -4.0 * np.pi * sc.center_freq * 1.0e-3 / sc.sound_speed
+        expected = -4.0 * np.pi * sc.center_freq * 1.0e-3 / casorati.SOUND_SPEED
         delta = (np.angle(value) - expected) % (2.0 * np.pi)
         assert min(delta, 2.0 * np.pi - delta) <= 1e-9
 
@@ -334,31 +334,25 @@ class TestRoiMasks:
 
     def test_tissue_respects_clearance(self):
         sc = mini_scene()
-        _, tissue = imaging.roi_masks(sc, clearance_mm=1.0)
+        _, tissue = imaging.roi_masks(sc)
         xs = sc.x0 + np.arange(sc.nx) * sc.pixel_mm
         gx = np.broadcast_to(xs, (sc.nz, sc.nx))
         # the ellipse is much larger than the grid, so tissue is exactly
         # the complement of the widened vessel band
         np.testing.assert_array_equal(tissue, np.abs(gx) > 2.25)
 
-    def test_larger_clearance_shrinks_tissue(self):
-        sc = mini_scene()
-        _, narrow = imaging.roi_masks(sc, clearance_mm=0.5)
-        _, wide = imaging.roi_masks(sc, clearance_mm=2.0)
-        assert wide.sum() < narrow.sum()
-        assert np.all(narrow[wide])
-
     def test_boundary_margin_applies(self):
-        sc = dataclasses.replace(mini_scene(), ellipse_axes=np.array([3.5, 3.0]))
-        _, tissue = imaging.roi_masks(sc, boundary_margin_mm=0.5)
+        # the 2 mm margin shrinks the 5 x 4.5 mm semi-axes to 3 x 2.5 mm
+        sc = dataclasses.replace(mini_scene(), ellipse_axes=np.array([5.0, 4.5]))
+        _, tissue = imaging.roi_masks(sc)
         xs = sc.x0 + np.arange(sc.nx) * sc.pixel_mm
         zs = sc.z0 + np.arange(sc.nz) * sc.pixel_mm
         gx, gz = np.meshgrid(xs, zs)
-        outside = (gx / 3.0) ** 2 + (gz / 2.5) ** 2 > 1.0
-        assert not np.any(tissue & outside)
+        shrunk = (gx / 3.0) ** 2 + (gz / 2.5) ** 2 <= 1.0
+        np.testing.assert_array_equal(tissue, shrunk & (np.abs(gx) > 2.25))
         assert tissue.any()
 
     def test_margin_swallowing_ellipse_rejected(self):
         sc = dataclasses.replace(mini_scene(), ellipse_axes=np.array([1.5, 1.0]))
         with pytest.raises(ValueError):
-            imaging.roi_masks(sc, boundary_margin_mm=2.0)
+            imaging.roi_masks(sc)
