@@ -13,6 +13,7 @@ the elementwise weights W_b are refreshed every iteration from the current
 iterate (iteratively reweighted least squares). The weights take the power
 -1/2 of the regularized energies, so the weighted quadratic terms behave like
 a column-wise l2,1 penalty on the factors and an elementwise l1 penalty on B.
+W_b is 1 / s with s = sqrt(|B|^2 + epsilon), and the code works with s.
 """
 
 import logging
@@ -119,27 +120,31 @@ def lowrank_weights(u, v, epsilon):
     return (_column_energy(u, v).astype(np.float64) + epsilon) ** -0.5
 
 
-def _factor_solve(f, rhs, w_diag):
-    """X with X (F^H F + diag(w_diag)) = rhs^H: the shared factor update.
+def _factor_solve(f, p, w_diag):
+    """X = P M^-1 with M = F^H F + diag(w_diag): the shared factor update.
 
-    F^H F and rhs come in F's precision, but the d x d solve runs in
-    complex128, so hermitian_solve's residual bound holds for complex64
-    factors too. Before X is narrowed back to F's dtype, every real or
-    imaginary part below finfo.tiny / finfo.eps of that dtype (about 9.9e-32
-    for complex64, 1e-292 for complex128) is set to zero. The column
-    reweighting shrinks the columns it switches off geometrically; flushed
-    at this floor, such a column turns exactly zero, and its right-hand side
-    is then zero too. A floor of finfo.tiny alone is not enough: products of
-    entries just above it still underflow. The floor does not keep every
-    subnormal number out of the products, though. Columns on their way
-    down sit far above it for many iterations: after 6 solver iterations on
-    the complex64 desk ensemble (5670 x 100, d = 10, lambda_b = 0.02), six
-    columns of U peak between 2.5e-18 and 3.1e-23, so 23 entries of U^H U
-    have subnormal parts, and that product takes about 8.6 ms against
-    0.23 ms with those columns zeroed.
+    P comes in X's layout, R^H U (n_frames x d) for V and R V (n_space x d)
+    for U, so X M = P is the update's normal equation. F^H F and P come in
+    F's precision, but M^-1 = hermitian_solve(M, I) and the product P M^-1
+    are formed in complex128, so hermitian_solve's residual bound holds for
+    complex64 factors too; its refinement then runs on d columns, not on the
+    n_space columns of a right-hand side in P^H's layout. Before X is
+    narrowed back to F's dtype, every real or imaginary part below
+    finfo.tiny / finfo.eps of that dtype (about 9.9e-32 for complex64,
+    1e-292 for complex128) is set to zero. The column reweighting shrinks
+    the columns it switches off geometrically; flushed at this floor, such a
+    column turns exactly zero, and its column of P is then zero too. A floor
+    of finfo.tiny alone is not enough: products of entries just above it
+    still underflow. The floor does not keep every subnormal number out of
+    the products, though. Columns on their way down sit far above it for
+    many iterations: after 6 solver iterations on the complex64 desk
+    ensemble (5670 x 100, d = 10, lambda_b = 0.02), six columns of U peak
+    between 2.5e-18 and 3.1e-23, so 23 entries of U^H U have subnormal parts,
+    and that product takes about 8.6 ms against 0.23 ms with those columns
+    zeroed.
     """
     gram = (f.conj().T @ f).astype(np.complex128, copy=False) + np.diag(w_diag)
-    x = hermitian_solve(gram, rhs.astype(np.complex128, copy=False)).conj().T
+    x = p.astype(np.complex128, copy=False) @ hermitian_solve(gram, np.eye(len(gram)))
     info = np.finfo(f.dtype)
     floor = info.tiny / info.eps
     for part in (x.real, x.imag):
@@ -147,50 +152,56 @@ def _factor_solve(f, rhs, w_diag):
     return x.astype(f.dtype, copy=False)
 
 
-def blood_weights(b_sq, epsilon):
-    """Elementwise blood weights (|B|^2 + epsilon)^(-1/2) from b_sq = |B|^2.
+def blood_scale(b_sq, epsilon):
+    """The blood update's scale s = sqrt(|B|^2 + epsilon) from b_sq = |B|^2.
 
-    epsilon counts as at least the smallest normal number of b_sq's dtype, so
-    the weights stay finite where B is zero; a smaller epsilon would round
-    away. The weights take b_sq's precision. This is the one place their order
-    of operations is written; update_step and the network's adjoint share it.
+    The elementwise blood weights are 1 / s. epsilon counts as at least the
+    smallest normal number of b_sq's dtype, so s stays positive where B is
+    zero; a smaller epsilon would round away. s takes b_sq's precision. This
+    is the one place its order of operations is written; update_step and the
+    network's adjoint share it.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    w_b = np.add(b_sq, max(epsilon, float(np.finfo(b_sq.dtype).tiny)))
-    return np.power(w_b, -0.5, out=w_b)
+    s = np.add(b_sq, max(epsilon, float(np.finfo(b_sq.dtype).tiny)))
+    return np.sqrt(s, out=s)
 
 
-def blood_divisor(lambda_b, w_b, out=None):
-    """The blood update's divisor 1 + 2 lambda_b w_b, in w_b's precision, into out if given.
+def blood_shrink(s, lambda_b, out=None):
+    """The blood update's real factor s / (s + 2 lambda_b), in s's precision, into out if given.
 
-    This is the one place its order of operations is written; update_step
-    and the network's adjoint share it. A penalty weight beyond the dtype's
-    range makes the divisor inf, and the blood update then gives B = 0.
+    B = R s / (s + 2 lambda_b) is R / (1 + 2 lambda_b / s), the exact
+    minimizer of the weighted penalty with weights 1 / s. This is the one
+    place its order of operations is written; update_step and the network's
+    adjoint share it. The factor is at most 1, and exactly 1 for
+    lambda_b = 0. A penalty weight beyond the dtype's range makes the
+    denominator inf, and the factor, so B, exactly zero.
     """
     with np.errstate(over="ignore"):
-        out = np.multiply(2.0 * lambda_b, w_b, out=out)
-    return np.add(1.0, out, out=out)
+        out = np.add(s, 2.0 * lambda_b, out=out)
+    return np.divide(s, out, out=out)
 
 
 def factor_updates(u, r, w_diag):
     """V and then U from r = D - B: a step's two factor updates.
 
-    r feeds both updates and is not changed. This is the one place their
-    order of operations is written; update_step and the network's adjoint
-    share it.
+    r feeds both updates and is not changed. R^H U is formed as
+    conj(R^T conj(U)), without a full-matrix conjugate copy. This is the one
+    place their order of operations is written; update_step and the
+    network's adjoint share it.
     """
-    v = _factor_solve(u, u.conj().T @ r, w_diag)
-    u = _factor_solve(v, (r @ v).conj().T, w_diag)
+    v = _factor_solve(u, (r.T @ u.conj()).conj(), w_diag)
+    u = _factor_solve(v, r @ v, w_diag)
     return u, v
 
 
 def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
     """One solver iteration, which is also one unfolded network layer.
 
-    Refreshes the blood weights from the entering B, then updates B, V and U
-    in turn. The residual R = D - B is formed once and feeds both factor
-    updates.
+    Forms the blood scale s from the entering B, then updates B, V and U in
+    turn: B = R s / (s + 2 lambda_b) with R = D - U V^H, one sqrt, add,
+    divide and multiply pass. The residual D - B is formed once and feeds
+    both factor updates.
 
     Args:
         d_mat: data matrix D.
@@ -198,21 +209,20 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
         resid: D - U V^H for the entering factors. The step overwrites it:
             its buffer becomes the new B.
         b_sq: |B|^2 of the entering blood matrix; a (1, 1) zero stands for
-            B = 0 and makes the weights one broadcast value.
+            B = 0 and makes s one broadcast value.
         lambda_b: blood penalty weight.
         w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
             solver, the learned weight diagonal in a network layer.
-        epsilon: positive blood-weight regularizer (see blood_weights).
+        epsilon: positive blood-scale regularizer (see blood_scale).
 
     Returns:
-        (u, v, b, w_b): the updated factors and blood matrix, and the blood
-        weights the step used.
+        (u, v, b, s): the updated factors and blood matrix, and the blood
+        scale the step used, whose reciprocal is the blood weights.
     """
-    w_b = blood_weights(b_sq, epsilon)
-    # the product has np.divide's bytes, whose complex loop (Smith's method) forms 1 / divisor too
-    b = np.multiply(resid, 1.0 / blood_divisor(lambda_b, w_b), out=resid)
+    s = blood_scale(b_sq, epsilon)
+    b = np.multiply(resid, blood_shrink(s, lambda_b), out=resid)
     u, v = factor_updates(u, d_mat - b, w_diag)
-    return u, v, b, w_b
+    return u, v, b, s
 
 
 def _relative_change(num, den):
@@ -275,11 +285,12 @@ def run_irls(d_mat, cfg):
     Each iteration is one update_step. The full-matrix quantities around it
     are formed once and carried: T = U V^H feeds the objective's fit term,
     the estimate S = T + B and the next blood update; |B|^2 feeds the
-    objective's penalty and the next blood weights; S and ||S||^2 feed the
-    next convergence metric. The state entering an iteration is the one the
-    previous objective was evaluated on, so objective_pre reuses that fit
-    term and only its penalty terms (with the fresh weights) are new. Each
-    iteration's progress goes to this module's logger at INFO.
+    objective's penalty sum(|B|^2 / s) and the next blood scale s; S and
+    ||S||^2 feed the next convergence metric. The state entering an
+    iteration is the one the previous objective was evaluated on, so
+    objective_pre reuses that fit term and only its penalty terms (with the
+    fresh weights) are new. Each iteration's progress goes to this module's
+    logger at INFO.
 
     Args:
         d_mat: complex Casorati matrix, shape (n_space, n_frames).
@@ -291,9 +302,9 @@ def run_irls(d_mat, cfg):
     """
     work, scale = prepare_input(d_mat, cfg.d)
 
-    def objective(fit, energy, w_c, w_b, b_sq):
+    def objective(fit, energy, w_c, s_b, b_sq):
         col = float(np.dot(w_c, energy))
-        spr = float((w_b * b_sq).sum())
+        spr = float((b_sq / s_b).sum())
         return fit + cfg.lambda_c * col + cfg.lambda_b * spr
 
     u, v = _init_state(work, cfg.d)
@@ -311,9 +322,9 @@ def run_irls(d_mat, cfg):
         for k in range(1, cfg.max_iter + 1):
             wc_hist.append(w_c)
             b = None  # the entering B lives on only as |B|^2 and S
-            u, v, b, w_b = update_step(work, u, resid, b_sq, cfg.lambda_b,
+            u, v, b, s_b = update_step(work, u, resid, b_sq, cfg.lambda_b,
                                        2.0 * cfg.lambda_c * w_c, cfg.epsilon)
-            obj_pre.append(objective(fit, energy, w_c, w_b, b_sq))
+            obj_pre.append(objective(fit, energy, w_c, s_b, b_sq))
 
             # T's buffer becomes the new S and the old S's buffer its change,
             # so neither needs a full matrix of its own
@@ -324,8 +335,9 @@ def run_irls(d_mat, cfg):
             s = s_now
             fit = 0.5 * np.linalg.norm(resid - b) ** 2
             energy = _column_energy(u, v)
-            b_sq = np.abs(b) ** 2
-            obj.append(objective(fit, energy, w_c, w_b, b_sq))
+            b_sq = np.abs(b)
+            np.square(b_sq, out=b_sq)
+            obj.append(objective(fit, energy, w_c, s_b, b_sq))
             # the fit term 0.5 ||resid - B||^2 is not finite when B is not
             if not np.isfinite(obj[-1]):
                 raise SolverError(f"non-finite iterate at iteration {k}")

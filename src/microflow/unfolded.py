@@ -43,8 +43,9 @@ def softplus(x):
 def inv_softplus(y):
     """Inverse of softplus; targets at or near zero clamp to a floor of -50.
 
-    softplus(-50) is about 2e-22, small enough that 1 + 2*lambda*W rounds to
-    exactly 1.0 for any weight this package produces.
+    softplus(-50) is about 2e-22, small enough that the blood update's factor
+    s / (s + 2*lambda) rounds to exactly 1.0 for any blood scale
+    s >= sqrt(epsilon) = 1e-4 at the default epsilon.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
@@ -164,62 +165,89 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
 
 
 def _layers(net, work, init_state=None):
-    """Yield each layer's (u, v, b) for the peak-1 work matrix, holding only the current state.
+    """Yield each layer's (u, v, b, resid) for the peak-1 work matrix, holding only the current state.
 
-    A layer is one irls.update_step: B = (D - U_in V_in^H) / (1 + 2 lambda_b w_b), with
-    w_b the blood weights of the entering B, then V and U from w_c. Layer 0's entering B
-    is zero, so its |B|^2 is a (1, 1) zero and its w_b one broadcast value.
+    A layer is one irls.update_step: B = (D - U_in V_in^H) s / (s + 2 lambda_b), with
+    s = sqrt(|B_in|^2 + epsilon) of the entering B, then V and U from w_c. Layer 0's
+    entering B is zero, so its |B|^2 is a (1, 1) zero and its s one broadcast value.
+    resid is D - U V^H for the layer's output factors, the next layer's input, formed
+    before the layer is yielded; the next layer overwrites it with its B. The last
+    layer has no next one and yields None there.
     """
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
-    b, zero_sq = None, np.zeros((1, 1), dtype=work.real.dtype)
-    for lambda_b, w_c in net.penalties():
-        u, v, b, _ = irls.update_step(work, u, work - u @ v.conj().T,
-                                      zero_sq if b is None else np.abs(b) ** 2,
-                                      lambda_b, w_c, net.epsilon)
-        yield u, v, b
+    resid = work - u @ v.conj().T
+    b_sq = np.zeros((1, 1), dtype=work.real.dtype)
+    penalties = net.penalties()
+    for k, (lambda_b, w_c) in enumerate(penalties):
+        u, v, b, _ = irls.update_step(work, u, resid, b_sq, lambda_b, w_c, net.epsilon)
+        if k + 1 == len(penalties):
+            yield u, v, b, None
+            return
+        resid = work - u @ v.conj().T
+        yield u, v, b, resid
+        b_sq = np.abs(b)
+        np.square(b_sq, out=b_sq)
 
 
 def layer_residuals(net, d_mat, init_state=None):
     """Each layer's norm ||D - B_k - U_k V_k^H||_F in input units, as K floats.
 
-    The layers and the input-units misfits run in the work matrix's
-    precision; init_state is an optional (u0, v0) for the input scaled to
-    peak 1. The training loss is the mean square of this list. Layer k's
-    full decomposition is infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
+    The layers and the misfits run in the work matrix's precision on the
+    input scaled to peak 1; init_state is an optional (u0, v0) for that
+    matrix. Layer k's misfit is ||(D - U_k V_k^H) - B_k|| * scale, read off
+    the next layer's input D - U_k V_k^H before that layer overwrites it, so
+    only the last layer forms its own. The training loss is the mean square
+    of this list. Layer k's full decomposition is
+    infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
     work, scale = irls.prepare_input(d_mat, net.d)
-    d_mat = np.asarray(d_mat, dtype=work.dtype, order="C")
-    return [float(np.linalg.norm(d_mat - b * scale - u @ (v * scale).conj().T))
-            for u, v, b in _layers(net, work, init_state)]
+    misfits = []
+    for u, v, b, resid in _layers(net, work, init_state):
+        if resid is None:
+            resid = work - u @ v.conj().T
+        misfits.append(float(np.linalg.norm(resid - b)) * scale)
+    return misfits
 
 
 def _analytic_loss_grad(net, d_mat, init_state=None):
     """Loss and its gradient via the adjoint of the layer equations.
 
     The pass runs on the input scaled to peak 1; since the loss is quadratic
-    in the data scale, the gradient (and loss) are multiplied by scale**2.
-    It keeps three things.
+    in the data scale, the gradient (and loss) are multiplied by its square.
+    It keeps four things.
 
-    Bits. Layer k's state is (U_in, V_in, w_k): its input factors and the
-    blood weights of the B entering it. One routine, advance, forms each
-    layer's output state, forward and rebuilt, with the functions
-    irls.update_step calls: B_k = (D - U_in V_in^H) * (1 / blood_divisor),
-    then factor_updates on D - B_k, then blood_weights(|B_k|^2). So the loss
-    and gradient are bit-identical to an adjoint that keeps every layer's B,
-    and trained .u2m files do not change.
+    Bits. Layer k's state is (U_in, V_in, s_k): its input factors and the
+    blood scale s_k = sqrt(|B_(k-1)|^2 + epsilon) of the B entering it. One
+    routine, advance, forms each layer's output state, forward and rebuilt,
+    with the functions irls.update_step calls: B_k = (D - U_in V_in^H) times
+    blood_shrink(s_k, lambda_k) = s_k / (s_k + 2 lambda_k), then
+    factor_updates on D - B_k, then blood_scale(|B_k|^2). So the loss and
+    gradient are bit-identical to an adjoint that keeps every layer's B.
+
+    Passes. Each backward step forms its misfit E = (D - U V^H) - B_k as
+    layer_residuals does, from the D - U V^H that the step above formed as
+    its own D - U_in V_in^H. As R = D - B_k = E + U V^H, the products with
+    R read E, and no R is formed. Every gradient is carried times -1 / c,
+    as the adjoint is linear in them, so the loss term's is E itself. The
+    step reads the rest off the gradient G0 = G_B * shrink that reaches
+    D - U_in V_in^H, with tmp = Re(conj(G0) B_k): lambda_k's gradient is
+    -4 sum(tmp / s_k), and B_(k-1)'s gradient through s_k is the real factor
+    2 lambda_k tmp / s_k^3 times B_(k-1), formed by two more divisions. No
+    pass forms the divisor again, and none raises a full matrix to a power:
+    numpy's generic pow loop costs about three sqrt passes.
 
     Checkpoints. The forward pass keeps layer k's state only where
-    k % s == 0, s = ceil(sqrt(K)), and across the last segment
-    k >= floor((K - 1) / s) * s, plus the final output factors: about
-    2 sqrt(K) states instead of K. Layer 0's weights are one broadcast
+    k % t == 0, t = ceil(sqrt(K)), and across the last segment
+    k >= floor((K - 1) / t) * t, plus the final output factors: about
+    2 sqrt(K) states instead of K. Layer 0's blood scale is one broadcast
     value, as its entering B is zero. On entering a segment whose states
     were dropped, the backward sweep reruns it from its checkpoint.
 
     Buffers. Besides the work matrix, the full-matrix temporaries share four
     complex buffers (B among them) and two real ones. No B is kept: each
     backward step forms its own B_k, and B_k's gradient through the next
-    layer's weights is a real factor, left by that layer's step, times B_k.
-    All buffers are C-ordered, like the work matrix and numpy's own
+    layer's blood scale is a real factor, left by that layer's step, times
+    B_k. All buffers are C-ordered, like the work matrix and numpy's own
     temporaries: the order of a product's output changes its rounding, and
     mixed orders are slow. A product X^H Y is formed as conj(X^T conj(Y)),
     the same bits without a full-matrix conjugate copy. The buffers take the
@@ -236,31 +264,34 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     last_segment = (n_layers - 1) // stride * stride
 
     b, r = (np.empty(work.shape, work.dtype) for _ in range(2))
-    recip = np.empty(work.shape, work.real.dtype)
+    shrink = np.empty(work.shape, work.real.dtype)
 
-    def blood(k, state):
-        """Layer k's B into b from its state; recip ends as 1 / divisor."""
-        u_in, v_in, w_b = state
-        np.divide(1.0, irls.blood_divisor(penalties[k][0], w_b, out=recip), out=recip)
-        np.matmul(u_in, v_in.conj().T, out=b)
-        np.multiply(np.subtract(work, b, out=b), recip, out=b)
+    def blood(k, state, resid, out):
+        """Layer k's D - U_in V_in^H into resid and its B into out, which may be resid.
 
-    def advance(k, state):
-        """Layer k's output state from its input state, with b, r and recip as scratch.
-
-        The factors come before the weights, which would otherwise sit beside
-        the factor updates' temporaries; the last layer's weights feed nothing.
+        shrink ends as s_k / (s_k + 2 lambda_k).
         """
-        blood(k, state)
+        u_in, v_in, s = state
+        irls.blood_shrink(s, penalties[k][0], out=shrink)
+        np.matmul(u_in, v_in.conj().T, out=resid)
+        return np.multiply(np.subtract(work, resid, out=resid), shrink, out=out)
+
+    def advance(k, state, b, r):
+        """Layer k's output state from its input state, with b, r and shrink as scratch.
+
+        The factors come before the blood scale, which would otherwise sit
+        beside the factor updates' temporaries; the last layer's feeds nothing.
+        """
+        blood(k, state, b, b)
         u, v = irls.factor_updates(state[0], np.subtract(work, b, out=r), penalties[k][1])
         if k + 1 == n_layers:
             return u, v, None
-        return u, v, irls.blood_weights(np.square(np.abs(b, out=recip), out=recip), net.epsilon)
+        return u, v, irls.blood_scale(np.square(np.abs(b, out=shrink), out=shrink), net.epsilon)
 
-    state = (u0, v0, irls.blood_weights(np.zeros((1, 1), work.real.dtype), net.epsilon))
+    state = (u0, v0, irls.blood_scale(np.zeros((1, 1), work.real.dtype), net.epsilon))
     states = [state]
     for k in range(n_layers):
-        state = advance(k, state)
+        state = advance(k, state, b, r)
         states.append(state if (k + 1) % stride == 0 or k + 1 >= last_segment else None)
     u, v, _ = states.pop()
 
@@ -268,6 +299,9 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     # no layer follows the last, so the factor starts at zero
     e, g = (np.empty(work.shape, work.dtype) for _ in range(2))
     factor = np.zeros(work.shape, work.real.dtype)
+    # resid is D - U V^H for the output factors of the step's layer: the last layer's
+    # first, and then each step's D - U_in V_in^H, which blood forms anyway
+    resid, spare = np.subtract(work, np.matmul(u, v.conj().T, out=b), out=b), r
     loss_norm = 0.0
     g_theta = np.zeros(net.theta.shape)
     g_u_next = g_v_next = 0.0
@@ -275,53 +309,58 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         if states[k] is None:
             # entering a segment whose states were dropped: rerun it from its checkpoint
             for j in range(k - k % stride, k):
-                states[j + 1] = advance(j, states[j])
-        u_in, v_in, w_b = states.pop()
+                states[j + 1] = advance(j, states[j], spare, e)
+        u_in, v_in, s = states.pop()
         lam, w_c = penalties[k]
-        blood(k, (u_in, v_in, w_b))
-        np.subtract(work, b, out=r)
-        np.subtract(r, np.matmul(u, v.conj().T, out=e), out=e)
-        loss_norm += float(np.linalg.norm(e)) ** 2
+        # spare takes D - U_in V_in^H and g this layer's B; e = (D - U V^H) - B, the
+        # misfit layer_residuals forms, and then resid's buffer is free
+        b_k = blood(k, (u_in, v_in, s), spare, g)
+        np.subtract(resid, b_k, out=e)
+        misfit = float(np.linalg.norm(e))  # not np.vdot, whose complex64 sum runs in float32
+        loss_norm += misfit * misfit
 
-        g_u = -c * (e @ v) + g_u_next
-        g_v = -c * (e.T @ u.conj()).conj() + g_v_next
-        # B's gradient: the loss term's, plus the factor from layer k + 1's step times B
-        g_b = np.add(np.multiply(-c, e, out=e), np.multiply(factor, b, out=g), out=e)
+        # gradients times -1 / c (see Passes); g_theta is scaled back at the end
+        g_u = e @ v + g_u_next
+        g_v = (e.T @ u.conj()).conj() + g_v_next
 
-        # basis update U = R V inv(M_U); g_r takes the spent incoming gradient's buffer
+        # basis update U = R V inv(M_U) and coefficient update V = R^H U_in inv(M_V),
+        # with R = E + U V^H
         q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype, copy=False)
-        g_r = np.matmul(g_u @ q_u, v.conj().T, out=g)
-        g_p = (r.T @ g_u.conj()).conj()
+        g_p = (e.T @ g_u.conj()).conj() + v @ (u.conj().T @ g_u)
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
-
-        # coefficient update V = R^H U_in inv(M_V)
         q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c)).astype(work.dtype, copy=False)
-        g_p2 = r @ g_v
-        g_r += np.matmul(u_in, q_v @ g_v.conj().T, out=r)
+        g_p2 = e @ g_v + u @ (v.conj().T @ g_v)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
         g_w = g_w + 2.0 * np.real(np.diag(g_m_v))
 
-        # R = D - B, then B = (D - U_in V_in^H) / divisor
-        g_b = np.subtract(g_b, g_r, out=g_b)
-        g_r0 = np.multiply(g_b, recip, out=g_r)
-        g_u_next = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T) - g_r0 @ v_in
-        g_v_next = -(g_r0.T @ u_in.conj()).conj()
-        # recip's last use was g_r0: its buffer takes the divisor, and then tmp
-        tmp = np.divide(np.multiply(np.conj(g_b, out=r), b, out=r).real,
-                        irls.blood_divisor(lam, w_b, out=recip), out=recip)
-        g_theta[k, 0] = -4.0 * float(np.sum(np.multiply(tmp, w_b, out=factor)))
+        # B's gradient into e: the loss term's, plus the factor from layer k + 1's step
+        # times B, minus R's through both factor updates
+        np.add(e, np.multiply(factor, b_k, out=resid), out=e)
+        np.subtract(e, np.matmul(g_u @ q_u, v.conj().T, out=resid), out=e)
+        np.subtract(e, np.matmul(u_in, q_v @ g_v.conj().T, out=resid), out=e)
+        # B = (D - U_in V_in^H) * shrink
+        g_r0 = np.multiply(e, shrink, out=e)
+        # tmp = Re(conj(G0) B) in resid's buffer; lambda_k's gradient is -4 sum(tmp / s)
+        tmp = np.multiply(np.conj(g_r0, out=resid), b_k, out=resid).real
+        g_theta[k, 0] = -4.0 * float(np.sum(np.divide(tmp, s, out=factor)))
         g_theta[k, 1:] = g_w
-        # B_{k-1}'s gradient through w_k is this factor, 2 lambda_k w_k^3 tmp, times B_{k-1}
-        np.power(w_b, 3, out=factor)
-        factor *= tmp
-        factor *= 2.0 * lam
-        # layer k's input factors are layer k - 1's output; its spent weights are
-        # freed before the next step rebuilds a segment beside them
-        u, v, w_b = u_in, v_in, None
+        if k:
+            # the gradients of layer k - 1's outputs: its factors, and its B through s_k,
+            # which is this factor, 2 lambda_k tmp / s_k^3, times B_(k-1)
+            g_u_next = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T) - g_r0 @ v_in
+            g_v_next = -(g_r0.T @ u_in.conj()).conj()
+            factor /= s
+            factor /= s
+            factor *= 2.0 * lam
+        # layer k's input factors are layer k - 1's output, and so is D - U_in V_in^H;
+        # its spent blood scale is freed before the next step rebuilds a segment beside it
+        u, v, s = u_in, v_in, None
+        resid, spare = spare, resid
 
-    return c * loss_norm * scale ** 2, g_theta * expit(net.theta) * scale ** 2
+    scale_sq = scale * scale
+    return c * loss_norm * scale_sq, g_theta * (-c * scale_sq) * expit(net.theta)
 
 
 def train(net, train_data, val_data, cfg):
@@ -404,7 +443,8 @@ def train(net, train_data, val_data, cfg):
             m_hat = moment1 / (1 - beta1 ** steps)
             v_hat = moment2 / (1 - beta2 ** steps)
             theta = theta - rates * m_hat / (np.sqrt(v_hat) + adam_eps)
-        history.train_loss.append(float(np.mean(batch_losses)))
+        # fsum rounds once, so the mean does not depend on the shuffled batch order
+        history.train_loss.append(math.fsum(batch_losses) / len(batch_losses))
         vl = validation_loss(theta)
         if not np.isfinite(vl):
             abort(f"epoch {epoch} validation")
@@ -431,6 +471,6 @@ def infer(net, d_mat_new):
     work, scale = irls.prepare_input(d_mat_new, net.d)
     if net.n_space is not None and work.shape[0] != net.n_space:
         raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
-    for u, v, b in _layers(net, work):
+    for u, v, b, _ in _layers(net, work):
         pass
     return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)

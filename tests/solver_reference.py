@@ -19,29 +19,30 @@ import numpy as np
 from microflow import irls, unfolded
 
 
-def sparse_weights(b, epsilon):
-    """Elementwise IRLS weights for the blood matrix.
+def blood_scale(b, epsilon):
+    """The blood update's scale for the blood matrix; the IRLS weights are its reciprocal.
 
     Args:
         b: complex matrix.
         epsilon: positive regularizer.
 
     Returns:
-        Real matrix with entries (|b|^2 + epsilon)^(-1/2), strictly positive.
+        Real matrix with entries s = sqrt(|b|^2 + epsilon), strictly positive.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return (np.abs(b) ** 2 + epsilon) ** -0.5
+    return np.sqrt(np.abs(b) ** 2 + epsilon)
 
 
-def update_blood(d_mat, u, v, w_b, lambda_b):
-    """Exact minimizer for B with the factors held fixed.
+def update_blood(d_mat, u, v, s, lambda_b):
+    """Exact minimizer for B with the factors held fixed and weights 1 / s.
 
-    B = (D - U V^H) / (1 + 2 * lambda_b * W_b), elementwise; the denominator
-    is at least 1, so |B| never exceeds the residual magnitude.
+    B = (D - U V^H) s / (s + 2 lambda_b), elementwise, which is
+    (D - U V^H) / (1 + 2 lambda_b / s); the factor is at most 1, so |B|
+    never exceeds the residual magnitude.
     """
     resid = d_mat - u @ v.conj().T
-    return resid / (1.0 + 2.0 * lambda_b * w_b)
+    return resid * (s / (s + 2.0 * lambda_b))
 
 
 def update_coeffs(d_mat, b, u, w_c, lambda_c):
@@ -58,13 +59,13 @@ def update_coeffs(d_mat, b, u, w_c, lambda_c):
         Updated coefficient matrix, shape (n_frames, d).
     """
     w_diag = 2.0 * lambda_c * np.asarray(w_c, dtype=float)
-    return irls._factor_solve(u, u.conj().T @ (d_mat - b), w_diag)
+    return irls._factor_solve(u, ((d_mat - b).T @ u.conj()).conj(), w_diag)
 
 
 def update_basis(d_mat, b, v, w_c, lambda_c):
     """Exact minimizer for U: solves U (V^H V + 2 lambda_c W_c) = (D-B) V."""
     w_diag = 2.0 * lambda_c * np.asarray(w_c, dtype=float)
-    return irls._factor_solve(v, ((d_mat - b) @ v).conj().T, w_diag)
+    return irls._factor_solve(v, (d_mat - b) @ v, w_diag)
 
 
 def convergence_metric(t_now, b_now, t_prev, b_prev):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from microflow import irls, unfolded
 from microflow.casorati import SolverError, hermitian_solve
-from solver_reference import (convergence_metric, layouts, sparse_weights, update_basis,
+from solver_reference import (blood_scale, convergence_metric, layouts, update_basis,
                               update_blood, update_coeffs)
 
 
@@ -36,20 +36,24 @@ def lowrank_sparse_instance(seed, ns=200, nt=80, rank=3, support=0.02, boost=5.0
 
 
 class TestSparseWeights:
+    """The blood weights are 1 / s, the reciprocal of the blood scale."""
+
     def test_zero_entry(self):
-        w = sparse_weights(np.zeros((2, 2), dtype=complex), 1e-4)
+        w = 1.0 / blood_scale(np.zeros((2, 2), dtype=complex), 1e-4)
         assert np.allclose(w, 100.0, rtol=0, atol=1e-12)
 
     def test_modulus_entry(self):
-        w = sparse_weights(np.array([[3 + 4j]]), 1e-12)
+        w = 1.0 / blood_scale(np.array([[3 + 4j]]), 1e-12)
         assert abs(w[0, 0] - 0.2) < 1e-9
 
     def test_positive_and_epsilon_guard(self):
         r = np.random.default_rng(0)
-        w = sparse_weights(crandn(r, (4, 5)), 1e-8)
-        assert np.all(w > 0)
+        s = blood_scale(crandn(r, (4, 5)), 1e-8)
+        assert np.all(s > 0)
         with pytest.raises(ValueError):
-            sparse_weights(np.zeros((1, 1)), 0.0)
+            blood_scale(np.zeros((1, 1)), 0.0)
+        with pytest.raises(ValueError):
+            irls.blood_scale(np.zeros((1, 1)), 0.0)
 
 
 class TestLowrankWeights:
@@ -70,8 +74,8 @@ class TestUpdateBlood:
         d = crandn(r, (6, 5))
         u = crandn(r, (6, 2))
         v = crandn(r, (5, 2))
-        w = sparse_weights(crandn(r, (6, 5)), 1e-8)
-        b = update_blood(d, u, v, w, 0.0)
+        s = blood_scale(crandn(r, (6, 5)), 1e-8)
+        b = update_blood(d, u, v, s, 0.0)
         assert np.array_equal(b, d - u @ v.conj().T)
 
     def test_exact_model_gives_zero(self):
@@ -92,8 +96,8 @@ class TestUpdateBlood:
         d = crandn(r, (7, 6))
         u = crandn(r, (7, 3))
         v = crandn(r, (6, 3))
-        w = sparse_weights(crandn(r, (7, 6)), 1e-6)
-        b = update_blood(d, u, v, w, 0.3)
+        s = blood_scale(crandn(r, (7, 6)), 1e-6)
+        b = update_blood(d, u, v, s, 0.3)
         assert np.all(np.abs(b) <= np.abs(d - u @ v.conj().T) + 1e-15)
 
     def test_monotone_in_lambda(self):
@@ -101,8 +105,8 @@ class TestUpdateBlood:
         d = crandn(r, (5, 4))
         u = np.zeros((5, 1), dtype=complex)
         v = np.zeros((4, 1), dtype=complex)
-        w = sparse_weights(d, 1e-8)
-        mags = [np.abs(update_blood(d, u, v, w, lam)) for lam in (0.0, 0.1, 1.0, 100.0, 1e12)]
+        s = blood_scale(d, 1e-8)
+        mags = [np.abs(update_blood(d, u, v, s, lam)) for lam in (0.0, 0.1, 1.0, 100.0, 1e12)]
         for lo, hi in zip(mags, mags[1:]):
             assert np.all(hi <= lo + 1e-15)
         assert np.all(mags[-1] <= 1e-6 * np.abs(d))
@@ -173,20 +177,20 @@ class TestFactorSolvePrecision:
            exponent=st.floats(-1.2, 0.0))
     def test_parts_below_the_floor_turn_zero_and_the_rest_match_a_double_solve(
             self, seed, dtype, n, m, d, exponent):
-        # exponent -1 scales one factor column and its rhs row to the flush
+        # exponent -1 scales one factor column and its column of P to the flush
         # floor tiny/eps, the regime the column reweighting drives dead columns to
         info = np.finfo(dtype)
         floor = info.tiny / info.eps
         r = np.random.default_rng(seed)
-        f, rhs = crandn(r, (n, d)), crandn(r, (d, m))
+        f, p = crandn(r, (n, d)), crandn(r, (m, d))
         if exponent < 0.0:
             scale = float(floor) ** -exponent
             f[:, 0] *= scale
-            rhs[0] *= scale
-        f, rhs, w_diag = f.astype(dtype), rhs.astype(dtype), r.random(d) + 0.5
-        got = irls._factor_solve(f, rhs, w_diag)
+            p[:, 0] *= scale
+        f, p, w_diag = f.astype(dtype), p.astype(dtype), r.random(d) + 0.5
+        got = irls._factor_solve(f, p, w_diag)
         gram = (f.conj().T @ f).astype(np.complex128) + np.diag(w_diag)
-        exact = hermitian_solve(gram, rhs.astype(np.complex128)).conj().T
+        exact = p.astype(np.complex128) @ hermitian_solve(gram, np.eye(d))
         assert got.dtype == dtype
         for part, want in ((got.real, exact.real), (got.imag, exact.imag)):
             assert not np.any((part != 0) & (np.abs(part) < floor))
@@ -322,10 +326,10 @@ def reference_irls(d_mat, cfg):
     Every iteration recomputes U V^H, D - B and |B|^2 where it needs them;
     run_irls must return the same bits.
     """
-    def objective(u, v, b, w_b, w_c):
+    def objective(u, v, b, s, w_c):
         fit = 0.5 * np.linalg.norm(d_work - u @ v.conj().T - b) ** 2
         col = float(np.dot(w_c, (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0)))
-        spr = float((w_b * np.abs(b) ** 2).sum())
+        spr = float((np.abs(b) ** 2 / s).sum())
         return fit + cfg.lambda_c * col + cfg.lambda_b * spr
 
     d_work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), cfg.d)
@@ -335,13 +339,13 @@ def reference_irls(d_mat, cfg):
     prev_t, prev_b = u @ v.conj().T, b
     conv, obj, obj_pre, wc_hist = [], [], [], []
     for k in range(1, cfg.max_iter + 1):
-        w_b = sparse_weights(b, cfg.epsilon)
-        obj_pre.append(objective(u, v, b, w_b, w_c))
+        s = blood_scale(b, cfg.epsilon)
+        obj_pre.append(objective(u, v, b, s, w_c))
         wc_hist.append(w_c.copy())
-        b = update_blood(d_work, u, v, w_b, cfg.lambda_b)
+        b = update_blood(d_work, u, v, s, cfg.lambda_b)
         v = update_coeffs(d_work, b, u, w_c, cfg.lambda_c)
         u = update_basis(d_work, b, v, w_c, cfg.lambda_c)
-        obj.append(objective(u, v, b, w_b, w_c))
+        obj.append(objective(u, v, b, s, w_c))
         t = u @ v.conj().T
         conv.append(convergence_metric(t, b, prev_t, prev_b))
         prev_t, prev_b = t, b
@@ -391,7 +395,7 @@ class TestFusedStepEquivalence:
         net = SimpleNamespace(d=cfg.d, epsilon=cfg.epsilon, penalties=lambda: [
             (cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for w_c in trace.w_c_history])
         work, scale = irls.prepare_input(d_mat, cfg.d)
-        *_, (u, v, b) = unfolded._layers(net, work)
+        *_, (u, v, b, _) = unfolded._layers(net, work)
         assert np.array_equal(u, dec.basis_u)
         assert np.array_equal(v * scale, dec.coeffs_v)
         assert np.array_equal(b * scale, dec.blood_b)
@@ -401,12 +405,12 @@ class TestFusedStepEquivalence:
         d_mat = crandn(r, (20, 8))
         u, v = irls._init_state(d_mat, 2)
         resid = d_mat - u @ v.conj().T
-        want = update_blood(d_mat, u, v, sparse_weights(np.zeros_like(d_mat), 1e-8), 0.1)
-        _, _, b, w_b = irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1,
-                                        np.ones(2), 1e-8)
+        want = update_blood(d_mat, u, v, blood_scale(np.zeros_like(d_mat), 1e-8), 0.1)
+        _, _, b, s = irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1,
+                                      np.ones(2), 1e-8)
         assert b is resid
         assert np.array_equal(b, want)
-        assert np.array_equal(w_b, np.full(d_mat.shape, 1e-8 ** -0.5))
+        assert np.array_equal(s, np.full(d_mat.shape, np.sqrt(1e-8)))
         with pytest.raises(ValueError):
             irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1, np.ones(2), 0.0)
 
@@ -425,11 +429,11 @@ class TestFusedStepEquivalence:
         b_in = crandn(r, (ns, nt), r.choice([0.0, 1e-3, 1.0]))
         resid = d_mat - u @ v.conj().T
         bound = np.abs(resid)
-        _, _, b, w_b = irls.update_step(d_mat, u, resid, np.abs(b_in) ** 2, lambda_b,
-                                        r.random(d) + 0.1, epsilon)
+        _, _, b, s = irls.update_step(d_mat, u, resid, np.abs(b_in) ** 2, lambda_b,
+                                      r.random(d) + 0.1, epsilon)
         assert np.all(np.abs(b) <= bound)
         # the adjoint rebuilds each layer's B this way instead of storing it
-        rebuilt = (d_mat - u @ v.conj().T) / (1.0 + 2.0 * lambda_b * w_b)
+        rebuilt = (d_mat - u @ v.conj().T) * (s / (s + 2.0 * lambda_b))
         assert np.array_equal(rebuilt, b)
 
 
@@ -550,56 +554,39 @@ class TestWorkLayout:
             assert trace.iterations == want_trace.iterations
 
 
-class TestReciprocalBloodUpdate:
-    """update_step multiplies by 1 / divisor, which must give np.divide's B."""
+class TestBloodShrink:
+    """update_step's blood update B = R s / (s + 2 lambda_b), s = sqrt(|B_in|^2 + epsilon)."""
 
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_blood_has_the_bytes_of_a_true_division(self, desk_ensemble, dtype):
-        work, _ = irls.prepare_input(desk_ensemble.astype(dtype), 10)
-        u, v = irls._init_state(work, 10)
-        w_diag = np.full(10, 2.0)
-        b_sq = np.zeros(work.shape, dtype=work.real.dtype)
-        u, v, b, _ = irls.update_step(work, u, work - u @ v.conj().T, b_sq, 0.02, w_diag, 1e-8)
-        resid = work - u @ v.conj().T
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.complex64, np.complex128]),
+           ns=st.integers(1, 30), nt=st.integers(1, 12),
+           lambda_b=st.one_of(st.sampled_from([0.0, "max"]), st.floats(1e-12, 1e6)),
+           epsilon=st.sampled_from([1e-50, 1e-12, 1e-8, 1e-3, 1.0]),
+           b_scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]))
+    def test_blood_shrinks_the_residual_by_the_weighted_divisor(
+            self, seed, dtype, ns, nt, lambda_b, epsilon, b_scale):
+        r = np.random.default_rng(seed)
+        info = np.finfo(dtype)
+        if lambda_b == "max":
+            lambda_b = float(info.max)
+        d_mat = crandn(r, (ns, nt)).astype(dtype)
+        u = crandn(r, (ns, 1)).astype(dtype)
+        # magnitudes from 1e-3 to 1e3, with exact zeros of both signs
+        resid = (crandn(r, (ns, nt)) * 10.0 ** r.uniform(-3, 3, (ns, nt))).astype(dtype)
+        resid.real[::3] *= -0.0
+        resid.imag[::4] = 0.0
+        b_sq = np.square(np.abs(crandn(r, (ns, nt), b_scale))).astype(info.dtype)
         entering = resid.copy()
-        _, _, got, w_b = irls.update_step(work, u, resid, np.abs(b) ** 2, 0.02, w_diag, 1e-8)
-        want = np.divide(entering, 1.0 + 2.0 * 0.02 * w_b)
-        assert got.dtype == want.dtype == dtype
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_tiny_and_zero_entries_match_a_true_division(self, dtype):
-        # magnitudes down to the subnormal range of the dtype, and exact zeros
-        # of both signs; a -0 real part may come out +0 under the division,
-        # so these compare by value
-        r = np.random.default_rng(27)
-        tiny = float(np.finfo(dtype).tiny)
-        mags = np.array([1e-20, 100.0 * tiny, tiny, 1e-3 * tiny, 0.0])
-        resid = (crandn(r, (40, mags.size)) * mags).astype(dtype)
-        resid.real[::3, :] *= -0.0
-        resid.imag[::4, :] = 0.0
-        d_mat = crandn(r, resid.shape).astype(dtype)
-        u = crandn(r, (resid.shape[0], 2)).astype(dtype)
-        b_sq = (r.random(resid.shape) * (r.random(resid.shape) < 0.5)).astype(resid.real.dtype)
-        entering = resid.copy()
-        _, _, got, w_b = irls.update_step(d_mat, u, resid, b_sq, 0.3, np.ones(2), 1e-8)
-        want = np.divide(entering, 1.0 + 2.0 * 0.3 * w_b)
-        assert np.count_nonzero(got) < got.size and np.any(got)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_overflowing_divisor_gives_exactly_zero_blood_quietly(self, dtype):
-        d_mat = crandn(np.random.default_rng(28), (30, 8)).astype(dtype)
-        u, v = irls._init_state(d_mat, 2)
-        resid = d_mat - u @ v.conj().T
-        entering = resid.copy()
-        lambda_b = float(np.finfo(dtype).max)
-        b_sq = np.zeros(d_mat.shape, dtype=d_mat.real.dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, got, w_b = irls.update_step(d_mat, u, resid, b_sq, lambda_b, np.ones(2), 1e-8)
-        with np.errstate(over="ignore"):
-            divisor = 1.0 + 2.0 * lambda_b * w_b
-        assert np.all(np.isinf(divisor))
-        assert not np.any(got)
-        assert np.array_equal(got, np.divide(entering, divisor))
+            _, _, b, s = irls.update_step(d_mat, u, resid, b_sq, lambda_b, np.ones(1), epsilon)
+        assert b.dtype == dtype and s.dtype == info.dtype
+        assert np.all(np.abs(b) <= np.abs(entering))
+        if lambda_b == 0.0:
+            assert np.array_equal(b, entering)
+        elif lambda_b == float(info.max):
+            assert not np.any(b)
+        else:
+            # the weighted form, a few rounding steps apart
+            want = entering / (1.0 + 2.0 * lambda_b / s)
+            assert np.all(np.abs(b - want) <= 8 * info.eps * np.abs(entering) + info.tiny)

@@ -106,6 +106,26 @@ def test_sound_speed_is_written_once():
     assert found == ["casorati.py"]
 
 
+def test_layer_passes_raise_nothing_to_a_power():
+    """numpy's generic pow loop costs about three sqrt passes, so the blood
+    update, the network's layers and its adjoint form s = sqrt(|B|^2 + eps)
+    and divide by it: these functions call no np.power and use no ** at all,
+    their scalars square by multiplication."""
+    functions = {"irls.py": {"update_step", "blood_scale", "blood_shrink"},
+                 "unfolded.py": {"_layers", "_analytic_loss_grad"}}
+    found = []
+    for name, wanted in functions.items():
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert wanted <= defs.keys(), name
+        for func in sorted(wanted):
+            for node in ast.walk(defs[func]):
+                if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+                        or isinstance(node, ast.Attribute) and node.attr in ("power", "float_power")):
+                    found.append(f"{name}:{node.lineno} in {func}")
+    assert found == []
+
+
 def test_documented_exit_codes_match_the_pipeline():
     """README's exit-code table and the cli docstring list STAGE_EXIT_CODES in order."""
     want = list(pipeline.STAGE_EXIT_CODES.items())

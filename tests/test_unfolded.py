@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microflow import irls, unfolded
-from solver_reference import (finite_difference_gradient, layouts, sparse_weights, update_basis,
+from solver_reference import (blood_scale, finite_difference_gradient, layouts, update_basis,
                               update_blood, update_coeffs)
 
 
@@ -40,7 +40,7 @@ def frozen_net_from_irls(d_mat, d, k, lambda_c, lambda_b, epsilon=1e-8):
 def one_layer(d_mat, u0, v0, penalties, epsilon=1e-8):
     """(u, v, b) after one network layer with raw penalties, from (u0, v0) and B = 0."""
     net = SimpleNamespace(d=u0.shape[1], epsilon=epsilon, penalties=lambda: [penalties])
-    return next(unfolded._layers(net, d_mat, init_state=(u0, v0)))
+    return next(unfolded._layers(net, d_mat, init_state=(u0, v0)))[:3]
 
 
 class TestPositivityMap:
@@ -51,7 +51,7 @@ class TestPositivityMap:
 
     def test_zero_target_is_effectively_zero(self):
         lam = unfolded.softplus(unfolded.inv_softplus(0.0))
-        assert 1.0 + 2.0 * lam * 1e4 == 1.0
+        assert irls.blood_shrink(np.array([1e-4]), lam)[0] == 1.0
 
     def test_always_positive(self):
         theta = np.linspace(-60, 60, 25)
@@ -125,8 +125,8 @@ class TestLayerForward:
         b0 = np.zeros_like(work)
         u1, v1, b1 = one_layer(work, u0, v0, net.penalties()[0])
 
-        w_b = sparse_weights(b0, 1e-8)
-        b_ref = update_blood(work, u0, v0, w_b, 0.05)
+        s = blood_scale(b0, 1e-8)
+        b_ref = update_blood(work, u0, v0, s, 0.05)
         w_c = irls.lowrank_weights(u0, v0, 1e-8)
         v_ref = update_coeffs(work, b_ref, u0, w_c, 0.02)
         u_ref = update_basis(work, b_ref, v_ref, w_c, 0.02)
@@ -229,6 +229,26 @@ class TestLoss:
             ref.append(np.linalg.norm(d_mat - dec.blood_b - dec.basis_u @ dec.coeffs_v.conj().T))
         np.testing.assert_allclose(unfolded.layer_residuals(net, d_mat), ref, rtol=1e-12)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.complex64, np.complex128]),
+           ns=st.integers(8, 60), nt=st.integers(4, 30), k=st.integers(1, 5),
+           lambda_b=st.floats(0.01, 5.0))
+    def test_each_entry_is_its_definition(self, seed, dtype, ns, nt, k, lambda_b):
+        # layer k's misfit is read off layer k + 1's D - U_k V_k^H; its
+        # definition ||D - B_k - U_k V_k^H|| comes from the first k layers alone
+        d_mat = lowrank_sparse(seed, ns, nt).astype(dtype)
+        d = min(3, ns, nt)
+        cfg = irls.IrlsConfig(d=d, lambda_c=0.05, lambda_b=lambda_b)
+        net = perturbed(unfolded.init_network(d_mat, k=k, d=d, lambda_b_init=lambda_b, cfg=cfg),
+                        seed % 7)
+        got = unfolded.layer_residuals(net, d_mat)
+        want = []
+        for j in range(1, k + 1):
+            dec = unfolded.infer(dataclasses.replace(net, theta=net.theta[:j]), d_mat)
+            want.append(np.linalg.norm(d_mat - dec.blood_b - dec.basis_u @ dec.coeffs_v.conj().T))
+        rtol = 1e-4 if dtype == np.complex64 else 1e-10
+        np.testing.assert_allclose(got, want, rtol=rtol)
+
     def test_complex64_stays_complex64(self, monkeypatch):
         """init_network, layer_residuals, the adjoint and train keep the
         precision irls.prepare_input keeps; nothing in between widens."""
@@ -323,7 +343,7 @@ class TestParameterGradient:
 def reference_analytic_loss_grad(net, d_mat, init_state=None):
     """Reference adjoint that keeps every layer's complex B.
 
-    It recomputes each layer's blood weights from the B entering it;
+    It recomputes each layer's blood scale from the B entering it;
     _analytic_loss_grad, which keeps the states of every ceil(sqrt(K))-th
     layer and of the last segment, reruns the rest and forms each B again,
     must return the same bits. Like it, the reference runs in the work matrix's
@@ -334,7 +354,8 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     work, scale = irls.prepare_input(d_mat, net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
     # entry k holds layer k's input, entry k + 1 its output
-    states = [(u0, v0, np.zeros_like(work))] + list(unfolded._layers(net, work, (u0, v0)))
+    states = [(u0, v0, np.zeros_like(work))] + [
+        layer[:3] for layer in unfolded._layers(net, work, (u0, v0))]
     n_layers = len(net.theta)
     c = 1.0 / n_layers
 
@@ -348,47 +369,47 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
         u, v, b = states[k + 1]
         states[k + 1] = None
         lam, w_c = net.penalties()[k]
-        w_b = sparse_weights(b_in, net.epsilon)
-        den = 1.0 + 2.0 * lam * w_b
-        r = work - b
-        e = work - b - u @ v.conj().T
-        loss_norm += float(np.linalg.norm(e)) ** 2
+        s = blood_scale(b_in, net.epsilon)
+        shrink = s / (s + 2.0 * lam)
+        e = (work - u @ v.conj().T) - b
+        misfit = float(np.linalg.norm(e))
+        loss_norm += misfit * misfit
 
-        g_u = -c * (e @ v)
-        g_v = -c * (e.conj().T @ u)
-        g_b = -c * e
+        # gradients times -1 / c, as the adjoint carries them
+        g_u = e @ v
+        g_v = e.conj().T @ u
+        g_b = e
         if g_u_next is not None:
             g_u = g_u + g_u_next
             g_v = g_v + g_v_next
             g_b = g_b + g_b_next
 
+        # R = D - B = E + U V^H
         q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype)
-        g_r = (g_u @ q_u) @ v.conj().T
-        g_p = r.conj().T @ g_u
+        g_p = e.conj().T @ g_u + v @ (u.conj().T @ g_u)
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
 
         q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c)).astype(work.dtype)
-        g_p2 = r @ g_v
-        g_r = g_r + u_in @ (q_v @ g_v.conj().T)
+        g_p2 = e @ g_v + u @ (v.conj().T @ g_v)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
         g_u_in = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T)
         g_w = g_w + 2.0 * np.real(np.diag(g_m_v))
 
-        g_b_tot = g_b - g_r
-        g_r0 = g_b_tot / den
-        tmp = np.real(np.conj(g_b_tot) * b) / den
-        g_lam = -4.0 * float(np.sum(tmp * w_b))
-        g_b_in = (2.0 * lam) * (tmp * w_b ** 3) * b_in
+        g_b_tot = g_b - (g_u @ q_u) @ v.conj().T - u_in @ (q_v @ g_v.conj().T)
+        g_r0 = g_b_tot * shrink
+        tmp_s = np.real(np.conj(g_r0) * b) / s
+        g_lam = -4.0 * float(np.sum(tmp_s))
+        g_b_in = (tmp_s / s / s * (2.0 * lam)) * b_in
         g_u_in = g_u_in - g_r0 @ v_in
         g_v_in = -(g_r0.conj().T @ u_in)
 
-        g_theta[k, 0] = g_lam * expit(net.theta[k, 0])
-        g_theta[k, 1:] = g_w * expit(net.theta[k, 1:])
+        g_theta[k, 0] = g_lam
+        g_theta[k, 1:] = g_w
         g_u_next, g_v_next, g_b_next = g_u_in, g_v_in, g_b_in
 
-    return c * loss_norm * scale ** 2, g_theta * scale ** 2
+    return c * loss_norm * (scale * scale), g_theta * (-c * (scale * scale)) * expit(net.theta)
 
 
 def perturbed(net, seed):
@@ -411,11 +432,11 @@ def adjoint_cases():
     cases.append(pytest.param(net, d_mat, (u0 @ q, v0 @ q), id="init-state"))
     k1 = unfolded.init_network(d_mat, k=1, d=4, lambda_b_init=2.0, cfg=cfg)
     cases.append(pytest.param(perturbed(k1, 2), d_mat, None, id="one-layer"))
-    # the adjoint keeps the blood weights and input factors of layers k % s == 0,
-    # s = ceil(sqrt(K)), and of the last segment, and rebuilds the rest: K=10 (s=4)
-    # rebuilds layers 1-3 and 5-7 and keeps 8 and 9; K=13 (s=4) rebuilds three segments
-    # and its last layer, 12, is a checkpoint; K=16 (s=4) has only full segments, its
-    # last one (12-15) kept; K=17 (s=5) rebuilds three segments of four and keeps 15 and 16
+    # the adjoint keeps the blood scale and input factors of layers k % t == 0,
+    # t = ceil(sqrt(K)), and of the last segment, and rebuilds the rest: K=10 (t=4)
+    # rebuilds layers 1-3 and 5-7 and keeps 8 and 9; K=13 (t=4) rebuilds three segments
+    # and its last layer, 12, is a checkpoint; K=16 (t=4) has only full segments, its
+    # last one (12-15) kept; K=17 (t=5) rebuilds three segments of four and keeps 15 and 16
     deep = {k: unfolded.init_network(d_mat, k=k, d=4, lambda_b_init=2.0, cfg=cfg)
             for k in (10, 13, 16)}
     for k, net_k in deep.items():
@@ -453,9 +474,9 @@ class TestAdjointReference:
         # k complex blood matrices alone would be k times the input. The
         # adjoint holds the work matrix, four complex work matrices (B among
         # them) and two real ones: 6x the input. It keeps the real blood
-        # weights (half the input each) and the factors of about 2 sqrt(k)
+        # scale (half the input each) and the factors of about 2 sqrt(k)
         # layers, every ceil(sqrt(k))-th and the last segment; layer 0's
-        # weights are one value. All take the input's precision, so complex64
+        # blood scale is one value. All take the input's precision, so complex64
         # input allocates no double-size copy. Keeping every layer's factors
         # would exceed these bounds
         d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6)).astype(dtype)
@@ -586,7 +607,13 @@ class TestInfer:
         cfg_net = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0)
         net = unfolded.init_network(d_mat, k=3, d=3, lambda_b_init=2.0, cfg=cfg_net)
         dec = unfolded.infer(net, d_mat)
-        misfit = np.linalg.norm(d_mat - dec.blood_b - dec.basis_u @ dec.coeffs_v.conj().T)
+        # the last layer in work units, which infer scales back
+        work, scale = irls.prepare_input(d_mat, 3)
+        *_, (u, v, b, _) = unfolded._layers(net, work)
+        assert np.array_equal(dec.basis_u, u)
+        assert np.array_equal(dec.coeffs_v, v * scale)
+        assert np.array_equal(dec.blood_b, b * scale)
+        misfit = float(np.linalg.norm(work - u @ v.conj().T - b)) * scale
         assert misfit == unfolded.layer_residuals(net, d_mat)[-1]
 
     def test_zero_input(self):
