@@ -1,11 +1,12 @@
-"""Complex matrix substrate: Casorati reshaping, factor init, small dense solves.
+"""Complex matrix substrate: Casorati reshaping, factor init, small Hermitian inverses.
 
 Layout convention used everywhere in this package: a frame stack has shape
 (nz, nx, nt) and vectorizes column-major with the axial (first) index fastest,
 so Casorati column t is frame t flattened in Fortran order and the matrix is
 F-ordered; the solvers work on the C-ordered copy irls.prepare_input makes.
 Datasets are complex64 from the file on; the filters' full-matrix products
-keep that precision, while the small d x d solves run in complex128.
+keep that precision, while the d x d Gram inverses (hermitian_inverse, via
+irls.gram_inverse) run in complex128.
 """
 
 from dataclasses import dataclass
@@ -89,17 +90,15 @@ def orthonormal_columns(m, d):
     return q
 
 
-def hermitian_solve(a, rhs):
-    """Solve a @ x = rhs for Hermitian positive definite a via Cholesky.
+def hermitian_inverse(a):
+    """Inverse of a Hermitian positive definite a via Cholesky.
 
     a = L L^H is factored with numpy's LAPACK. L is only d x d, so it is
-    inverted once and both triangular solves become matrix products,
-    x = L^-H (L^-1 rhs), which stay in numpy's single BLAS thread pool.
-    One step of iterative refinement keeps the residual below
-    1e-10 * ||rhs||_F even for moderately ill-conditioned Gram systems.
+    inverted once and the two triangular solves of a X = I become matrix
+    products, X = L^-H L^-1, which stay in numpy's single BLAS thread pool.
+    One step of iterative refinement keeps ||a X - I||_F below
+    1e-10 * sqrt(d) even for moderately ill-conditioned Gram matrices.
     """
-    a = np.asarray(a)
-    rhs = np.asarray(rhs)
     try:
         l_inv = np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as err:
@@ -111,5 +110,5 @@ def hermitian_solve(a, rhs):
             f"(eigenvalues in [{wmin:.3e}, {wmax:.3e}], condition {cond:.3e})"
         ) from err
     l_inv_h = l_inv.conj().T
-    x = l_inv_h @ (l_inv @ rhs)
-    return x + l_inv_h @ (l_inv @ (rhs - a @ x))
+    x = l_inv_h @ l_inv
+    return x + l_inv_h @ (l_inv @ (np.eye(len(a)) - a @ x))

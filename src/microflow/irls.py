@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casorati import SolverError, hermitian_solve, orthonormal_columns
+from .casorati import SolverError, hermitian_inverse, orthonormal_columns
 
 _log = logging.getLogger(__name__)
 
@@ -55,8 +55,8 @@ class IrlsConfig:
             raise ValueError("d must be at least 1")
         if not (0 <= self.lambda_c < np.inf and 0 <= self.lambda_b < np.inf):
             raise ValueError("penalty weights must be finite and nonnegative")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
@@ -96,17 +96,16 @@ class IrlsTrace:
     w_c_history: list
 
 
-def _column_energy(u, v):
+def column_energy(u, v):
     """Joint squared norm of each factor column pair, summed over both factors."""
     return (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0)
 
 
-def lowrank_weights(u, v, epsilon):
+def lowrank_weights(energy, epsilon):
     """Column weights from the joint energy of each factor column pair.
 
     Args:
-        u: basis matrix, one column per component.
-        v: coefficient matrix, same column count.
+        energy: column_energy of the basis and coefficient matrices.
         epsilon: positive regularizer.
 
     Returns:
@@ -117,18 +116,30 @@ def lowrank_weights(u, v, epsilon):
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return (_column_energy(u, v).astype(np.float64) + epsilon) ** -0.5
+    return (energy.astype(np.float64) + epsilon) ** -0.5
+
+
+def gram_inverse(f, w_diag):
+    """M^-1 for the factor updates' Gram matrix M = F^H F + diag(w_diag), in complex128.
+
+    F^H F is formed in F's precision, M and its inverse in complex128, so
+    hermitian_inverse's residual bound holds for complex64 factors too. This
+    is the one place M is formed and inverted; _factor_solve and the
+    network's adjoint share it, so the adjoint differentiates the bits the
+    forward pass used.
+    """
+    gram = (f.conj().T @ f).astype(np.complex128, copy=False) + np.diag(w_diag)
+    return hermitian_inverse(gram)
 
 
 def _factor_solve(f, p, w_diag):
     """X = P M^-1 with M = F^H F + diag(w_diag): the shared factor update.
 
     P comes in X's layout, R^H U (n_frames x d) for V and R V (n_space x d)
-    for U, so X M = P is the update's normal equation. F^H F and P come in
-    F's precision, but M^-1 = hermitian_solve(M, I) and the product P M^-1
-    are formed in complex128, so hermitian_solve's residual bound holds for
-    complex64 factors too; its refinement then runs on d columns, not on the
-    n_space columns of a right-hand side in P^H's layout. Before X is
+    for U, so X M = P is the update's normal equation. P comes in F's
+    precision, but the product with M^-1 = gram_inverse(F, w_diag) is
+    formed in complex128; the inverse's refinement runs on d columns, not
+    on the n_space columns of a right-hand side in P^H's layout. Before X is
     narrowed back to F's dtype, every real or imaginary part below
     finfo.tiny / finfo.eps of that dtype (about 9.9e-32 for complex64,
     1e-292 for complex128) is set to zero. The column reweighting shrinks
@@ -143,8 +154,7 @@ def _factor_solve(f, p, w_diag):
     and that product takes about 8.6 ms against 0.23 ms with those columns
     zeroed.
     """
-    gram = (f.conj().T @ f).astype(np.complex128, copy=False) + np.diag(w_diag)
-    x = p.astype(np.complex128, copy=False) @ hermitian_solve(gram, np.eye(len(gram)))
+    x = p.astype(np.complex128, copy=False) @ gram_inverse(f, w_diag)
     info = np.finfo(f.dtype)
     floor = info.tiny / info.eps
     for part in (x.real, x.imag):
@@ -282,14 +292,15 @@ def _init_state(d_mat, d):
 def run_irls(d_mat, cfg):
     """Run the alternating reweighted solver to convergence.
 
-    Each iteration is one update_step. The full-matrix quantities around it
-    are formed once and carried: T = U V^H feeds the objective's fit term,
-    the estimate S = T + B and the next blood update; |B|^2 feeds the
-    objective's penalty sum(|B|^2 / s) and the next blood scale s; S and
-    ||S||^2 feed the next convergence metric. The state entering an
-    iteration is the one the previous objective was evaluated on, so
-    objective_pre reuses that fit term and only its penalty terms (with the
-    fresh weights) are new. Each iteration's progress goes to this module's
+    Each iteration is one update_step. The quantities around it are formed
+    once and carried: T = U V^H feeds the objective's fit term, the estimate
+    T + B and the next blood update; |B|^2 feeds the objective's penalty
+    sum(|B|^2 / s) and the next blood scale s; the estimate and its squared
+    norm feed the next convergence metric; the column energy feeds the
+    objective and the next column weights. The state entering an iteration
+    is the one the previous objective was evaluated on, so objective_pre
+    reuses that fit term and only its penalty terms (with the fresh
+    weights) are new. Each iteration's progress goes to this module's
     logger at INFO.
 
     Args:
@@ -302,50 +313,50 @@ def run_irls(d_mat, cfg):
     """
     work, scale = prepare_input(d_mat, cfg.d)
 
-    def objective(fit, energy, w_c, s_b, b_sq):
+    def objective(fit, energy, w_c, s, b_sq):
         col = float(np.dot(w_c, energy))
-        spr = float((b_sq / s_b).sum())
+        spr = float((b_sq / s).sum())
         return fit + cfg.lambda_c * col + cfg.lambda_b * spr
 
     u, v = _init_state(work, cfg.d)
-    s = u @ v.conj().T                  # S = T + B with B = 0
-    resid = work - s                    # D - U V^H
+    est = u @ v.conj().T                # the estimate T + B with B = 0
+    resid = work - est                  # D - U V^H
     fit = 0.5 * np.linalg.norm(resid) ** 2
-    s_sq = np.linalg.norm(s) ** 2
+    est_sq = np.linalg.norm(est) ** 2
     b_sq = np.zeros((1, 1), dtype=work.real.dtype)  # B = 0: its weights are one broadcast value
-    energy = _column_energy(u, v)
-    w_c = lowrank_weights(u, v, cfg.epsilon)
+    energy = column_energy(u, v)
+    w_c = lowrank_weights(energy, cfg.epsilon)
 
     conv, obj, obj_pre, wc_hist = [], [], [], []
     # overflow and NaN in an iterate surface as a non-finite objective below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             wc_hist.append(w_c)
-            b = None  # the entering B lives on only as |B|^2 and S
-            u, v, b, s_b = update_step(work, u, resid, b_sq, cfg.lambda_b,
-                                       2.0 * cfg.lambda_c * w_c, cfg.epsilon)
-            obj_pre.append(objective(fit, energy, w_c, s_b, b_sq))
+            b = None  # the entering B lives on only as |B|^2 and the estimate
+            u, v, b, s = update_step(work, u, resid, b_sq, cfg.lambda_b,
+                                     2.0 * cfg.lambda_c * w_c, cfg.epsilon)
+            obj_pre.append(objective(fit, energy, w_c, s, b_sq))
 
-            # T's buffer becomes the new S and the old S's buffer its change,
-            # so neither needs a full matrix of its own
+            # T's buffer becomes the new estimate and the old estimate's buffer
+            # its change, so neither needs a full matrix of its own
             t = u @ v.conj().T
             resid = work - t
-            s_now = np.add(t, b, out=t)
-            change = np.linalg.norm(np.subtract(s_now, s, out=s)) ** 2
-            s = s_now
+            est_now = np.add(t, b, out=t)
+            change = np.linalg.norm(np.subtract(est_now, est, out=est)) ** 2
+            est = est_now
             fit = 0.5 * np.linalg.norm(resid - b) ** 2
-            energy = _column_energy(u, v)
+            energy = column_energy(u, v)
             b_sq = np.abs(b)
             np.square(b_sq, out=b_sq)
-            obj.append(objective(fit, energy, w_c, s_b, b_sq))
+            obj.append(objective(fit, energy, w_c, s, b_sq))
             # the fit term 0.5 ||resid - B||^2 is not finite when B is not
             if not np.isfinite(obj[-1]):
                 raise SolverError(f"non-finite iterate at iteration {k}")
 
-            metric = _relative_change(change, s_sq)
-            s_sq = np.linalg.norm(s) ** 2
+            metric = _relative_change(change, est_sq)
+            est_sq = np.linalg.norm(est) ** 2
             conv.append(metric)
-            w_c = lowrank_weights(u, v, cfg.epsilon)
+            w_c = lowrank_weights(energy, cfg.epsilon)
 
             _log.info("iter %3d  change %.3e  objective %.6e", k, metric, obj[-1])
             if metric < cfg.tol:

@@ -22,13 +22,15 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
     """svd_clutter_filter from one SVD, which also picks low_cut when it is None.
 
     A missing low_cut is estimate_low_cut(s, fraction) of that SVD's spectrum
-    s, so the data is factorized once. The SVD is the economy one: a full
+    s, so the data is factorized once. fraction is checked before the SVD
+    whether or not it is used. The SVD is the economy one: a full
     left basis would cost O(rows**2) memory on tall matrices. A complex64
     input is factorized in complex128, and its blood narrowed back.
 
     Returns:
         (blood, low_cut): the band reconstruction and the low cut it used.
     """
+    _check_fraction(fraction)
     d_mat = np.asarray(d_mat)
     narrow = d_mat.dtype == np.complex64
     u, s, vh = np.linalg.svd(d_mat.astype(np.complex128) if narrow else d_mat,
@@ -44,8 +46,7 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
 
 def estimate_low_cut(singular_values, fraction=0.01):
     """Count of leading components to drop: first spot the spectrum falls below fraction*s1."""
-    if not 0 < fraction < np.inf:
-        raise ValueError(f"fraction must be positive and finite, got {fraction}")
+    _check_fraction(fraction)
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
         raise ValueError("empty singular value list")
@@ -58,3 +59,9 @@ def estimate_low_cut(singular_values, fraction=0.01):
     below = np.nonzero(s[1:] < fraction * s[0])[0]
     k = int(below[0] + 1) if below.size else s.size - 1
     return min(max(k, 1), s.size - 1)
+
+
+def _check_fraction(fraction):
+    """Refuse a spectrum fraction that is not positive and finite."""
+    if not 0 < fraction < np.inf:
+        raise ValueError(f"fraction must be positive and finite, got {fraction}")

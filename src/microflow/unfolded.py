@@ -157,7 +157,7 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     if not 0 <= lambda_b_init < np.inf:
         raise ValueError("lambda_b_init must be finite and nonnegative")
     u0, v0 = irls._init_state(work, d)
-    w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(u0, v0, cfg.epsilon)
+    w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(irls.column_energy(u0, v0), cfg.epsilon)
     theta = np.empty((k, 1 + d))
     theta[:, 0] = inv_softplus(lambda_b_init)
     theta[:, 1:] = inv_softplus(w_init)
@@ -251,8 +251,9 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     temporaries: the order of a product's output changes its rounding, and
     mixed orders are slow. A product X^H Y is formed as conj(X^T conj(Y)),
     the same bits without a full-matrix conjugate copy. The buffers take the
-    work matrix's precision; the two d x d inverses are formed in double, as
-    in irls._factor_solve, and narrowed before use.
+    work matrix's precision. The two d x d inverses per layer are the bits
+    irls._factor_solve multiplied by, from irls.gram_inverse in double, and
+    are narrowed before use.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
     work, scale = irls.prepare_input(d_mat, net.d)
@@ -325,12 +326,12 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
 
         # basis update U = R V inv(M_U) and coefficient update V = R^H U_in inv(M_V),
         # with R = E + U V^H
-        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype, copy=False)
+        q_u = irls.gram_inverse(v, w_c).astype(work.dtype, copy=False)
         g_p = (e.T @ g_u.conj()).conj() + v @ (u.conj().T @ g_u)
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
-        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c)).astype(work.dtype, copy=False)
+        q_v = irls.gram_inverse(u_in, w_c).astype(work.dtype, copy=False)
         g_p2 = e @ g_v + u @ (v.conj().T @ g_v)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
         g_w = g_w + 2.0 * np.real(np.diag(g_m_v))

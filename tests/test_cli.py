@@ -491,7 +491,8 @@ class TestCli:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("section, rc", [('"render": {"dynamic_range_db": NaN}', 8),
-                                             ('"svd": {"fraction": NaN}', 5)])
+                                             ('"svd": {"fraction": NaN}', 5),
+                                             ('"svd": {"low_cut": 1, "fraction": NaN}', 5)])
     def test_nan_limit_fails_in_its_stage(self, tmp_path, capsys, section, rc):
         path, _ = tiny_dataset(tmp_path)
         cfg_path = tmp_path / "run.json"

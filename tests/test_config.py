@@ -90,7 +90,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("section", [{"lambda_c": float("nan")},
                                          {"lambda_b": float("inf")},
-                                         {"epsilon": 0.0}])
+                                         {"epsilon": 0.0},
+                                         {"epsilon": float("inf")}])
     def test_irls_limits_come_from_solver_config(self, section):
         with pytest.raises(ValueError, match=r"\['irls'\]"):
             config.validate_config({"irls": section})

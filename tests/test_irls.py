@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microflow import irls, unfolded
-from microflow.casorati import SolverError, hermitian_solve
+from microflow.casorati import SolverError, hermitian_inverse
 from solver_reference import (blood_scale, convergence_metric, layouts, update_basis,
                               update_blood, update_coeffs)
 
@@ -58,13 +58,14 @@ class TestSparseWeights:
 
 class TestLowrankWeights:
     def test_zero_columns(self):
-        w = irls.lowrank_weights(np.zeros((4, 2), dtype=complex), np.zeros((3, 2), dtype=complex), 1e-4)
+        energy = irls.column_energy(np.zeros((4, 2), dtype=complex), np.zeros((3, 2), dtype=complex))
+        w = irls.lowrank_weights(energy, 1e-4)
         assert np.allclose(w, 100.0, rtol=0, atol=1e-12)
 
     def test_column_energies(self):
         u = np.array([[3.0], [0.0]], dtype=complex)
         v = np.array([[4.0], [0.0]], dtype=complex)
-        w = irls.lowrank_weights(u, v, 1e-12)
+        w = irls.lowrank_weights(irls.column_energy(u, v), 1e-12)
         assert abs(w[0] - 0.2) < 1e-9
 
 
@@ -190,7 +191,7 @@ class TestFactorSolvePrecision:
         f, p, w_diag = f.astype(dtype), p.astype(dtype), r.random(d) + 0.5
         got = irls._factor_solve(f, p, w_diag)
         gram = (f.conj().T @ f).astype(np.complex128) + np.diag(w_diag)
-        exact = p.astype(np.complex128) @ hermitian_solve(gram, np.eye(d))
+        exact = p.astype(np.complex128) @ hermitian_inverse(gram)
         assert got.dtype == dtype
         for part, want in ((got.real, exact.real), (got.imag, exact.imag)):
             assert not np.any((part != 0) & (np.abs(part) < floor))
@@ -335,7 +336,7 @@ def reference_irls(d_mat, cfg):
     d_work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), cfg.d)
     u, v = irls._init_state(d_work, cfg.d)
     b = np.zeros_like(d_work)
-    w_c = irls.lowrank_weights(u, v, cfg.epsilon)
+    w_c = irls.lowrank_weights(irls.column_energy(u, v), cfg.epsilon)
     prev_t, prev_b = u @ v.conj().T, b
     conv, obj, obj_pre, wc_hist = [], [], [], []
     for k in range(1, cfg.max_iter + 1):
@@ -349,7 +350,7 @@ def reference_irls(d_mat, cfg):
         t = u @ v.conj().T
         conv.append(convergence_metric(t, b, prev_t, prev_b))
         prev_t, prev_b = t, b
-        w_c = irls.lowrank_weights(u, v, cfg.epsilon)
+        w_c = irls.lowrank_weights(irls.column_energy(u, v), cfg.epsilon)
         if conv[-1] < cfg.tol:
             break
     dec = irls.Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)

@@ -106,6 +106,18 @@ def test_sound_speed_is_written_once():
     assert found == ["casorati.py"]
 
 
+def test_matrix_inverse_is_taken_once():
+    """The factor updates and the adjoint share one inverse of each Gram
+    matrix, irls.gram_inverse: linalg.inv appears only in casorati.py, in
+    hermitian_inverse's Cholesky inverse."""
+    found = [path.relative_to(SRC).as_posix()
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "inv"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+    assert found == ["casorati.py"]
+
+
 def test_layer_passes_raise_nothing_to_a_power():
     """numpy's generic pow loop costs about three sqrt passes, so the blood
     update, the network's layers and its adjoint form s = sqrt(|B|^2 + eps)

@@ -76,6 +76,9 @@ class TestEstimateLowCut:
     def test_fraction_must_be_positive_and_finite(self, fraction):
         with pytest.raises(ValueError, match="fraction"):
             svdfilt.estimate_low_cut(np.array([100.0, 50.0, 0.5]), fraction)
+        # band_filter checks it even when a given low_cut leaves it unused
+        with pytest.raises(ValueError, match="fraction"):
+            svdfilt.band_filter(np.eye(3, dtype=complex), low_cut=1, fraction=fraction)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

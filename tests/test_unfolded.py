@@ -85,7 +85,7 @@ class TestInitNetwork:
         cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=1.0)
         net = unfolded.init_network(d_mat, k=3, d=4, lambda_b_init=1.0, cfg=cfg)
         u0, v0 = irls._init_state(irls.prepare_input(d_mat, 4)[0], 4)
-        want = 2.0 * 0.05 * irls.lowrank_weights(u0, v0, cfg.epsilon)
+        want = 2.0 * 0.05 * irls.lowrank_weights(irls.column_energy(u0, v0), cfg.epsilon)
         for _, w_c in net.penalties():
             assert np.allclose(w_c, want, rtol=1e-9)
 
@@ -127,7 +127,7 @@ class TestLayerForward:
 
         s = blood_scale(b0, 1e-8)
         b_ref = update_blood(work, u0, v0, s, 0.05)
-        w_c = irls.lowrank_weights(u0, v0, 1e-8)
+        w_c = irls.lowrank_weights(irls.column_energy(u0, v0), 1e-8)
         v_ref = update_coeffs(work, b_ref, u0, w_c, 0.02)
         u_ref = update_basis(work, b_ref, v_ref, w_c, 0.02)
         assert np.linalg.norm(b1 - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
@@ -347,8 +347,8 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     _analytic_loss_grad, which keeps the states of every ceil(sqrt(K))-th
     layer and of the last segment, reruns the rest and forms each B again,
     must return the same bits. Like it, the reference runs in the work matrix's
-    precision, with the d x d inverses narrowed to it and the loss summed
-    in double.
+    precision, with irls.gram_inverse's d x d inverses narrowed to it and
+    the loss summed in double.
     """
     from scipy.special import expit
     work, scale = irls.prepare_input(d_mat, net.d)
@@ -385,13 +385,13 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
             g_b = g_b + g_b_next
 
         # R = D - B = E + U V^H
-        q_u = np.linalg.inv(v.conj().T @ v + np.diag(w_c)).astype(work.dtype)
+        q_u = irls.gram_inverse(v, w_c).astype(work.dtype)
         g_p = e.conj().T @ g_u + v @ (u.conj().T @ g_u)
         g_m_u = -q_u @ (v.conj().T @ g_p) @ q_u
         g_v = g_v + g_p @ q_u + v @ (g_m_u + g_m_u.conj().T)
         g_w = 2.0 * np.real(np.diag(g_m_u))
 
-        q_v = np.linalg.inv(u_in.conj().T @ u_in + np.diag(w_c)).astype(work.dtype)
+        q_v = irls.gram_inverse(u_in, w_c).astype(work.dtype)
         g_p2 = e @ g_v + u @ (v.conj().T @ g_v)
         g_m_v = -q_v @ (u_in.conj().T @ g_p2) @ q_v
         g_u_in = g_p2 @ q_v + u_in @ (g_m_v + g_m_v.conj().T)
