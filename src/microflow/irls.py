@@ -162,18 +162,18 @@ def _factor_solve(f, p, w_diag):
     return x.astype(f.dtype, copy=False)
 
 
-def blood_scale(b_sq, epsilon):
-    """The blood update's scale s = sqrt(|B|^2 + epsilon) from b_sq = |B|^2.
+def blood_scale(b_sq, epsilon, out=None):
+    """The blood update's scale s = sqrt(|B|^2 + epsilon) from b_sq = |B|^2, into out if given.
 
     The elementwise blood weights are 1 / s. epsilon counts as at least the
     smallest normal number of b_sq's dtype, so s stays positive where B is
-    zero; a smaller epsilon would round away. s takes b_sq's precision. This
-    is the one place its order of operations is written; update_step and the
-    network's adjoint share it.
+    zero; a smaller epsilon would round away. s takes b_sq's precision, and
+    out may be b_sq. This is the one place its order of operations is
+    written; update_step and the network's adjoint share it.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    s = np.add(b_sq, max(epsilon, float(np.finfo(b_sq.dtype).tiny)))
+    s = np.add(b_sq, max(epsilon, float(np.finfo(b_sq.dtype).tiny)), out=out)
     return np.sqrt(s, out=s)
 
 
@@ -205,7 +205,7 @@ def factor_updates(u, r, w_diag):
     return u, v
 
 
-def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
+def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon, spare=None):
     """One solver iteration, which is also one unfolded network layer.
 
     Forms the blood scale s from the entering B, then updates B, V and U in
@@ -224,14 +224,24 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon):
         w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
             solver, the learned weight diagonal in a network layer.
         epsilon: positive blood-scale regularizer (see blood_scale).
+        spare: None, or a free C-ordered buffer of d_mat's shape and dtype.
+            Given one, the step allocates no full matrix: s is formed in
+            b_sq's buffer, the real factor s / (s + 2 lambda_b) in spare's
+            first bytes, and then D - B in spare. The bits are the same.
 
     Returns:
         (u, v, b, s): the updated factors and blood matrix, and the blood
         scale the step used, whose reciprocal is the blood weights.
     """
-    s = blood_scale(b_sq, epsilon)
-    b = np.multiply(resid, blood_shrink(s, lambda_b), out=resid)
-    u, v = factor_updates(u, d_mat - b, w_diag)
+    if spare is None:
+        s = blood_scale(b_sq, epsilon)
+        shrink = blood_shrink(s, lambda_b)
+    else:
+        s = blood_scale(b_sq, epsilon, out=b_sq)
+        shrink = blood_shrink(s, lambda_b,
+                              out=spare.reshape(-1).view(s.dtype)[:s.size].reshape(s.shape))
+    b = np.multiply(resid, shrink, out=resid)
+    u, v = factor_updates(u, np.subtract(d_mat, b, out=spare), w_diag)
     return u, v, b, s
 
 

@@ -173,20 +173,28 @@ def _layers(net, work, init_state=None):
     resid is D - U V^H for the layer's output factors, the next layer's input, formed
     before the layer is yielded; the next layer overwrites it with its B. The last
     layer has no next one and yields None there.
+
+    The layers run in two complex buffers and one real one, made once per call, so a
+    yielded b and resid hold only until the generator resumes. The buffer holding
+    resid becomes the next layer's B, and the other, free once |B|^2 is formed in
+    the real buffer, takes the step's scratch and then the next D - U V^H. The
+    products write into C-ordered buffers as numpy's own temporaries are, so every
+    bit is the same as with a fresh array per pass.
     """
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
-    resid = work - u @ v.conj().T
-    b_sq = np.zeros((1, 1), dtype=work.real.dtype)
+    resid, spare = (np.empty(work.shape, work.dtype) for _ in range(2))
+    np.subtract(work, np.matmul(u, v.conj().T, out=resid), out=resid)
+    b_sq, real = np.zeros((1, 1), work.real.dtype), np.empty(work.shape, work.real.dtype)
     penalties = net.penalties()
     for k, (lambda_b, w_c) in enumerate(penalties):
-        u, v, b, _ = irls.update_step(work, u, resid, b_sq, lambda_b, w_c, net.epsilon)
+        u, v, b, _ = irls.update_step(work, u, resid, b_sq, lambda_b, w_c, net.epsilon, spare)
         if k + 1 == len(penalties):
             yield u, v, b, None
             return
-        resid = work - u @ v.conj().T
+        resid = np.subtract(work, np.matmul(u, v.conj().T, out=spare), out=spare)
         yield u, v, b, resid
-        b_sq = np.abs(b)
-        np.square(b_sq, out=b_sq)
+        b_sq = np.square(np.abs(b, out=real), out=real)
+        spare = b
 
 
 def layer_residuals(net, d_mat, init_state=None):
@@ -474,4 +482,4 @@ def infer(net, d_mat_new):
         raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
     for u, v, b, _ in _layers(net, work):
         pass
-    return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)
+    return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=np.multiply(b, scale, out=b))

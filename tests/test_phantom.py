@@ -245,6 +245,18 @@ class TestSynthesizeIq:
         for t in range(1, d.shape[1]):
             np.testing.assert_array_equal(d[:, t], d[:, 0])
 
+    def test_in_grid_and_masked_renders_agree(self):
+        """A render whose corners all lie inside the grid skips the corner
+        masks; one with scatterers outside drops those with no corner in the
+        grid and masks the rest. The deposits and their bits are the same."""
+        sc = mini_scene(with_flow=False)
+        in_grid = imaging._render_frame(sc.tissue_pos, sc.tissue_amp, sc)
+        outside = np.array([[40.0, 0.0], [0.0, -40.0], [-4.3, 0.0], [0.0, 4.3]])
+        masked = imaging._render_frame(np.vstack([sc.tissue_pos, outside]),
+                                       np.concatenate([sc.tissue_amp, np.ones(4)]), sc)
+        assert np.array_equal(masked, in_grid)
+        assert np.any(in_grid)
+
     def test_deterministic_noise(self):
         sc = mini_scene(snr_db=20.0)
         seq_a, _ = imaging.synthesize_iq(sc, 3, sc.frame_rate, 20.0)

@@ -353,9 +353,10 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     from scipy.special import expit
     work, scale = irls.prepare_input(d_mat, net.d)
     u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
-    # entry k holds layer k's input, entry k + 1 its output
+    # entry k holds layer k's input, entry k + 1 its output; _layers reuses its
+    # buffers, so each B is copied before the next layer overwrites it
     states = [(u0, v0, np.zeros_like(work))] + [
-        layer[:3] for layer in unfolded._layers(net, work, (u0, v0))]
+        (u, v, b.copy()) for u, v, b, _ in unfolded._layers(net, work, (u0, v0))]
     n_layers = len(net.theta)
     c = 1.0 / n_layers
 
@@ -492,6 +493,22 @@ class TestAdjointReference:
             tracemalloc.stop()
         bound = {15: 10.5, 40: 13.5}[k]
         assert peak <= bound * d_mat.nbytes, f"peak {peak / d_mat.nbytes:.2f}x the input"
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_infer_peak_memory_is_bounded_by_the_input(self, dtype):
+        # infer holds the work matrix, two complex buffers and one real one
+        # (half the input): 3.5x the input, and the blood is scaled in place.
+        # A fresh full-size array per layer pass would exceed the bound
+        d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6)).astype(dtype)
+        cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
+        net = unfolded.init_network(d_mat, k=15, d=10, lambda_b_init=6.0, cfg=cfg)
+        tracemalloc.start()
+        try:
+            unfolded.infer(net, d_mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * d_mat.nbytes, f"peak {peak / d_mat.nbytes:.2f}x the input"
 
     def test_complex64_tracks_complex128(self, desk_ensemble):
         """On a dataset-file ensemble the single-precision adjoint gives the
