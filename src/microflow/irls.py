@@ -205,13 +205,13 @@ def factor_updates(u, r, w_diag):
     return u, v
 
 
-def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon, spare=None):
+def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon, spare=None, s_out=None):
     """One solver iteration, which is also one unfolded network layer.
 
     Forms the blood scale s from the entering B, then updates B, V and U in
     turn: B = R s / (s + 2 lambda_b) with R = D - U V^H, one sqrt, add,
     divide and multiply pass. The residual D - B is formed once and feeds
-    both factor updates.
+    both factor updates. Apart from s, the step allocates no full matrix.
 
     Args:
         d_mat: data matrix D.
@@ -224,23 +224,20 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon, spare=None):
         w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
             solver, the learned weight diagonal in a network layer.
         epsilon: positive blood-scale regularizer (see blood_scale).
-        spare: None, or a free C-ordered buffer of d_mat's shape and dtype.
-            Given one, the step allocates no full matrix: s is formed in
-            b_sq's buffer, the real factor s / (s + 2 lambda_b) in spare's
-            first bytes, and then D - B in spare. The bits are the same.
+        spare: a free C-ordered buffer of resid's shape and dtype, made
+            here when None. The real factor s / (s + 2 lambda_b) goes into
+            its first bytes, and then D - B into it.
+        s_out: where s goes, b_sq itself or a fresh array when None.
 
     Returns:
         (u, v, b, s): the updated factors and blood matrix, and the blood
         scale the step used, whose reciprocal is the blood weights.
     """
+    s = blood_scale(b_sq, epsilon, out=s_out)
     if spare is None:
-        s = blood_scale(b_sq, epsilon)
-        shrink = blood_shrink(s, lambda_b)
-    else:
-        s = blood_scale(b_sq, epsilon, out=b_sq)
-        shrink = blood_shrink(s, lambda_b,
-                              out=spare.reshape(-1).view(s.dtype)[:s.size].reshape(s.shape))
-    b = np.multiply(resid, shrink, out=resid)
+        spare = np.empty(resid.shape, resid.dtype)
+    shrink = spare.reshape(-1).view(s.dtype)[:s.size].reshape(s.shape)
+    b = np.multiply(resid, blood_shrink(s, lambda_b, out=shrink), out=resid)
     u, v = factor_updates(u, np.subtract(d_mat, b, out=spare), w_diag)
     return u, v, b, s
 
@@ -334,6 +331,7 @@ def run_irls(d_mat, cfg):
     fit = 0.5 * np.linalg.norm(resid) ** 2
     est_sq = np.linalg.norm(est) ** 2
     b_sq = np.zeros((1, 1), dtype=work.real.dtype)  # B = 0: its weights are one broadcast value
+    spare = np.empty(work.shape, work.dtype)  # update_step's scratch
     energy = column_energy(u, v)
     w_c = lowrank_weights(energy, cfg.epsilon)
 
@@ -342,15 +340,14 @@ def run_irls(d_mat, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             wc_hist.append(w_c)
-            b = None  # the entering B lives on only as |B|^2 and the estimate
             u, v, b, s = update_step(work, u, resid, b_sq, cfg.lambda_b,
-                                     2.0 * cfg.lambda_c * w_c, cfg.epsilon)
+                                     2.0 * cfg.lambda_c * w_c, cfg.epsilon, spare)
             obj_pre.append(objective(fit, energy, w_c, s, b_sq))
 
             # T's buffer becomes the new estimate and the old estimate's buffer
             # its change, so neither needs a full matrix of its own
             t = u @ v.conj().T
-            resid = work - t
+            resid = np.subtract(work, t, out=spare)
             est_now = np.add(t, b, out=t)
             change = np.linalg.norm(np.subtract(est_now, est, out=est)) ** 2
             est = est_now
@@ -358,6 +355,9 @@ def run_irls(d_mat, cfg):
             energy = column_energy(u, v)
             b_sq = np.abs(b)
             np.square(b_sq, out=b_sq)
+            # a next step needs this B only as |B|^2 and the estimate, so its
+            # buffer is that step's scratch
+            spare = b
             obj.append(objective(fit, energy, w_c, s, b_sq))
             # the fit term 0.5 ||resid - B||^2 is not finite when B is not
             if not np.isfinite(obj[-1]):

@@ -52,24 +52,25 @@ class GroundTruth:
 def _render_frame(positions, amplitudes, scene):
     """Deposit scatterers bilinearly and blur with the separable PSF.
 
-    When all four corners of every scatterer lie inside the grid, which the
-    corner indices' extremes show, the deposit skips the per-corner masks
-    and gathers. Otherwise the scatterers with no corner in the grid are
-    dropped before their reflectivity is formed. Either way the bins and
-    their sums are the same.
+    The scatterers with no corner in the grid are dropped first, so every
+    corner left lies within one pixel of the grid. The deposit goes into the
+    grid padded by that pixel on each side, with no per-corner masks, and
+    the padding is cropped before the blur. np.bincount adds each bin's
+    weights in input order, so each pixel's sum is the same as a masked
+    deposit's.
     """
     from scipy import ndimage  # here, so importing microflow never loads scipy
     nz, nx = scene.nz, scene.nx
-    acc = np.zeros((2, nz * nx))  # real and imaginary parts, blurred in one call
+    nxp = nx + 2
+    size = (nz + 2) * nxp
+    acc = np.zeros((2, size))  # real and imaginary parts, blurred in one call
     if len(positions):
         gx = (positions[:, 0] - scene.x0) / scene.pixel_mm
         gz = (positions[:, 1] - scene.z0) / scene.pixel_mm
         ix0 = np.floor(gx).astype(int)
         iz0 = np.floor(gz).astype(int)
-        inside = (iz0.min() >= 0 and iz0.max() + 1 < nz
-                  and ix0.min() >= 0 and ix0.max() + 1 < nx)
-        if not inside:
-            near = (iz0 >= -1) & (iz0 < nz) & (ix0 >= -1) & (ix0 < nx)
+        near = (iz0 >= -1) & (iz0 < nz) & (ix0 >= -1) & (ix0 < nx)
+        if not near.all():
             positions, amplitudes = positions[near], amplitudes[near]
             gx, gz, ix0, iz0 = gx[near], gz[near], ix0[near], iz0[near]
         phase = -4.0 * np.pi * scene.center_freq \
@@ -78,23 +79,17 @@ def _render_frame(positions, amplitudes, scene):
         wx = gx - ix0
         wz = gz - iz0
         wx1, wz1 = 1.0 - wx, 1.0 - wz
-        base = iz0 * nx + ix0
+        base = (iz0 + 1) * nxp + ix0 + 1
         for dz, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
             w = (wz if dz else wz1) * (wx if dx else wx1)
-            w_re, w_im = w * values.real, w * values.imag
-            if inside:
-                flat = base + (dz * nx + dx)
-            else:
-                iz = iz0 + dz
-                ix = ix0 + dx
-                ok = (iz >= 0) & (iz < nz) & (ix >= 0) & (ix < nx)
-                flat, w_re, w_im = iz[ok] * nx + ix[ok], w_re[ok], w_im[ok]
-            acc[0] += np.bincount(flat, w_re, minlength=nz * nx)
-            acc[1] += np.bincount(flat, w_im, minlength=nz * nx)
+            flat = base + (dz * nxp + dx)
+            acc[0] += np.bincount(flat, w * values.real, minlength=size)
+            acc[1] += np.bincount(flat, w * values.imag, minlength=size)
     fwhm_z, fwhm_x = psf_fwhm_mm(scene.center_freq)
     sigma = (0.0, fwhm_z * _FWHM_TO_SIGMA / scene.pixel_mm,
              fwhm_x * _FWHM_TO_SIGMA / scene.pixel_mm)
-    img = ndimage.gaussian_filter(acc.reshape(2, nz, nx), sigma, mode="constant")
+    img = ndimage.gaussian_filter(acc.reshape(2, nz + 2, nxp)[:, 1:-1, 1:-1], sigma,
+                                  mode="constant")
     return img[0] + 1j * img[1]
 
 

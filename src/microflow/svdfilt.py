@@ -25,20 +25,24 @@ def svd_clutter_filter(d_mat, cut):
 def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
     """svd_clutter_filter from one eigendecomposition, which also picks low_cut when it is None.
 
-    X is the input widened to complex128; a wide input is filtered through
-    its transpose, so G = X^H X is min(shape) square. One np.linalg.eigh of
+    X is the input widened to double precision, complex128 for a complex
+    input; a wide input is filtered through its transpose, so G = X^H X is
+    n = min(shape) square. One np.linalg.eigh of
     G gives the right singular vectors V and the spectrum s = sqrt(eig(G)),
     clipped at 0, in descending order; a missing low_cut is
     estimate_low_cut(s, fraction). The blood is X - (X V_t) V_t^H, V_t the
     low_cut leading vectors, or (X V_band) V_band^H with a high cut: a
     tall ensemble's cost is two thin products, and no basis of its rows is
     formed. fraction and the band are checked before G is formed. Keeping
-    the whole band returns a copy of the input, bit for bit. A complex64
-    input's blood is narrowed back to complex64.
+    the whole band returns a copy of the input, bit for bit. The blood is
+    C-ordered and in X's dtype, narrowed back for a single-precision input,
+    as the SVD's reconstruction was.
 
     Forming G squares the condition number. By Weyl, each computed
-    eigenvalue lam_i lies within eta = sqrt(rows) * eps * lam_1 of G's, the
-    rounding of G's inner products taken as a random walk. By the
+    eigenvalue lam_i lies within eta = (sqrt(rows) + n) * eps * lam_1 of
+    G's: sqrt(rows) * eps * lam_1 for the rounding of G's inner products,
+    taken as a random walk, and n * eps * lam_1 for eigh's backward error
+    on the n x n G. By the
     Davis-Kahan sin-theta argument, weighted by X's singular values, a cut
     between components c and c + 1 moves the blood by at most
 
@@ -49,11 +53,11 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
     spectrum allows, sqrt(sum(lam_band) - len(band) * eta), is the relative
     error bound. Where it exceeds GRAM_TARGET (1e-8), or a gap is not wider
     than 2 eta, the band comes from an economy SVD of X instead; the SVD's
-    own error has the same form with eta = sqrt(rows) * eps * s_1
+    own error has the same form with eta = (sqrt(rows) + n) * eps * s_1
     (s_c + s_(c+1)), a factor s_1 / (s_c + s_(c+1)) smaller. The low cut
     is read off the Gram spectrum either way: each s_i there is within
     eta / (2 s_i^2) of the SVD's relatively, about 1e-10 at the default
-    fraction's threshold of 0.01 s_1 with 10^4 rows.
+    fraction's threshold of 0.01 s_1 with 10^4 rows and n = 100.
 
     Returns:
         (blood, low_cut): the band reconstruction and the low cut it used.
@@ -65,11 +69,12 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
     rank = min(d_mat.shape)
     hi = rank if high_cut is None else high_cut
     _check_band(0 if low_cut is None else low_cut, hi, rank)
-    out = np.complex64 if d_mat.dtype == np.complex64 else np.complex128
+    work = np.result_type(d_mat.dtype, np.float64)
+    out = d_mat.dtype if d_mat.dtype in (np.float32, np.complex64) else work
     if low_cut == 0 and hi == rank:
         return d_mat.astype(out), 0
     wide = d_mat.shape[0] < d_mat.shape[1]
-    x = (d_mat.T if wide else d_mat).astype(np.complex128, copy=False)
+    x = (d_mat.T if wide else d_mat).astype(work, copy=False)
     lam, vecs = np.linalg.eigh(x.conj().T @ x)
     lam, vecs = lam[::-1], vecs[:, ::-1]
     if low_cut is None:
@@ -85,7 +90,7 @@ def band_filter(d_mat, low_cut=None, high_cut=None, fraction=0.01):
         blood = np.subtract(x, blood, out=blood)
     else:
         blood = (x @ vecs[:, band]) @ vecs[:, band].conj().T
-    return (blood.T if wide else blood).astype(out, copy=False), low_cut
+    return np.ascontiguousarray(blood.T if wide else blood, dtype=out), low_cut
 
 
 def _gram_error_bound(lam, low_cut, high_cut, n_rows):
@@ -96,7 +101,7 @@ def _gram_error_bound(lam, low_cut, high_cut, n_rows):
     low_cut + 1 .. high_cut (1-indexed). Returns inf where a gap at a cut is
     not wider than twice the eigenvalues' error or the band may be empty.
     """
-    eta = np.sqrt(n_rows) * np.finfo(np.float64).eps * lam[0]
+    eta = (np.sqrt(n_rows) + lam.size) * np.finfo(np.float64).eps * lam[0]
     band_sq = float(lam[low_cut:high_cut].sum()) - (high_cut - low_cut) * eta
     err = 0.0
     for c in (low_cut, high_cut):

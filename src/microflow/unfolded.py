@@ -187,7 +187,7 @@ def _layers(net, work, init_state=None):
     b_sq, real = np.zeros((1, 1), work.real.dtype), np.empty(work.shape, work.real.dtype)
     penalties = net.penalties()
     for k, (lambda_b, w_c) in enumerate(penalties):
-        u, v, b, _ = irls.update_step(work, u, resid, b_sq, lambda_b, w_c, net.epsilon, spare)
+        u, v, b, _ = irls.update_step(work, u, resid, b_sq, lambda_b, w_c, net.epsilon, spare, b_sq)
         if k + 1 == len(penalties):
             yield u, v, b, None
             return

@@ -246,9 +246,8 @@ class TestSynthesizeIq:
             np.testing.assert_array_equal(d[:, t], d[:, 0])
 
     def test_in_grid_and_masked_renders_agree(self):
-        """A render whose corners all lie inside the grid skips the corner
-        masks; one with scatterers outside drops those with no corner in the
-        grid and masks the rest. The deposits and their bits are the same."""
+        """Scatterers outside the grid, near it or far from it, leave the
+        deposit of those inside it bit for bit as it was."""
         sc = mini_scene(with_flow=False)
         in_grid = imaging._render_frame(sc.tissue_pos, sc.tissue_amp, sc)
         outside = np.array([[40.0, 0.0], [0.0, -40.0], [-4.3, 0.0], [0.0, 4.3]])

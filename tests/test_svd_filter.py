@@ -78,6 +78,15 @@ class TestSvdClutterFilter:
         want = (u[:, 1:4] * s[1:4]) @ vh[1:4]
         assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+    @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+    def test_blood_keeps_the_reconstructions_dtype_and_c_order(self, dtype, shape):
+        # a real input stays real, and a wide one's blood is not a transposed view
+        r = np.random.default_rng(7)
+        d = (crandn(r, shape) if np.iscomplexobj(dtype(0)) else r.standard_normal(shape))
+        b = svdfilt.svd_clutter_filter(d.astype(dtype), svdfilt.SvdCutoffs(1, 4))
+        assert b.dtype == dtype and b.flags.c_contiguous
+
 
 def exact_band(seed, shape, s, low_cut, high_cut):
     """P diag(s) Q^H with orthonormal P and Q, and its band low_cut+1 .. high_cut."""
@@ -92,11 +101,11 @@ def svd_error_bound(x, low_cut, high_cut):
     """The band_filter docstring's error bound for its SVD fallback on x.
 
     The same Davis-Kahan form as the Gram route's, with
-    eta = sqrt(rows) * eps * s_1 (s_c + s_(c+1)) at each cut, plus the
-    reconstruction's own rounding, sqrt(rows) * eps * s_1.
+    eta = (sqrt(rows) + n) * eps * s_1 (s_c + s_(c+1)) at each cut, plus the
+    reconstruction's own rounding, (sqrt(rows) + n) * eps * s_1.
     """
     s = np.linalg.svd(x, compute_uv=False)
-    unit = np.sqrt(max(x.shape)) * np.finfo(np.float64).eps * s[0]
+    unit = (np.sqrt(max(x.shape)) + s.size) * np.finfo(np.float64).eps * s[0]
     err = unit
     for c in (low_cut, high_cut):
         if 0 < c < s.size:
