@@ -80,13 +80,14 @@ def orthonormal_columns(m, d):
     if not 1 <= d <= min(m.shape):
         raise ValueError(f"d={d} outside [1, min{m.shape}]")
     lead = m[:, :d]
-    s = np.linalg.svd(lead, compute_uv=False)
+    # the d x d R has the lead block's singular values, read here for the rank check
+    q, r = np.linalg.qr(lead)
+    s = np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= max(lead.shape) * _EPS * s[0]:
         raise SolverError(
             f"leading {d} columns are rank deficient "
             f"(singular values {s[0]:.3e} .. {s[-1]:.3e}); reduce d"
         )
-    q, _ = np.linalg.qr(lead)
     return q
 
 

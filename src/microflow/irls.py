@@ -141,22 +141,17 @@ def _factor_solve(f, p, w_diag):
     formed in complex128; the inverse's refinement runs on d columns, not
     on the n_space columns of a right-hand side in P^H's layout. Before X is
     narrowed back to F's dtype, every real or imaginary part below
-    finfo.tiny / finfo.eps of that dtype (about 9.9e-32 for complex64,
-    1e-292 for complex128) is set to zero. The column reweighting shrinks
+    sqrt(finfo.tiny / finfo.eps) of that dtype (about 3.1e-16 for complex64,
+    1e-146 for complex128) is set to zero. The column reweighting shrinks
     the columns it switches off geometrically; flushed at this floor, such a
-    column turns exactly zero, and its column of P is then zero too. A floor
-    of finfo.tiny alone is not enough: products of entries just above it
-    still underflow. The floor does not keep every subnormal number out of
-    the products, though. Columns on their way down sit far above it for
-    many iterations: after 6 solver iterations on the complex64 desk
-    ensemble (5670 x 100, d = 10, lambda_b = 0.02), six columns of U peak
-    between 2.5e-18 and 3.1e-23, so 23 entries of U^H U have subnormal parts,
-    and that product takes about 8.6 ms against 0.23 ms with those columns
-    zeroed.
+    column turns exactly zero, and its column of P is then zero too. The
+    product of any two kept parts is at least tiny / eps, a normal number,
+    so the next Gram matrix X^H X meets no subnormal operand, which costs
+    many times a normal one.
     """
     x = p.astype(np.complex128, copy=False) @ gram_inverse(f, w_diag)
     info = np.finfo(f.dtype)
-    floor = info.tiny / info.eps
+    floor = np.sqrt(info.tiny / info.eps)
     for part in (x.real, x.imag):
         part[np.abs(part) < floor] = 0.0
     return x.astype(f.dtype, copy=False)
@@ -242,6 +237,17 @@ def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon, spare=None, s_
     return u, v, b, s
 
 
+def squared_norm(f):
+    """||F||_F^2 of a C-ordered matrix, as a float; exactly 0 for a zero F.
+
+    Row sums of squares run in F's precision over its real view and are
+    added in float64, so a complex64 norm errs by about one row's float32
+    rounding. No BLAS call is made: the bits do not depend on threads.
+    """
+    x = f.view(f.real.dtype) if np.iscomplexobj(f) else f
+    return float(np.einsum("ij,ij->i", x, x).sum(dtype=np.float64))
+
+
 def _relative_change(num, den):
     """num / den, where den is the squared norm of the previous estimate."""
     if den == 0.0:
@@ -292,23 +298,30 @@ def _init_state(d_mat, d):
         u0[:d, :d] = np.eye(d)
     else:
         u0 = orthonormal_columns(d_mat, d)
-    v0 = d_mat.conj().T @ u0
+    # D^H U0 as conj(D^T conj(U0)): the same bits without a full conjugate copy
+    v0 = (d_mat.T @ u0.conj()).conj()
     return u0, v0
 
 
 def run_irls(d_mat, cfg):
     """Run the alternating reweighted solver to convergence.
 
-    Each iteration is one update_step. The quantities around it are formed
-    once and carried: T = U V^H feeds the objective's fit term, the estimate
-    T + B and the next blood update; |B|^2 feeds the objective's penalty
-    sum(|B|^2 / s) and the next blood scale s; the estimate and its squared
-    norm feed the next convergence metric; the column energy feeds the
-    objective and the next column weights. The state entering an iteration
-    is the one the previous objective was evaluated on, so objective_pre
-    reuses that fit term and only its penalty terms (with the fresh
-    weights) are new. Each iteration's progress goes to this module's
+    Each iteration is one update_step. Around it the loop carries the
+    misfit F = (D - U V^H) - B, not the estimate E = U V^H + B = D - F: the
+    objective's fit term is 0.5 ||F||^2 and the convergence metric is
+    ||F_k - F_(k-1)||^2 / ||D - F_(k-1)||^2, the estimate's relative change,
+    with every squared norm from squared_norm. |B|^2 feeds the objective's
+    penalty sum(|B|^2 / s) and the next blood scale s; the column energy
+    feeds the objective and the next column weights. The state entering an
+    iteration is the one the previous objective was evaluated on, so
+    objective_pre reuses that fit term and only its penalty terms (with the
+    fresh weights) are new. Each iteration's progress goes to this module's
     logger at INFO.
+
+    The loop runs in four complex buffers and one real one made once per
+    call: D - U V^H (the next B), the step's scratch, F, and a free one for
+    F_k - F_(k-1), D - F_k and then |B|^2 in its first bytes. The penalty
+    sums divide into the |B|^2 and s they read; B is scaled in place.
 
     Args:
         d_mat: complex Casorati matrix, shape (n_space, n_frames).
@@ -319,52 +332,47 @@ def run_irls(d_mat, cfg):
         metric falls below cfg.tol or after cfg.max_iter iterations.
     """
     work, scale = prepare_input(d_mat, cfg.d)
-
-    def objective(fit, energy, w_c, s, b_sq):
-        col = float(np.dot(w_c, energy))
-        spr = float((b_sq / s).sum())
-        return fit + cfg.lambda_c * col + cfg.lambda_b * spr
-
     u, v = _init_state(work, cfg.d)
-    est = u @ v.conj().T                # the estimate T + B with B = 0
-    resid = work - est                  # D - U V^H
-    fit = 0.5 * np.linalg.norm(resid) ** 2
-    est_sq = np.linalg.norm(est) ** 2
+    resid, spare, f, free = (np.empty(work.shape, work.dtype) for _ in range(4))
+    s_buf = np.empty(work.shape, work.real.dtype)
+    np.subtract(work, np.matmul(u, v.conj().T, out=resid), out=resid)  # D - U V^H
+    np.copyto(f, resid)                 # F with B = 0
+    fit = 0.5 * squared_norm(f)
+    est_sq = squared_norm(np.subtract(work, f, out=free))
     b_sq = np.zeros((1, 1), dtype=work.real.dtype)  # B = 0: its weights are one broadcast value
-    spare = np.empty(work.shape, work.dtype)  # update_step's scratch
     energy = column_energy(u, v)
     w_c = lowrank_weights(energy, cfg.epsilon)
+
+    def objective(fit, energy, w_c, penalty):
+        return fit + cfg.lambda_c * float(np.dot(w_c, energy)) + cfg.lambda_b * penalty
 
     conv, obj, obj_pre, wc_hist = [], [], [], []
     # overflow and NaN in an iterate surface as a non-finite objective below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             wc_hist.append(w_c)
-            u, v, b, s = update_step(work, u, resid, b_sq, cfg.lambda_b,
-                                     2.0 * cfg.lambda_c * w_c, cfg.epsilon, spare)
-            obj_pre.append(objective(fit, energy, w_c, s, b_sq))
+            u, v, b, s = update_step(work, u, resid, b_sq, cfg.lambda_b, 2.0 * cfg.lambda_c * w_c,
+                                     cfg.epsilon, spare, s_buf if k > 1 else None)
+            obj_pre.append(objective(fit, energy, w_c, float(np.divide(b_sq, s, out=b_sq).sum())))
 
-            # T's buffer becomes the new estimate and the old estimate's buffer
-            # its change, so neither needs a full matrix of its own
-            t = u @ v.conj().T
-            resid = np.subtract(work, t, out=spare)
-            est_now = np.add(t, b, out=t)
-            change = np.linalg.norm(np.subtract(est_now, est, out=est)) ** 2
-            est = est_now
-            fit = 0.5 * np.linalg.norm(resid - b) ** 2
+            resid = np.subtract(work, np.matmul(u, v.conj().T, out=spare), out=spare)
+            f_prev, f = f, np.subtract(resid, b, out=free)
+            change = squared_norm(np.subtract(f, f_prev, out=f_prev))
+            est_sq_now = squared_norm(np.subtract(work, f, out=f_prev))
+            fit = 0.5 * squared_norm(f)
             energy = column_energy(u, v)
-            b_sq = np.abs(b)
-            np.square(b_sq, out=b_sq)
-            # a next step needs this B only as |B|^2 and the estimate, so its
-            # buffer is that step's scratch
-            spare = b
-            obj.append(objective(fit, energy, w_c, s, b_sq))
-            # the fit term 0.5 ||resid - B||^2 is not finite when B is not
+            # |B|^2 goes into the first bytes of the free buffer; B's own buffer is the
+            # next step's scratch
+            b_sq = f_prev.reshape(-1).view(s_buf.dtype)[:b.size].reshape(b.shape)
+            np.square(np.abs(b, out=b_sq), out=b_sq)
+            spare, free = b, f_prev
+            obj.append(objective(fit, energy, w_c, float(np.divide(b_sq, s, out=s_buf).sum())))
+            # the fit term 0.5 ||F||^2 is not finite when B is not
             if not np.isfinite(obj[-1]):
                 raise SolverError(f"non-finite iterate at iteration {k}")
 
             metric = _relative_change(change, est_sq)
-            est_sq = np.linalg.norm(est) ** 2
+            est_sq = est_sq_now
             conv.append(metric)
             w_c = lowrank_weights(energy, cfg.epsilon)
 
@@ -372,7 +380,7 @@ def run_irls(d_mat, cfg):
             if metric < cfg.tol:
                 break
 
-    dec = Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)
+    dec = Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=np.multiply(b, scale, out=b))
     trace = IrlsTrace(
         iterations=len(conv),
         convergence=np.asarray(conv),

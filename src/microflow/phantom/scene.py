@@ -24,6 +24,7 @@ imaging adds (4, frame) for noise.
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,8 @@ class PhantomScene:
     Positions are (x, z) in mm with z the axial depth (away from the
     probe). Flow scatterers are parameterized by their vessel edge, the
     arc length s0 along it, and the signed radial offset r; the edge_*
-    arrays form a flat table over all vessels of all units.
+    arrays form a flat table over all vessels of all units. The first
+    positions_at call caches the flow terms that do not depend on time.
     """
 
     seed: int
@@ -101,15 +103,19 @@ class PhantomScene:
         tissue = self.tissue_pos * stretch
         if len(self.flow_s0) == 0:
             return tissue, np.zeros((0, 2))
+        start, dirs, length, speed, offset = self._flow_paths
+        s = (self.flow_s0 + speed * t) % length
+        base = start + s[:, None] * dirs + offset
+        return tissue, base * stretch
+
+    @cached_property
+    def _flow_paths(self):
+        """Each flow scatterer's edge start, direction and length, speed, and r times the normal."""
         idx = self.flow_edge_idx
         dirs = self.edge_dir[idx]
-        radius = self.edge_radius[idx]
-        speed = self.edge_vmax[idx] * (1.0 - (self.flow_r / radius) ** 2)
-        s = (self.flow_s0 + speed * t) % self.edge_len[idx]
+        speed = self.edge_vmax[idx] * (1.0 - (self.flow_r / self.edge_radius[idx]) ** 2)
         normal = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
-        base = self.edge_start[idx] + s[:, None] * dirs \
-            + self.flow_r[:, None] * normal
-        return tissue, base * stretch
+        return self.edge_start[idx], dirs, self.edge_len[idx], speed, self.flow_r[:, None] * normal
 
 
 def _sample_in_ellipse(rng, semi_x, semi_z, count):

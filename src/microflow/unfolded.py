@@ -176,10 +176,11 @@ def _layers(net, work, init_state=None):
 
     The layers run in two complex buffers and one real one, made once per call, so a
     yielded b and resid hold only until the generator resumes. The buffer holding
-    resid becomes the next layer's B, and the other, free once |B|^2 is formed in
-    the real buffer, takes the step's scratch and then the next D - U V^H. The
-    products write into C-ordered buffers as numpy's own temporaries are, so every
-    bit is the same as with a fresh array per pass.
+    resid becomes the next layer's B, and the other takes the step's scratch and then
+    the next D - U V^H. Every B but the last has its |B|^2 in the real buffer before
+    it is yielded, so the caller may overwrite it. The products write into C-ordered
+    buffers as numpy's own temporaries are, so every bit is the same as with a fresh
+    array per pass.
     """
     u, v = irls._init_state(work, net.d) if init_state is None else init_state
     resid, spare = (np.empty(work.shape, work.dtype) for _ in range(2))
@@ -192,8 +193,8 @@ def _layers(net, work, init_state=None):
             yield u, v, b, None
             return
         resid = np.subtract(work, np.matmul(u, v.conj().T, out=spare), out=spare)
-        yield u, v, b, resid
         b_sq = np.square(np.abs(b, out=real), out=real)
+        yield u, v, b, resid
         spare = b
 
 
@@ -204,16 +205,18 @@ def layer_residuals(net, d_mat, init_state=None):
     input scaled to peak 1; init_state is an optional (u0, v0) for that
     matrix. Layer k's misfit is ||(D - U_k V_k^H) - B_k|| * scale, read off
     the next layer's input D - U_k V_k^H before that layer overwrites it, so
-    only the last layer forms its own. The training loss is the mean square
-    of this list. Layer k's full decomposition is
-    infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
+    only the last layer forms its own, in the one full matrix this function
+    makes. Each misfit overwrites its B, which the layers no longer need.
+    The training loss is the mean square of this list. Layer k's full
+    decomposition is infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
     work, scale = irls.prepare_input(d_mat, net.d)
     misfits = []
     for u, v, b, resid in _layers(net, work, init_state):
         if resid is None:
-            resid = work - u @ v.conj().T
-        misfits.append(float(np.linalg.norm(resid - b)) * scale)
+            resid = np.matmul(u, v.conj().T)
+            np.subtract(work, resid, out=resid)
+        misfits.append(float(np.linalg.norm(np.subtract(resid, b, out=b))) * scale)
     return misfits
 
 

@@ -1,8 +1,9 @@
 """Reference forms the shipped solver and network are checked against.
 
 irls.update_step fuses the weights and block updates and run_irls carries
-the convergence metric's pieces between iterations; the tests keep the
-separate forms as the reference that both must reproduce bit for bit.
+the misfit and the convergence metric's pieces between iterations in
+reused buffers; the tests keep the separate forms as the reference that both
+must reproduce bit for bit.
 
 unfolded.train steps on the adjoint gradient; finite_difference_gradient
 takes central differences of the same loss, the reference the adjoint is
@@ -68,11 +69,15 @@ def update_basis(d_mat, b, v, w_c, lambda_c):
     return irls._factor_solve(v, (d_mat - b) @ v, w_diag)
 
 
-def convergence_metric(t_now, b_now, t_prev, b_prev):
-    """Squared relative change of the denoised estimate T + B between iterates."""
-    prev = t_prev + b_prev
-    return irls._relative_change(np.linalg.norm(t_now + b_now - prev) ** 2,
-                                 np.linalg.norm(prev) ** 2)
+def misfit(d_mat, u, v, b):
+    """The solver's misfit F = (D - U V^H) - B; its estimate U V^H + B is D - F."""
+    return (d_mat - u @ v.conj().T) - b
+
+
+def convergence_metric(d_mat, f_now, f_prev):
+    """Squared relative change of the estimate D - F between iterates, read off the misfits F."""
+    return irls._relative_change(irls.squared_norm(f_now - f_prev),
+                                 irls.squared_norm(d_mat - f_prev))
 
 
 def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):

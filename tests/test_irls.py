@@ -1,4 +1,7 @@
 
+import dataclasses
+import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from microflow import irls, unfolded
 from microflow.casorati import SolverError, hermitian_inverse
-from solver_reference import (blood_scale, convergence_metric, layouts, update_basis,
+from solver_reference import (blood_scale, convergence_metric, layouts, misfit, update_basis,
                               update_blood, update_coeffs)
 
 
@@ -179,9 +182,9 @@ class TestFactorSolvePrecision:
     def test_parts_below_the_floor_turn_zero_and_the_rest_match_a_double_solve(
             self, seed, dtype, n, m, d, exponent):
         # exponent -1 scales one factor column and its column of P to the flush
-        # floor tiny/eps, the regime the column reweighting drives dead columns to
+        # floor sqrt(tiny/eps), the regime the column reweighting drives dead columns to
         info = np.finfo(dtype)
-        floor = info.tiny / info.eps
+        floor = np.sqrt(info.tiny / info.eps)
         r = np.random.default_rng(seed)
         f, p = crandn(r, (n, d)), crandn(r, (m, d))
         if exponent < 0.0:
@@ -201,32 +204,66 @@ class TestFactorSolvePrecision:
         if not np.any((small > 0) & (small < floor)):
             assert np.array_equal(got, exact.astype(dtype))
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_a_dying_column_leaves_no_subnormal_gram_entry(self, dtype):
+        # parts near sqrt(tiny) / 100 lie above the old floor tiny/eps but square
+        # to subnormal numbers; the floor flushes them, so F^H F of the update's
+        # output, the next Gram matrix, has only zero or normal parts
+        info = np.finfo(dtype)
+        r = np.random.default_rng(20)
+        f, p = crandn(r, (30, 4)), crandn(r, (12, 4))
+        for m in (f, p):
+            m[:, 0] *= np.sqrt(info.tiny) / 100.0
+        got = irls._factor_solve(f.astype(dtype), p.astype(dtype), r.random(4) + 0.5)
+        assert not np.any(got[:, 0])
+        gram = got.conj().T @ got
+        parts = np.abs([gram.real, gram.imag])
+        assert not np.any((parts > 0) & (parts < info.tiny))
+
+
+class TestSquaredNorm:
+    @pytest.mark.parametrize("dtype, rel", [(np.complex64, 1e-6), (np.complex128, 1e-14),
+                                            (np.float32, 1e-6), (np.float64, 1e-14)])
+    def test_matches_an_exactly_rounded_sum(self, dtype, rel):
+        r = np.random.default_rng(21)
+        f = crandn(r, (300, 50)).astype(dtype) if np.dtype(dtype).kind == "c" \
+            else r.standard_normal((300, 50)).astype(dtype)
+        parts = np.concatenate([f.real.ravel(), f.imag.ravel()]) if np.iscomplexobj(f) \
+            else f.ravel()
+        want = math.fsum(float(x) * float(x) for x in parts.astype(np.float64))
+        assert irls.squared_norm(f) == pytest.approx(want, rel=rel)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_zero_matrix_gives_exactly_zero(self, dtype):
+        assert irls.squared_norm(np.zeros((7, 5), dtype)) == 0.0
+
 
 class TestConvergenceMetric:
+    """The metric reads the estimate E = D - F off the misfits F."""
+
     def test_identical_iterates(self):
         r = np.random.default_rng(12)
-        t = crandn(r, (4, 4))
-        b = crandn(r, (4, 4))
-        assert convergence_metric(t, b, t, b) == 0.0
+        d, f = crandn(r, (4, 4)), crandn(r, (4, 4))
+        assert convergence_metric(d, f, f) == 0.0
 
     def test_doubling(self):
         r = np.random.default_rng(13)
-        t = crandn(r, (4, 3))
-        b = crandn(r, (4, 3))
-        m = convergence_metric(2 * t, 2 * b, t, b)
+        d, e = crandn(r, (4, 3)), crandn(r, (4, 3))
+        m = convergence_metric(d, d - 2 * e, d - e)
         assert m == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_recompute(self):
         r = np.random.default_rng(14)
-        tn, bn, tp, bp = (crandn(r, (5, 6)) for _ in range(4))
+        d, tn, bn, tp, bp = (crandn(r, (5, 6)) for _ in range(5))
         ref = np.linalg.norm(tn + bn - tp - bp) ** 2 / np.linalg.norm(tp + bp) ** 2
-        assert convergence_metric(tn, bn, tp, bp) == pytest.approx(ref, rel=1e-12)
+        got = convergence_metric(d, d - tn - bn, d - tp - bp)
+        assert got == pytest.approx(ref, rel=1e-12)
 
     def test_zero_previous(self):
         z = np.zeros((2, 2), dtype=complex)
-        assert convergence_metric(z, z, z, z) == 0.0
+        assert convergence_metric(z, z, z) == 0.0
         with pytest.raises(ValueError):
-            convergence_metric(np.ones((2, 2), dtype=complex), z, z, z)
+            convergence_metric(z, -np.ones((2, 2), dtype=complex), z)
 
 
 class TestRunIrls:
@@ -310,6 +347,22 @@ class TestRunIrls:
         assert np.all(np.isfinite(dec.blood_b))
         assert trace.iterations == 3
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_peak_memory_is_bounded_by_the_input(self, dtype):
+        # the work matrix, four complex buffers and one real one (half the
+        # input): 5.5x the input, plus the factor updates' n x d temporaries.
+        # A fresh full-size array per pass would exceed the bound
+        t, b0 = lowrank_sparse_instance(seed=27, ns=2000, nt=100, rank=6)
+        d_mat = np.asfortranarray(t + b0).astype(dtype)
+        cfg = make_config(d=10, lambda_c=1.0, lambda_b=0.02, max_iter=10, tol=1e-300)
+        tracemalloc.start()
+        try:
+            irls.run_irls(d_mat, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.2 * d_mat.nbytes, f"peak {peak / d_mat.nbytes:.2f}x the input"
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             irls.IrlsConfig(d=0, lambda_c=0.1, lambda_b=0.1)
@@ -321,35 +374,46 @@ class TestRunIrls:
             irls.run_irls(np.ones((3, 2), dtype=complex), make_config(d=3))
 
 
-def reference_irls(d_mat, cfg):
+def reference_irls(d_mat, cfg, estimate_based=False):
     """The solver loop as written before the fused step, from the public helpers.
 
-    Every iteration recomputes U V^H, D - B and |B|^2 where it needs them;
-    run_irls must return the same bits.
+    Every iteration recomputes U V^H, D - B, |B|^2 and the misfit
+    F = (D - U V^H) - B where it needs them; run_irls must return the same
+    bits. With estimate_based, the fit and convergence terms take the
+    definitions the solver used before it carried the misfit:
+    np.linalg.norm of F, and of the estimate T + B's change over its
+    previous value.
     """
     def objective(u, v, b, s, w_c):
-        fit = 0.5 * np.linalg.norm(d_work - u @ v.conj().T - b) ** 2
+        f = misfit(d_work, u, v, b)
+        fit = 0.5 * (np.linalg.norm(f) ** 2 if estimate_based else irls.squared_norm(f))
         col = float(np.dot(w_c, (np.abs(u) ** 2).sum(axis=0) + (np.abs(v) ** 2).sum(axis=0)))
         spr = float((np.abs(b) ** 2 / s).sum())
         return fit + cfg.lambda_c * col + cfg.lambda_b * spr
 
-    d_work, scale = irls.prepare_input(np.asarray(d_mat, dtype=np.complex128), cfg.d)
+    def metric(u, v, b, prev_u, prev_v, prev_b):
+        if estimate_based:
+            prev = prev_u @ prev_v.conj().T + prev_b
+            return irls._relative_change(np.linalg.norm(u @ v.conj().T + b - prev) ** 2,
+                                         np.linalg.norm(prev) ** 2)
+        return convergence_metric(d_work, misfit(d_work, u, v, b),
+                                  misfit(d_work, prev_u, prev_v, prev_b))
+
+    d_work, scale = irls.prepare_input(d_mat, cfg.d)
     u, v = irls._init_state(d_work, cfg.d)
     b = np.zeros_like(d_work)
     w_c = irls.lowrank_weights(irls.column_energy(u, v), cfg.epsilon)
-    prev_t, prev_b = u @ v.conj().T, b
     conv, obj, obj_pre, wc_hist = [], [], [], []
     for k in range(1, cfg.max_iter + 1):
         s = blood_scale(b, cfg.epsilon)
         obj_pre.append(objective(u, v, b, s, w_c))
         wc_hist.append(w_c.copy())
+        prev = u, v, b
         b = update_blood(d_work, u, v, s, cfg.lambda_b)
         v = update_coeffs(d_work, b, u, w_c, cfg.lambda_c)
         u = update_basis(d_work, b, v, w_c, cfg.lambda_c)
         obj.append(objective(u, v, b, s, w_c))
-        t = u @ v.conj().T
-        conv.append(convergence_metric(t, b, prev_t, prev_b))
-        prev_t, prev_b = t, b
+        conv.append(metric(u, v, b, *prev))
         w_c = irls.lowrank_weights(irls.column_energy(u, v), cfg.epsilon)
         if conv[-1] < cfg.tol:
             break
@@ -386,6 +450,27 @@ class TestFusedStepEquivalence:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         assert len(got.w_c_history) == len(want.w_c_history)
         assert all(np.array_equal(a, b) for a, b in zip(got.w_c_history, want.w_c_history))
+
+    @pytest.mark.parametrize("d_mat, cfg", equivalence_cases())
+    def test_trace_matches_the_estimate_based_definitions(self, d_mat, cfg):
+        # the misfit's change equals the estimate's in exact arithmetic; the
+        # norms differ only by rounding
+        _, got = irls.run_irls(d_mat, cfg)
+        fixed = dataclasses.replace(cfg, max_iter=got.iterations, tol=1e-300)
+        _, want = reference_irls(d_mat, fixed, estimate_based=True)
+        for field in ("convergence", "objective", "objective_pre"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.complex64, 1e-5), (np.complex128, 1e-12)])
+    def test_desk_trace_matches_the_estimate_based_definitions(self, desk_ensemble, dtype, rtol):
+        d_mat = desk_ensemble.astype(dtype)
+        cfg = irls.IrlsConfig(d=10, lambda_c=1.0, lambda_b=0.02)
+        dec, got = irls.run_irls(d_mat, cfg)
+        fixed = dataclasses.replace(cfg, max_iter=got.iterations, tol=1e-300)
+        want_dec, want = reference_irls(d_mat, fixed, estimate_based=True)
+        assert np.array_equal(dec.blood_b, want_dec.blood_b)
+        for field in ("convergence", "objective", "objective_pre"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=rtol)
 
     def test_solver_iterations_equal_layers(self):
         t, b0 = lowrank_sparse_instance(seed=105, ns=90, nt=30)

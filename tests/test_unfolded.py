@@ -510,6 +510,22 @@ class TestAdjointReference:
             tracemalloc.stop()
         assert peak <= 5.0 * d_mat.nbytes, f"peak {peak / d_mat.nbytes:.2f}x the input"
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_layer_residuals_peak_memory_is_bounded_by_the_input(self, dtype):
+        # the layers' buffers as in infer, each misfit written over its B, and
+        # one full matrix for the last layer's D - U V^H: 4.5x the input. A
+        # fresh misfit per layer beside a buffer of its own would exceed the bound
+        d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6)).astype(dtype)
+        cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
+        net = unfolded.init_network(d_mat, k=15, d=10, lambda_b_init=6.0, cfg=cfg)
+        tracemalloc.start()
+        try:
+            unfolded.layer_residuals(net, d_mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * d_mat.nbytes, f"peak {peak / d_mat.nbytes:.2f}x the input"
+
     def test_complex64_tracks_complex128(self, desk_ensemble):
         """On a dataset-file ensemble the single-precision adjoint gives the
         double-precision gradient's signs and, to float32 size, its values."""
