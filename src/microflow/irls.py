@@ -200,41 +200,69 @@ def factor_updates(u, r, w_diag):
     return u, v
 
 
-def update_step(d_mat, u, resid, b_sq, lambda_b, w_diag, epsilon, spare=None, s_out=None):
+def update_step(d_mat, u, resid, s, lambda_b, w_diag, spare):
     """One solver iteration, which is also one unfolded network layer.
 
-    Forms the blood scale s from the entering B, then updates B, V and U in
-    turn: B = R s / (s + 2 lambda_b) with R = D - U V^H, one sqrt, add,
-    divide and multiply pass. The residual D - B is formed once and feeds
-    both factor updates. Apart from s, the step allocates no full matrix.
+    Updates B, V and U in turn: B = R s / (s + 2 lambda_b) with
+    R = D - U V^H, one add, divide and multiply pass. The residual D - B is
+    formed once and feeds both factor updates. The step allocates no full
+    matrix.
 
     Args:
         d_mat: data matrix D.
         u: basis entering the step.
         resid: D - U V^H for the entering factors. The step overwrites it:
             its buffer becomes the new B.
-        b_sq: |B|^2 of the entering blood matrix; a (1, 1) zero stands for
-            B = 0 and makes s one broadcast value.
+        s: blood scale of the entering B (see blood_scale); a (1, 1) value
+            stands for B = 0.
         lambda_b: blood penalty weight.
         w_diag: diagonal added to both Gram matrices; 2 lambda_c W_c in the
             solver, the learned weight diagonal in a network layer.
-        epsilon: positive blood-scale regularizer (see blood_scale).
-        spare: a free C-ordered buffer of resid's shape and dtype, made
-            here when None. The real factor s / (s + 2 lambda_b) goes into
-            its first bytes, and then D - B into it.
-        s_out: where s goes, b_sq itself or a fresh array when None.
+        spare: a free C-ordered buffer of resid's shape and dtype. The real
+            factor s / (s + 2 lambda_b) goes into its first bytes, and then
+            D - B into it.
 
     Returns:
-        (u, v, b, s): the updated factors and blood matrix, and the blood
-        scale the step used, whose reciprocal is the blood weights.
+        (u, v, b): the updated factors and blood matrix.
     """
-    s = blood_scale(b_sq, epsilon, out=s_out)
-    if spare is None:
-        spare = np.empty(resid.shape, resid.dtype)
     shrink = spare.reshape(-1).view(s.dtype)[:s.size].reshape(s.shape)
     b = np.multiply(resid, blood_shrink(s, lambda_b, out=shrink), out=resid)
     u, v = factor_updates(u, np.subtract(d_mat, b, out=spare), w_diag)
-    return u, v, b, s
+    return u, v, b
+
+
+def steps(work, u, v, penalties, epsilon):
+    """Run update_step from (u, v) and B = 0, yielding each step's (u, v, b, resid, s).
+
+    This is the one step loop: every solver iteration and network layer
+    runs here. Step k draws its (lambda_b, w_diag) from penalties only
+    after step k - 1's yield, so a caller may compute the next pair from
+    what was yielded. resid is D - U V^H for the step's output factors, the
+    next step's input, and s is the blood scale the step used:
+    sqrt(|B_(k-1)|^2 + epsilon), one broadcast (1, 1) value at step 0,
+    whose entering B is zero.
+
+    The steps run in two complex buffers and one real one, made once per
+    call, so everything yielded but u and v holds only until the generator
+    resumes. The buffer holding resid becomes the next step's B, and the
+    other, B's, takes the step's scratch and then the next D - U V^H. |B|^2
+    and then the next s are formed in the real buffer after the next pair
+    is drawn, so a caller may read s beside b through the yield, and a
+    caller that stops drawing pays for no s it does not use. The products
+    write into C-ordered buffers as numpy's own temporaries are, so every
+    bit is the same as with a fresh array per pass.
+    """
+    resid, spare = (np.empty(work.shape, work.dtype) for _ in range(2))
+    real = np.empty(work.shape, work.real.dtype)
+    np.subtract(work, np.matmul(u, v.conj().T, out=resid), out=resid)
+    s = blood_scale(np.zeros((1, 1), real.dtype), epsilon)
+    for k, (lambda_b, w_diag) in enumerate(penalties):
+        if k:  # the previous step's B is in spare
+            s = blood_scale(np.square(np.abs(spare, out=real), out=real), epsilon, out=real)
+        u, v, b = update_step(work, u, resid, s, lambda_b, w_diag, spare)
+        resid = np.subtract(work, np.matmul(u, v.conj().T, out=spare), out=spare)
+        yield u, v, b, resid, s
+        spare = b
 
 
 def squared_norm(f):
@@ -306,22 +334,25 @@ def _init_state(d_mat, d):
 def run_irls(d_mat, cfg):
     """Run the alternating reweighted solver to convergence.
 
-    Each iteration is one update_step. Around it the loop carries the
-    misfit F = (D - U V^H) - B, not the estimate E = U V^H + B = D - F: the
-    objective's fit term is 0.5 ||F||^2 and the convergence metric is
-    ||F_k - F_(k-1)||^2 / ||D - F_(k-1)||^2, the estimate's relative change,
-    with every squared norm from squared_norm. |B|^2 feeds the objective's
-    penalty sum(|B|^2 / s) and the next blood scale s; the column energy
+    Each iteration is one step of steps, with penalties drawn from the
+    rule (cfg.lambda_b, 2 lambda_c W_c) as each step begins, so every step
+    takes the column weights of the previous step's output. Around the
+    steps the loop carries the misfit F = (D - U V^H) - B, not the estimate
+    E = U V^H + B = D - F: the objective's fit term is 0.5 ||F||^2 and the
+    convergence metric is ||F_k - F_(k-1)||^2 / ||D - F_(k-1)||^2, the
+    estimate's relative change, with every squared norm from squared_norm.
+    |B|^2 feeds the objective's penalty sum(|B|^2 / s); the column energy
     feeds the objective and the next column weights. The state entering an
     iteration is the one the previous objective was evaluated on, so
     objective_pre reuses that fit term and only its penalty terms (with the
     fresh weights) are new. Each iteration's progress goes to this module's
     logger at INFO.
 
-    The loop runs in four complex buffers and one real one made once per
-    call: D - U V^H (the next B), the step's scratch, F, and a free one for
-    F_k - F_(k-1), D - F_k and then |B|^2 in its first bytes. The penalty
-    sums divide into the |B|^2 and s they read; B is scaled in place.
+    Besides the steps' buffers, the loop runs in two complex ones made once
+    per call: F, and a free one for F_k - F_(k-1), D - F_k and then, side by
+    side in its real view, |B_k|^2 and its quotient by the s the step
+    yielded. The next iteration's pre-update penalty divides into that
+    |B_k|^2; B is scaled in place.
 
     Args:
         d_mat: complex Casorati matrix, shape (n_space, n_frames).
@@ -333,15 +364,15 @@ def run_irls(d_mat, cfg):
     """
     work, scale = prepare_input(d_mat, cfg.d)
     u, v = _init_state(work, cfg.d)
-    resid, spare, f, free = (np.empty(work.shape, work.dtype) for _ in range(4))
-    s_buf = np.empty(work.shape, work.real.dtype)
-    np.subtract(work, np.matmul(u, v.conj().T, out=resid), out=resid)  # D - U V^H
-    np.copyto(f, resid)                 # F with B = 0
+    f, free = (np.empty(work.shape, work.dtype) for _ in range(2))
+    np.subtract(work, np.matmul(u, v.conj().T, out=f), out=f)  # F with B = 0
     fit = 0.5 * squared_norm(f)
     est_sq = squared_norm(np.subtract(work, f, out=free))
     b_sq = np.zeros((1, 1), dtype=work.real.dtype)  # B = 0: its weights are one broadcast value
     energy = column_energy(u, v)
     w_c = lowrank_weights(energy, cfg.epsilon)
+    # evaluated as each step draws it, so it reads the w_c the previous iteration left
+    rule = ((cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for _ in range(cfg.max_iter))
 
     def objective(fit, energy, w_c, penalty):
         return fit + cfg.lambda_c * float(np.dot(w_c, energy)) + cfg.lambda_b * penalty
@@ -349,24 +380,19 @@ def run_irls(d_mat, cfg):
     conv, obj, obj_pre, wc_hist = [], [], [], []
     # overflow and NaN in an iterate surface as a non-finite objective below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.max_iter + 1):
+        for k, (u, v, b, resid, s) in enumerate(steps(work, u, v, rule, cfg.epsilon), 1):
             wc_hist.append(w_c)
-            u, v, b, s = update_step(work, u, resid, b_sq, cfg.lambda_b, 2.0 * cfg.lambda_c * w_c,
-                                     cfg.epsilon, spare, s_buf if k > 1 else None)
             obj_pre.append(objective(fit, energy, w_c, float(np.divide(b_sq, s, out=b_sq).sum())))
 
-            resid = np.subtract(work, np.matmul(u, v.conj().T, out=spare), out=spare)
             f_prev, f = f, np.subtract(resid, b, out=free)
             change = squared_norm(np.subtract(f, f_prev, out=f_prev))
             est_sq_now = squared_norm(np.subtract(work, f, out=f_prev))
             fit = 0.5 * squared_norm(f)
             energy = column_energy(u, v)
-            # |B|^2 goes into the first bytes of the free buffer; B's own buffer is the
-            # next step's scratch
-            b_sq = f_prev.reshape(-1).view(s_buf.dtype)[:b.size].reshape(b.shape)
+            b_sq, quotient = f_prev.reshape(-1).view(s.dtype).reshape(2, *b.shape)
             np.square(np.abs(b, out=b_sq), out=b_sq)
-            spare, free = b, f_prev
-            obj.append(objective(fit, energy, w_c, float(np.divide(b_sq, s, out=s_buf).sum())))
+            free = f_prev
+            obj.append(objective(fit, energy, w_c, float(np.divide(b_sq, s, out=quotient).sum())))
             # the fit term 0.5 ||F||^2 is not finite when B is not
             if not np.isfinite(obj[-1]):
                 raise SolverError(f"non-finite iterate at iteration {k}")

@@ -12,9 +12,10 @@ exactly. Training minimizes the layer-averaged data-consistency loss
 the mean square of layer_residuals, with a bias-corrected adaptive-moment
 optimizer. No autodiff framework is used: the gradient comes from a
 hand-derived adjoint pass through the layer equations, which the tests check
-against central differences of the loss. One generator runs the layers for
-infer and layer_residuals; the adjoint forms the same layers with the same
-irls functions. All run in the precision irls.prepare_input picks, so the
+against central differences of the loss. The layers run in irls.steps, the
+loop the solver iterates too: infer, layer_residuals and the adjoint's
+forward pass consume it, and the adjoint's rebuilt layers call its
+irls.update_step. All run in the precision irls.prepare_input picks, so the
 network trains in the precision it infers in.
 
 Positivity of both learnable groups is enforced by parameterizing them
@@ -164,60 +165,21 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     return UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon, n_space=work.shape[0])
 
 
-def _layers(net, work, init_state=None):
-    """Yield each layer's (u, v, b, resid) for the peak-1 work matrix, holding only the current state.
-
-    A layer is one irls.update_step: B = (D - U_in V_in^H) s / (s + 2 lambda_b), with
-    s = sqrt(|B_in|^2 + epsilon) of the entering B, then V and U from w_c. Layer 0's
-    entering B is zero, so its |B|^2 is a (1, 1) zero and its s one broadcast value.
-    resid is D - U V^H for the layer's output factors, the next layer's input, formed
-    before the layer is yielded; the next layer overwrites it with its B. The last
-    layer has no next one and yields None there.
-
-    The layers run in two complex buffers and one real one, made once per call, so a
-    yielded b and resid hold only until the generator resumes. The buffer holding
-    resid becomes the next layer's B, and the other takes the step's scratch and then
-    the next D - U V^H. Every B but the last has its |B|^2 in the real buffer before
-    it is yielded, so the caller may overwrite it. The products write into C-ordered
-    buffers as numpy's own temporaries are, so every bit is the same as with a fresh
-    array per pass.
-    """
-    u, v = irls._init_state(work, net.d) if init_state is None else init_state
-    resid, spare = (np.empty(work.shape, work.dtype) for _ in range(2))
-    np.subtract(work, np.matmul(u, v.conj().T, out=resid), out=resid)
-    b_sq, real = np.zeros((1, 1), work.real.dtype), np.empty(work.shape, work.real.dtype)
-    penalties = net.penalties()
-    for k, (lambda_b, w_c) in enumerate(penalties):
-        u, v, b, _ = irls.update_step(work, u, resid, b_sq, lambda_b, w_c, net.epsilon, spare, b_sq)
-        if k + 1 == len(penalties):
-            yield u, v, b, None
-            return
-        resid = np.subtract(work, np.matmul(u, v.conj().T, out=spare), out=spare)
-        b_sq = np.square(np.abs(b, out=real), out=real)
-        yield u, v, b, resid
-        spare = b
-
-
 def layer_residuals(net, d_mat, init_state=None):
     """Each layer's norm ||D - B_k - U_k V_k^H||_F in input units, as K floats.
 
     The layers and the misfits run in the work matrix's precision on the
     input scaled to peak 1; init_state is an optional (u0, v0) for that
-    matrix. Layer k's misfit is ||(D - U_k V_k^H) - B_k|| * scale, read off
-    the next layer's input D - U_k V_k^H before that layer overwrites it, so
-    only the last layer forms its own, in the one full matrix this function
-    makes. Each misfit overwrites its B, which the layers no longer need.
-    The training loss is the mean square of this list. Layer k's full
-    decomposition is infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
+    matrix. Layer k's misfit is ||(D - U_k V_k^H) - B_k|| * scale, from the
+    D - U_k V_k^H that irls.steps yields, in one full temporary freed before
+    the next layer runs. The training loss is the mean square of this list.
+    Layer k's full decomposition is
+    infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
     work, scale = irls.prepare_input(d_mat, net.d)
-    misfits = []
-    for u, v, b, resid in _layers(net, work, init_state):
-        if resid is None:
-            resid = np.matmul(u, v.conj().T)
-            np.subtract(work, resid, out=resid)
-        misfits.append(float(np.linalg.norm(np.subtract(resid, b, out=b))) * scale)
-    return misfits
+    u, v = irls._init_state(work, net.d) if init_state is None else init_state
+    return [float(np.linalg.norm(resid - b)) * scale
+            for _, _, b, resid, _ in irls.steps(work, u, v, net.penalties(), net.epsilon)]
 
 
 def _analytic_loss_grad(net, d_mat, init_state=None):
@@ -228,12 +190,13 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     It keeps four things.
 
     Bits. Layer k's state is (U_in, V_in, s_k): its input factors and the
-    blood scale s_k = sqrt(|B_(k-1)|^2 + epsilon) of the B entering it. One
-    routine, advance, forms each layer's output state, forward and rebuilt,
-    with the functions irls.update_step calls: B_k = (D - U_in V_in^H) times
-    blood_shrink(s_k, lambda_k) = s_k / (s_k + 2 lambda_k), then
-    factor_updates on D - B_k, then blood_scale(|B_k|^2). So the loss and
-    gradient are bit-identical to an adjoint that keeps every layer's B.
+    blood scale s_k = sqrt(|B_(k-1)|^2 + epsilon) of the B entering it. The
+    forward pass is irls.steps, the loop infer runs; a rebuilt layer is one
+    irls.update_step, the steps' own, and its blood scale comes from
+    irls.blood_scale, as in the steps. Each backward step forms its B_k the
+    same way, (D - U_in V_in^H) times blood_shrink(s_k, lambda_k). So the
+    loss and gradient are bit-identical to an adjoint that keeps every
+    layer's B.
 
     Passes. Each backward step forms its misfit E = (D - U V^H) - B_k as
     layer_residuals does, from the D - U V^H that the step above formed as
@@ -254,8 +217,10 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     value, as its entering B is zero. On entering a segment whose states
     were dropped, the backward sweep reruns it from its checkpoint.
 
-    Buffers. Besides the work matrix, the full-matrix temporaries share four
-    complex buffers (B among them) and two real ones. No B is kept: each
+    Buffers. Besides the work matrix, the forward pass runs in the steps'
+    two complex buffers and one real one. The backward sweep takes over the
+    complex ones, the last layer's B and D - U V^H, and adds two complex
+    buffers and two real ones of its own. No B is kept: each
     backward step forms its own B_k, and B_k's gradient through the next
     layer's blood scale is a real factor, left by that layer's step, times
     B_k. All buffers are C-ordered, like the work matrix and numpy's own
@@ -275,45 +240,21 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     stride = math.isqrt(n_layers - 1) + 1
     last_segment = (n_layers - 1) // stride * stride
 
-    b, r = (np.empty(work.shape, work.dtype) for _ in range(2))
-    shrink = np.empty(work.shape, work.real.dtype)
+    # layer k's state is kept where k % stride == 0 and across the last segment
+    states, u, v = [], u0, v0
+    for k, (u_out, v_out, b, resid, s) in enumerate(
+            irls.steps(work, u0, v0, penalties, net.epsilon)):
+        states.append((u, v, s.copy()) if k % stride == 0 or k >= last_segment else None)
+        u, v = u_out, v_out
 
-    def blood(k, state, resid, out):
-        """Layer k's D - U_in V_in^H into resid and its B into out, which may be resid.
-
-        shrink ends as s_k / (s_k + 2 lambda_k).
-        """
-        u_in, v_in, s = state
-        irls.blood_shrink(s, penalties[k][0], out=shrink)
-        np.matmul(u_in, v_in.conj().T, out=resid)
-        return np.multiply(np.subtract(work, resid, out=resid), shrink, out=out)
-
-    def advance(k, state, b, r):
-        """Layer k's output state from its input state, with b, r and shrink as scratch.
-
-        The factors come before the blood scale, which would otherwise sit
-        beside the factor updates' temporaries; the last layer's feeds nothing.
-        """
-        blood(k, state, b, b)
-        u, v = irls.factor_updates(state[0], np.subtract(work, b, out=r), penalties[k][1])
-        if k + 1 == n_layers:
-            return u, v, None
-        return u, v, irls.blood_scale(np.square(np.abs(b, out=shrink), out=shrink), net.epsilon)
-
-    state = (u0, v0, irls.blood_scale(np.zeros((1, 1), work.real.dtype), net.epsilon))
-    states = [state]
-    for k in range(n_layers):
-        state = advance(k, state, b, r)
-        states.append(state if (k + 1) % stride == 0 or k + 1 >= last_segment else None)
-    u, v, _ = states.pop()
-
-    # the backward sweep's own buffers, made only now so the forward pass stays small;
-    # no layer follows the last, so the factor starts at zero
-    e, g = (np.empty(work.shape, work.dtype) for _ in range(2))
-    factor = np.zeros(work.shape, work.real.dtype)
     # resid is D - U V^H for the output factors of the step's layer: the last layer's
-    # first, and then each step's D - U_in V_in^H, which blood forms anyway
-    resid, spare = np.subtract(work, np.matmul(u, v.conj().T, out=b), out=b), r
+    # first, from the steps, and then each step's D - U_in V_in^H. The steps' real
+    # buffer, which s holds, is let go before the sweep's own buffers are made; no
+    # layer follows the last, so the factor starts at zero
+    spare, s = b, None
+    e, g = (np.empty(work.shape, work.dtype) for _ in range(2))
+    shrink = np.empty(work.shape, work.real.dtype)
+    factor = np.zeros(work.shape, work.real.dtype)
     loss_norm = 0.0
     g_theta = np.zeros(net.theta.shape)
     g_u_next = g_v_next = 0.0
@@ -321,12 +262,19 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         if states[k] is None:
             # entering a segment whose states were dropped: rerun it from its checkpoint
             for j in range(k - k % stride, k):
-                states[j + 1] = advance(j, states[j], spare, e)
+                u_j, v_j, s_j = states[j]
+                np.subtract(work, np.matmul(u_j, v_j.conj().T, out=spare), out=spare)
+                u_j, v_j, b_j = irls.update_step(work, u_j, spare, s_j, *penalties[j], e)
+                b_sq = np.square(np.abs(b_j, out=shrink), out=shrink)
+                states[j + 1] = u_j, v_j, irls.blood_scale(b_sq, net.epsilon)
         u_in, v_in, s = states.pop()
         lam, w_c = penalties[k]
-        # spare takes D - U_in V_in^H and g this layer's B; e = (D - U V^H) - B, the
-        # misfit layer_residuals forms, and then resid's buffer is free
-        b_k = blood(k, (u_in, v_in, s), spare, g)
+        # spare takes D - U_in V_in^H and g this layer's B = (D - U_in V_in^H) * shrink;
+        # e = (D - U V^H) - B, the misfit layer_residuals forms, and then resid's
+        # buffer is free
+        irls.blood_shrink(s, lam, out=shrink)
+        np.subtract(work, np.matmul(u_in, v_in.conj().T, out=spare), out=spare)
+        b_k = np.multiply(spare, shrink, out=g)
         np.subtract(resid, b_k, out=e)
         misfit = float(np.linalg.norm(e))  # not np.vdot, whose complex64 sum runs in float32
         loss_norm += misfit * misfit
@@ -483,6 +431,7 @@ def infer(net, d_mat_new):
     work, scale = irls.prepare_input(d_mat_new, net.d)
     if net.n_space is not None and work.shape[0] != net.n_space:
         raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
-    for u, v, b, _ in _layers(net, work):
+    for u, v, b, _, _ in irls.steps(work, *irls._init_state(work, net.d), net.penalties(),
+                                    net.epsilon):
         pass
     return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=np.multiply(b, scale, out=b))

@@ -1,9 +1,10 @@
 """Reference forms the shipped solver and network are checked against.
 
-irls.update_step fuses the weights and block updates and run_irls carries
-the misfit and the convergence metric's pieces between iterations in
-reused buffers; the tests keep the separate forms as the reference that both
-must reproduce bit for bit.
+The solver's iterations and the network's layers all run in irls.steps,
+whose irls.update_step fuses the weights and block updates in reused
+buffers, and run_irls carries the misfit and the convergence metric's
+pieces between iterations; the tests keep the separate forms as the
+reference that both must reproduce bit for bit.
 
 unfolded.train steps on the adjoint gradient; finite_difference_gradient
 takes central differences of the same loss, the reference the adjoint is

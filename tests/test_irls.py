@@ -3,7 +3,6 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -349,9 +348,12 @@ class TestRunIrls:
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_peak_memory_is_bounded_by_the_input(self, dtype):
-        # the work matrix, four complex buffers and one real one (half the
-        # input): 5.5x the input, plus the factor updates' n x d temporaries.
-        # A fresh full-size array per pass would exceed the bound
+        # the work matrix, the steps' two complex buffers and one real one
+        # (half the input), and the solver's own two complex ones, F and a
+        # free one that takes |B|^2 and its quotient by s side by side: 5.5x
+        # the input, plus the factor updates' n x d temporaries. Measured:
+        # 6.12x in complex64, 5.87x in complex128. A fresh full-size array
+        # per pass would exceed the bound
         t, b0 = lowrank_sparse_instance(seed=27, ns=2000, nt=100, rank=6)
         d_mat = np.asfortranarray(t + b0).astype(dtype)
         cfg = make_config(d=10, lambda_c=1.0, lambda_b=0.02, max_iter=10, tol=1e-300)
@@ -477,11 +479,11 @@ class TestFusedStepEquivalence:
         d_mat = t + b0
         cfg = make_config(d=4, lambda_c=0.2, lambda_b=0.03, max_iter=3, tol=1e-300)
         dec, trace = irls.run_irls(d_mat, cfg)
-        # a network whose layers take the solver's exact penalties, with no softplus round trip
-        net = SimpleNamespace(d=cfg.d, epsilon=cfg.epsilon, penalties=lambda: [
-            (cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for w_c in trace.w_c_history])
+        # layers that take the solver's exact penalties, with no softplus round trip
+        penalties = [(cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for w_c in trace.w_c_history]
         work, scale = irls.prepare_input(d_mat, cfg.d)
-        *_, (u, v, b, _) = unfolded._layers(net, work)
+        *_, (u, v, b, _, _) = irls.steps(work, *irls._init_state(work, cfg.d), penalties,
+                                         cfg.epsilon)
         assert np.array_equal(u, dec.basis_u)
         assert np.array_equal(v * scale, dec.coeffs_v)
         assert np.array_equal(b * scale, dec.blood_b)
@@ -492,13 +494,14 @@ class TestFusedStepEquivalence:
         u, v = irls._init_state(d_mat, 2)
         resid = d_mat - u @ v.conj().T
         want = update_blood(d_mat, u, v, blood_scale(np.zeros_like(d_mat), 1e-8), 0.1)
-        _, _, b, s = irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1,
-                                      np.ones(2), 1e-8)
+        s = irls.blood_scale(np.zeros(d_mat.shape), 1e-8)
+        _, _, b = irls.update_step(d_mat, u, resid, s, 0.1, np.ones(2),
+                                   np.empty(resid.shape, resid.dtype))
         assert b is resid
         assert np.array_equal(b, want)
         assert np.array_equal(s, np.full(d_mat.shape, np.sqrt(1e-8)))
         with pytest.raises(ValueError):
-            irls.update_step(d_mat, u, resid, np.zeros(d_mat.shape), 0.1, np.ones(2), 0.0)
+            irls.blood_scale(np.zeros(d_mat.shape), 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(1, 40), nt=st.integers(1, 20),
@@ -515,12 +518,41 @@ class TestFusedStepEquivalence:
         b_in = crandn(r, (ns, nt), r.choice([0.0, 1e-3, 1.0]))
         resid = d_mat - u @ v.conj().T
         bound = np.abs(resid)
-        _, _, b, s = irls.update_step(d_mat, u, resid, np.abs(b_in) ** 2, lambda_b,
-                                      r.random(d) + 0.1, epsilon)
+        s = irls.blood_scale(np.abs(b_in) ** 2, epsilon)
+        _, _, b = irls.update_step(d_mat, u, resid, s, lambda_b, r.random(d) + 0.1,
+                                   np.empty(resid.shape, resid.dtype))
         assert np.all(np.abs(b) <= bound)
         # the adjoint rebuilds each layer's B this way instead of storing it
         rebuilt = (d_mat - u @ v.conj().T) * (s / (s + 2.0 * lambda_b))
         assert np.array_equal(rebuilt, b)
+
+
+class TestSteps:
+    """irls.steps, the one loop the solver's iterations and the network's layers run in."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_yields_each_steps_residual_and_blood_scale_and_draws_lazily(self, dtype):
+        t, b0 = lowrank_sparse_instance(seed=106, ns=120, nt=30)
+        work, _ = irls.prepare_input((t + b0).astype(dtype), 4)
+        u, v = irls._init_state(work, 4)
+        yielded, draws = 0, []
+
+        def penalties():
+            # the solver computes each pair from the previous step's output, so
+            # a pair may be drawn only after that step has been yielded
+            for k in range(5):
+                draws.append(yielded)
+                yield 0.01 * (k + 1), np.full(4, 0.3)
+
+        b_prev = np.zeros((1, 1), dtype)
+        for u, v, b, resid, s in irls.steps(work, u, v, penalties(), 1e-8):
+            assert resid.tobytes() == (work - u @ v.conj().T).tobytes()
+            want = irls.blood_scale(np.square(np.abs(b_prev)), 1e-8)
+            assert s.shape == want.shape and s.tobytes() == want.tobytes()
+            b_prev = b.copy()
+            yielded += 1
+        assert yielded == 5
+        assert draws == [0, 1, 2, 3, 4]
 
 
 class TestSinglePrecision:
@@ -665,7 +697,9 @@ class TestBloodShrink:
         entering = resid.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, b, s = irls.update_step(d_mat, u, resid, b_sq, lambda_b, np.ones(1), epsilon)
+            s = irls.blood_scale(b_sq, epsilon)
+            _, _, b = irls.update_step(d_mat, u, resid, s, lambda_b, np.ones(1),
+                                       np.empty(resid.shape, resid.dtype))
         assert b.dtype == dtype and s.dtype == info.dtype
         assert np.all(np.abs(b) <= np.abs(entering))
         if lambda_b == 0.0:

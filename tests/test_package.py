@@ -120,11 +120,11 @@ def test_matrix_inverse_is_taken_once():
 
 def test_layer_passes_raise_nothing_to_a_power():
     """numpy's generic pow loop costs about three sqrt passes, so the blood
-    update, the network's layers and its adjoint form s = sqrt(|B|^2 + eps)
+    update, the step loop and the network's adjoint form s = sqrt(|B|^2 + eps)
     and divide by it: these functions call no np.power and use no ** at all,
     their scalars square by multiplication."""
-    functions = {"irls.py": {"update_step", "blood_scale", "blood_shrink"},
-                 "unfolded.py": {"_layers", "_analytic_loss_grad"}}
+    functions = {"irls.py": {"update_step", "steps", "blood_scale", "blood_shrink"},
+                 "unfolded.py": {"_analytic_loss_grad"}}
     found = []
     for name, wanted in functions.items():
         tree = ast.parse((SRC / name).read_text(), filename=name)
