@@ -85,15 +85,12 @@ class IrlsTrace:
             weights; objective <= objective_pre certifies block descent. Its
             fit term is carried over from the previous iteration's objective,
             which was evaluated on the same state.
-        w_c_history: diagonal of the column weight matrix used by each
-            iteration's factor updates.
     """
 
     iterations: int
     convergence: np.ndarray
     objective: np.ndarray
     objective_pre: np.ndarray
-    w_c_history: list
 
 
 def column_energy(u, v):
@@ -187,26 +184,14 @@ def blood_shrink(s, lambda_b, out=None):
     return np.divide(s, out, out=out)
 
 
-def factor_updates(u, r, w_diag):
-    """V and then U from r = D - B: a step's two factor updates.
-
-    r feeds both updates and is not changed. R^H U is formed as
-    conj(R^T conj(U)), without a full-matrix conjugate copy. This is the one
-    place their order of operations is written; update_step and the
-    network's adjoint share it.
-    """
-    v = _factor_solve(u, (r.T @ u.conj()).conj(), w_diag)
-    u = _factor_solve(v, r @ v, w_diag)
-    return u, v
-
-
 def update_step(d_mat, u, resid, s, lambda_b, w_diag, spare):
     """One solver iteration, which is also one unfolded network layer.
 
     Updates B, V and U in turn: B = R s / (s + 2 lambda_b) with
     R = D - U V^H, one add, divide and multiply pass. The residual D - B is
-    formed once and feeds both factor updates. The step allocates no full
-    matrix.
+    formed once and feeds both factor updates, V's and then U's; the
+    product (D - B)^H U is formed as conj((D - B)^T conj(U)), without a
+    full-matrix conjugate copy. The step allocates no full matrix.
 
     Args:
         d_mat: data matrix D.
@@ -227,7 +212,9 @@ def update_step(d_mat, u, resid, s, lambda_b, w_diag, spare):
     """
     shrink = spare.reshape(-1).view(s.dtype)[:s.size].reshape(s.shape)
     b = np.multiply(resid, blood_shrink(s, lambda_b, out=shrink), out=resid)
-    u, v = factor_updates(u, np.subtract(d_mat, b, out=spare), w_diag)
+    r = np.subtract(d_mat, b, out=spare)
+    v = _factor_solve(u, (r.T @ u.conj()).conj(), w_diag)
+    u = _factor_solve(v, r @ v, w_diag)
     return u, v, b
 
 
@@ -286,7 +273,7 @@ def _relative_change(num, den):
 
 
 def prepare_input(d_mat, d):
-    """Check a Casorati matrix and scale it to peak 1 for a solve with inner dimension d.
+    """Check a Casorati matrix, scale it to peak 1 and start a solve with inner dimension d.
 
     Args:
         d_mat: data matrix, shape (n_space, n_frames), with finite entries.
@@ -296,9 +283,14 @@ def prepare_input(d_mat, d):
         d: inner dimension, which must lie in [1, min(shape)].
 
     Returns:
-        (work, scale) with work = D / scale and scale = max|D|, or D and
-        1.0 for a zero matrix. work is C-ordered whatever D's layout, like
+        (work, scale, u0, v0). work = D / scale with scale = max|D|, or D
+        and 1.0 for a zero matrix. work is C-ordered whatever D's layout, like
         every temporary it meets: a pass that mixes layouts takes twice as long or more.
+        u0 is an orthonormal basis for work's leading d frames and
+        v0 = work^H u0: the factors every solve and layer stack starts
+        from. A zero matrix gets the canonical basis, so the zero
+        decomposition is representable (orthonormal_columns would flag it
+        as rank deficient).
     """
     d_mat = np.asarray(d_mat)
     if d_mat.dtype != np.complex64:
@@ -311,24 +303,13 @@ def prepare_input(d_mat, d):
     if not np.isfinite(peak):
         raise ValueError("input matrix has non-finite entries")
     if peak > 0.0:
-        return np.divide(d_mat, peak, order="C"), peak
-    return np.ascontiguousarray(d_mat), 1.0
-
-
-def _init_state(d_mat, d):
-    """Factor initialization: U0 spans the leading frames, V0 = D^H U0.
-
-    An exactly zero input gets the canonical basis so the zero decomposition
-    is representable (orthonormal_columns would flag it as rank deficient).
-    """
-    if not np.any(d_mat):
-        u0 = np.zeros((d_mat.shape[0], d), dtype=d_mat.dtype)
-        u0[:d, :d] = np.eye(d)
+        work, scale = np.divide(d_mat, peak, order="C"), peak
+        u0 = orthonormal_columns(work, d)
     else:
-        u0 = orthonormal_columns(d_mat, d)
-    # D^H U0 as conj(D^T conj(U0)): the same bits without a full conjugate copy
-    v0 = (d_mat.T @ u0.conj()).conj()
-    return u0, v0
+        work, scale = np.ascontiguousarray(d_mat), 1.0
+        u0 = np.eye(work.shape[0], d, dtype=work.dtype)
+    # work^H u0 as conj(work^T conj(u0)): the same bits without a full conjugate copy
+    return work, scale, u0, (work.T @ u0.conj()).conj()
 
 
 def run_irls(d_mat, cfg):
@@ -362,8 +343,7 @@ def run_irls(d_mat, cfg):
         (Decomposition, IrlsTrace) pair. Stops when the relative-change
         metric falls below cfg.tol or after cfg.max_iter iterations.
     """
-    work, scale = prepare_input(d_mat, cfg.d)
-    u, v = _init_state(work, cfg.d)
+    work, scale, u, v = prepare_input(d_mat, cfg.d)
     f, free = (np.empty(work.shape, work.dtype) for _ in range(2))
     np.subtract(work, np.matmul(u, v.conj().T, out=f), out=f)  # F with B = 0
     fit = 0.5 * squared_norm(f)
@@ -377,11 +357,10 @@ def run_irls(d_mat, cfg):
     def objective(fit, energy, w_c, penalty):
         return fit + cfg.lambda_c * float(np.dot(w_c, energy)) + cfg.lambda_b * penalty
 
-    conv, obj, obj_pre, wc_hist = [], [], [], []
+    conv, obj, obj_pre = [], [], []
     # overflow and NaN in an iterate surface as a non-finite objective below
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (u, v, b, resid, s) in enumerate(steps(work, u, v, rule, cfg.epsilon), 1):
-            wc_hist.append(w_c)
             obj_pre.append(objective(fit, energy, w_c, float(np.divide(b_sq, s, out=b_sq).sum())))
 
             f_prev, f = f, np.subtract(resid, b, out=free)
@@ -412,6 +391,5 @@ def run_irls(d_mat, cfg):
         convergence=np.asarray(conv),
         objective=np.asarray(obj),
         objective_pre=np.asarray(obj_pre),
-        w_c_history=wc_hist,
     )
     return dec, trace

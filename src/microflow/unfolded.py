@@ -154,10 +154,9 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     Returns:
         UnfoldedNetwork.
     """
-    work, _ = irls.prepare_input(d_mat, d)
     if not 0 <= lambda_b_init < np.inf:
         raise ValueError("lambda_b_init must be finite and nonnegative")
-    u0, v0 = irls._init_state(work, d)
+    work, _, u0, v0 = irls.prepare_input(d_mat, d)
     w_init = 2.0 * cfg.lambda_c * irls.lowrank_weights(irls.column_energy(u0, v0), cfg.epsilon)
     theta = np.empty((k, 1 + d))
     theta[:, 0] = inv_softplus(lambda_b_init)
@@ -176,8 +175,8 @@ def layer_residuals(net, d_mat, init_state=None):
     Layer k's full decomposition is
     infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
-    work, scale = irls.prepare_input(d_mat, net.d)
-    u, v = irls._init_state(work, net.d) if init_state is None else init_state
+    work, scale, *start = irls.prepare_input(d_mat, net.d)
+    u, v = start if init_state is None else init_state
     return [float(np.linalg.norm(resid - b)) * scale
             for _, _, b, resid, _ in irls.steps(work, u, v, net.penalties(), net.epsilon)]
 
@@ -232,8 +231,8 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     are narrowed before use.
     """
     from scipy.special import expit  # here, so importing microflow never loads scipy
-    work, scale = irls.prepare_input(d_mat, net.d)
-    u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
+    work, scale, *start = irls.prepare_input(d_mat, net.d)
+    u0, v0 = start if init_state is None else init_state
     penalties = net.penalties()
     n_layers = len(penalties)
     c = 1.0 / n_layers
@@ -428,10 +427,9 @@ def infer(net, d_mat_new):
 
     The layers run in the input's precision, as irls.prepare_input keeps it.
     """
-    work, scale = irls.prepare_input(d_mat_new, net.d)
-    if net.n_space is not None and work.shape[0] != net.n_space:
-        raise ValueError(f"input has {work.shape[0]} rows, network expects {net.n_space}")
-    for u, v, b, _, _ in irls.steps(work, *irls._init_state(work, net.d), net.penalties(),
-                                    net.epsilon):
+    if net.n_space is not None and np.ndim(d_mat_new) == 2 and len(d_mat_new) != net.n_space:
+        raise ValueError(f"input has {len(d_mat_new)} rows, network expects {net.n_space}")
+    work, scale, u, v = irls.prepare_input(d_mat_new, net.d)
+    for u, v, b, _, _ in irls.steps(work, u, v, net.penalties(), net.epsilon):
         pass
     return Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=np.multiply(b, scale, out=b))

@@ -4,7 +4,9 @@ The solver's iterations and the network's layers all run in irls.steps,
 whose irls.update_step fuses the weights and block updates in reused
 buffers, and run_irls carries the misfit and the convergence metric's
 pieces between iterations; the tests keep the separate forms as the
-reference that both must reproduce bit for bit.
+reference that both must reproduce bit for bit. solver_weights replays the
+solver's rule for each iteration's column weights over irls.steps, as
+run_irls draws them, for the tests that freeze a network to a solver run.
 
 unfolded.train steps on the adjoint gradient; finite_difference_gradient
 takes central differences of the same loss, the reference the adjoint is
@@ -79,6 +81,23 @@ def convergence_metric(d_mat, f_now, f_prev):
     """Squared relative change of the estimate D - F between iterates, read off the misfits F."""
     return irls._relative_change(irls.squared_norm(f_now - f_prev),
                                  irls.squared_norm(d_mat - f_prev))
+
+
+def solver_weights(d_mat, cfg):
+    """The column weights W_c of each of run_irls's cfg.max_iter iterations on d_mat.
+
+    run_irls draws iteration k's penalties (lambda_b, 2 lambda_c W_c) as
+    irls.steps begins the step, with W_c = lowrank_weights(column_energy(U,
+    V)) of the factors the previous step left; this replays that rule over
+    irls.steps from the same start and keeps each W_c. A run that stops on
+    cfg.tol before cfg.max_iter took the leading trace.iterations of them.
+    """
+    work, _, u, v = irls.prepare_input(d_mat, cfg.d)
+    weights = [irls.lowrank_weights(irls.column_energy(u, v), cfg.epsilon)]
+    rule = ((cfg.lambda_b, 2.0 * cfg.lambda_c * weights[-1]) for _ in range(cfg.max_iter))
+    for u, v, *_ in irls.steps(work, u, v, rule, cfg.epsilon):
+        weights.append(irls.lowrank_weights(irls.column_energy(u, v), cfg.epsilon))
+    return weights[:-1]
 
 
 def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):

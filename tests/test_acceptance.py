@@ -25,7 +25,7 @@ from microflow import formats, irls, metrics, pipeline, svdfilt, unfolded
 from microflow.casorati import to_casorati
 from microflow.phantom import geometry, hydraulics, imaging
 from microflow.phantom import scene as phantom_scene
-from solver_reference import finite_difference_gradient
+from solver_reference import finite_difference_gradient, solver_weights
 
 
 def report(number, ok, detail):
@@ -104,10 +104,10 @@ def test_criterion_3_unfolding_matches_solver():
 
         cfg = irls.IrlsConfig(d=d, lambda_c=0.03, lambda_b=0.01, max_iter=k,
                               tol=1e-300)
-        dec, trace = irls.run_irls(d_mat, cfg)
+        dec, _ = irls.run_irls(d_mat, cfg)
         theta = [np.append(unfolded.inv_softplus(0.01),
                            unfolded.inv_softplus(2.0 * 0.03 * w))
-                 for w in trace.w_c_history]
+                 for w in solver_weights(d_mat, cfg)]
         net = unfolded.UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon)
         fwd = unfolded.infer(net, d_mat)
         rel_b = (np.linalg.norm(fwd.blood_b - dec.blood_b)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from microflow import irls, unfolded
 from microflow.casorati import SolverError, hermitian_inverse
-from solver_reference import (blood_scale, convergence_metric, layouts, misfit, update_basis,
-                              update_blood, update_coeffs)
+from solver_reference import (blood_scale, convergence_metric, layouts, misfit, solver_weights,
+                              update_basis, update_blood, update_coeffs)
 
 
 def crandn(r, shape, scale=1.0):
@@ -315,7 +315,6 @@ class TestRunIrls:
         assert trace.iterations == 7
         assert len(trace.convergence) == 7
         assert len(trace.objective) == 7
-        assert len(trace.w_c_history) == 7
 
     def test_deterministic(self):
         r = np.random.default_rng(16)
@@ -401,15 +400,13 @@ def reference_irls(d_mat, cfg, estimate_based=False):
         return convergence_metric(d_work, misfit(d_work, u, v, b),
                                   misfit(d_work, prev_u, prev_v, prev_b))
 
-    d_work, scale = irls.prepare_input(d_mat, cfg.d)
-    u, v = irls._init_state(d_work, cfg.d)
+    d_work, scale, u, v = irls.prepare_input(d_mat, cfg.d)
     b = np.zeros_like(d_work)
     w_c = irls.lowrank_weights(irls.column_energy(u, v), cfg.epsilon)
-    conv, obj, obj_pre, wc_hist = [], [], [], []
+    conv, obj, obj_pre = [], [], []
     for k in range(1, cfg.max_iter + 1):
         s = blood_scale(b, cfg.epsilon)
         obj_pre.append(objective(u, v, b, s, w_c))
-        wc_hist.append(w_c.copy())
         prev = u, v, b
         b = update_blood(d_work, u, v, s, cfg.lambda_b)
         v = update_coeffs(d_work, b, u, w_c, cfg.lambda_c)
@@ -422,7 +419,7 @@ def reference_irls(d_mat, cfg, estimate_based=False):
     dec = irls.Decomposition(basis_u=u, coeffs_v=v * scale, blood_b=b * scale)
     return dec, irls.IrlsTrace(iterations=k, convergence=np.asarray(conv),
                                objective=np.asarray(obj),
-                               objective_pre=np.asarray(obj_pre), w_c_history=wc_hist)
+                               objective_pre=np.asarray(obj_pre))
 
 
 def equivalence_cases():
@@ -450,8 +447,6 @@ class TestFusedStepEquivalence:
             assert np.array_equal(getattr(got_dec, field), getattr(want_dec, field)), field
         for field in ("convergence", "objective", "objective_pre"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        assert len(got.w_c_history) == len(want.w_c_history)
-        assert all(np.array_equal(a, b) for a, b in zip(got.w_c_history, want.w_c_history))
 
     @pytest.mark.parametrize("d_mat, cfg", equivalence_cases())
     def test_trace_matches_the_estimate_based_definitions(self, d_mat, cfg):
@@ -478,20 +473,19 @@ class TestFusedStepEquivalence:
         t, b0 = lowrank_sparse_instance(seed=105, ns=90, nt=30)
         d_mat = t + b0
         cfg = make_config(d=4, lambda_c=0.2, lambda_b=0.03, max_iter=3, tol=1e-300)
-        dec, trace = irls.run_irls(d_mat, cfg)
+        dec, _ = irls.run_irls(d_mat, cfg)
         # layers that take the solver's exact penalties, with no softplus round trip
-        penalties = [(cfg.lambda_b, 2.0 * cfg.lambda_c * w_c) for w_c in trace.w_c_history]
-        work, scale = irls.prepare_input(d_mat, cfg.d)
-        *_, (u, v, b, _, _) = irls.steps(work, *irls._init_state(work, cfg.d), penalties,
-                                         cfg.epsilon)
+        penalties = [(cfg.lambda_b, 2.0 * cfg.lambda_c * w_c)
+                     for w_c in solver_weights(d_mat, cfg)]
+        work, scale, u0, v0 = irls.prepare_input(d_mat, cfg.d)
+        *_, (u, v, b, _, _) = irls.steps(work, u0, v0, penalties, cfg.epsilon)
         assert np.array_equal(u, dec.basis_u)
         assert np.array_equal(v * scale, dec.coeffs_v)
         assert np.array_equal(b * scale, dec.blood_b)
 
     def test_step_leaves_blood_in_the_residual_buffer(self):
         r = np.random.default_rng(19)
-        d_mat = crandn(r, (20, 8))
-        u, v = irls._init_state(d_mat, 2)
+        d_mat, _, u, v = irls.prepare_input(crandn(r, (20, 8)), 2)
         resid = d_mat - u @ v.conj().T
         want = update_blood(d_mat, u, v, blood_scale(np.zeros_like(d_mat), 1e-8), 0.1)
         s = irls.blood_scale(np.zeros(d_mat.shape), 1e-8)
@@ -533,8 +527,7 @@ class TestSteps:
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_yields_each_steps_residual_and_blood_scale_and_draws_lazily(self, dtype):
         t, b0 = lowrank_sparse_instance(seed=106, ns=120, nt=30)
-        work, _ = irls.prepare_input((t + b0).astype(dtype), 4)
-        u, v = irls._init_state(work, 4)
+        work, _, u, v = irls.prepare_input((t + b0).astype(dtype), 4)
         yielded, draws = 0, []
 
         def penalties():
@@ -587,7 +580,7 @@ class TestSinglePrecision:
         # |B|^2 of the raw data would underflow or overflow single precision
         # here; scaled to peak 1, it lies well inside its range
         d_mat = (amplitude * crandn(np.random.default_rng(21), (30, 10))).astype(np.complex64)
-        work, scale = irls.prepare_input(d_mat, 2)
+        work, scale, *_ = irls.prepare_input(d_mat, 2)
         assert work.dtype == np.complex64 and np.abs(work).max() == 1.0
         assert scale == np.abs(d_mat).max()
         got, got_trace = irls.run_irls(d_mat, make_config(d=2))
@@ -600,10 +593,10 @@ class TestSinglePrecision:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.complex128])
     def test_every_other_input_is_solved_in_double(self, dtype):
         d_mat = np.arange(1, 13).reshape(4, 3).astype(dtype)
-        work, scale = irls.prepare_input(d_mat, 2)
+        work, scale, *_ = irls.prepare_input(d_mat, 2)
         assert work.dtype == np.complex128 and scale == 12.0
         assert np.array_equal(work, d_mat.astype(np.complex128) / 12.0)
-        zero, unit = irls.prepare_input(np.zeros((4, 3), dtype=dtype), 2)
+        zero, unit, *_ = irls.prepare_input(np.zeros((4, 3), dtype=dtype), 2)
         assert zero.dtype == np.complex128 and not np.any(zero) and unit == 1.0
 
     def test_extreme_penalties_stay_finite_and_quiet(self):
@@ -647,11 +640,20 @@ class TestWorkLayout:
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_prepare_input_returns_c_order_for_every_layout(self, dtype):
         d_mat = crandn(np.random.default_rng(25), (40, 12)).astype(dtype)
+        starts = set()
         for name, x in layouts(d_mat).items():
             for data in (x, np.zeros_like(x)):
-                work, _ = irls.prepare_input(data, 3)
+                work, _, u0, v0 = irls.prepare_input(data, 3)
                 assert work.flags.c_contiguous, name
-                assert work.dtype == dtype
+                assert work.dtype == u0.dtype == v0.dtype == dtype
+                if np.any(data):
+                    starts.add((u0.tobytes(), v0.tobytes()))
+                    np.testing.assert_allclose(u0.conj().T @ u0, np.eye(3), rtol=0,
+                                               atol=10 * np.finfo(dtype).eps)
+                else:  # the canonical basis, so the zero decomposition is representable
+                    assert np.array_equal(u0, np.eye(40, 3)) and not np.any(v0), name
+        # the start, like the work matrix, does not depend on the input layout
+        assert len(starts) == 1
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_solver_output_bytes_do_not_depend_on_the_input_layout(self, dtype):
@@ -666,8 +668,7 @@ class TestWorkLayout:
                               (dec.blood_b, want_dec.blood_b),
                               (trace.convergence, want_trace.convergence),
                               (trace.objective, want_trace.objective),
-                              (trace.objective_pre, want_trace.objective_pre),
-                              (np.array(trace.w_c_history), np.array(want_trace.w_c_history))):
+                              (trace.objective_pre, want_trace.objective_pre)):
                 assert got.tobytes() == want.tobytes(), name
             assert trace.iterations == want_trace.iterations
 

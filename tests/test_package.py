@@ -1,5 +1,5 @@
 """Package-wide rules checked on the source: the README's imports and exit
-codes, no prints, no unused module-level names."""
+codes, no prints, no unused module-level names, no cross-module private reads."""
 
 import ast
 import re
@@ -76,6 +76,21 @@ def test_every_dataclass_field_is_read():
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
               and item.target.id not in read]
     assert unread == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A single-underscore name is its module's own: no module in src/microflow
+    reads one off another name (irls._helper), only off self or cls. What two
+    modules share is public, like irls.prepare_input."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=name)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id not in ("self", "cls")
+                    and node.attr.startswith("_") and not node.attr.startswith("__")):
+                found.append(f"{name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert found == []
 
 
 def test_unfolded_names_no_complex_dtype():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microflow import irls, unfolded
-from solver_reference import (blood_scale, finite_difference_gradient, layouts, update_basis,
-                              update_blood, update_coeffs)
+from solver_reference import (blood_scale, finite_difference_gradient, layouts, solver_weights,
+                              update_basis, update_blood, update_coeffs)
 
 
 def crandn(r, shape, scale=1.0):
@@ -29,9 +29,9 @@ def frozen_net_from_irls(d_mat, d, k, lambda_c, lambda_b, epsilon=1e-8):
     """Freeze layer parameters to reproduce k baseline iterations exactly."""
     cfg = irls.IrlsConfig(d=d, lambda_c=lambda_c, lambda_b=lambda_b,
                           epsilon=epsilon, max_iter=k, tol=1e-300)
-    dec, trace = irls.run_irls(d_mat, cfg)
+    dec, _ = irls.run_irls(d_mat, cfg)
     theta = [np.append(unfolded.inv_softplus(lambda_b), unfolded.inv_softplus(2.0 * lambda_c * w))
-             for w in trace.w_c_history]
+             for w in solver_weights(d_mat, cfg)]
     net = unfolded.UnfoldedNetwork(theta=theta, epsilon=epsilon)
     return net, dec
 
@@ -72,8 +72,7 @@ class TestInitNetwork:
         d_mat = crandn(r, (20, 10))
         cfg = irls.IrlsConfig(d=3, lambda_c=0.01, lambda_b=0.0)
         net = unfolded.init_network(d_mat, k=1, d=3, lambda_b_init=0.0, cfg=cfg)
-        work, _ = irls.prepare_input(d_mat, 3)
-        u0, v0 = irls._init_state(work, 3)
+        work, _, u0, v0 = irls.prepare_input(d_mat, 3)
         state = one_layer(work, u0, v0, net.penalties()[0], epsilon=net.epsilon)
         assert np.array_equal(state[2], work - u0 @ v0.conj().T)
 
@@ -82,7 +81,7 @@ class TestInitNetwork:
         d_mat = crandn(r, (24, 12))
         cfg = irls.IrlsConfig(d=4, lambda_c=0.05, lambda_b=1.0)
         net = unfolded.init_network(d_mat, k=3, d=4, lambda_b_init=1.0, cfg=cfg)
-        u0, v0 = irls._init_state(irls.prepare_input(d_mat, 4)[0], 4)
+        _, _, u0, v0 = irls.prepare_input(d_mat, 4)
         want = 2.0 * 0.05 * irls.lowrank_weights(irls.column_energy(u0, v0), cfg.epsilon)
         for _, w_c in net.penalties():
             assert np.allclose(w_c, want, rtol=1e-9)
@@ -118,8 +117,7 @@ class TestLayerForward:
     def test_matches_one_baseline_iteration(self):
         d_mat = lowrank_sparse(3, 30, 16)
         net, _ = frozen_net_from_irls(d_mat, d=4, k=1, lambda_c=0.02, lambda_b=0.05)
-        work, _ = irls.prepare_input(d_mat, 4)
-        u0, v0 = irls._init_state(work, 4)
+        work, _, u0, v0 = irls.prepare_input(d_mat, 4)
         b0 = np.zeros_like(work)
         u1, v1, b1 = one_layer(work, u0, v0, net.penalties()[0])
 
@@ -143,8 +141,7 @@ class TestLayerForward:
 
     def test_huge_lambda_suppresses_blood(self):
         r = np.random.default_rng(5)
-        d_mat = crandn(r, (10, 6))
-        u0, v0 = irls._init_state(d_mat, 2)
+        d_mat, _, u0, v0 = irls.prepare_input(crandn(r, (10, 6)), 2)
         _, _, b1 = one_layer(d_mat, u0, v0, (1e12, np.ones(2)))
         assert np.linalg.norm(b1) <= 1e-6 * np.linalg.norm(d_mat - u0 @ v0.conj().T)
 
@@ -154,8 +151,7 @@ class TestNetworkForward:
         d_mat = lowrank_sparse(6, 20, 10)
         net, _ = frozen_net_from_irls(d_mat, d=3, k=1, lambda_c=0.01, lambda_b=0.02)
         dec = unfolded.infer(net, d_mat)
-        work, scale = irls.prepare_input(d_mat, 3)
-        u0, v0 = irls._init_state(work, 3)
+        work, scale, u0, v0 = irls.prepare_input(d_mat, 3)
         u1, v1, b1 = one_layer(work, u0, v0, net.penalties()[0], epsilon=net.epsilon)
         assert np.allclose(dec.blood_b, b1 * scale, rtol=1e-12, atol=0)
         assert len(unfolded.layer_residuals(net, d_mat)) == 1
@@ -181,8 +177,7 @@ class TestNetworkForward:
         d_mat = lowrank_sparse(8, 18, 12)
         row = unfolded.inv_softplus([0.3, 0.7, 0.7, 0.7])
         net = unfolded.UnfoldedNetwork(theta=[row, row], epsilon=1e-8)
-        work, _ = irls.prepare_input(d_mat, 3)
-        u0, v0 = irls._init_state(work, 3)
+        work, _, u0, v0 = irls.prepare_input(d_mat, 3)
         r = np.random.default_rng(9)
         q, _ = np.linalg.qr(crandn(r, (3, 3)))
         inits = (u0, v0), (u0 @ q, v0 @ q)
@@ -205,7 +200,7 @@ class TestLoss:
         # V is smaller by that scale than the raw one
         net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([0.5, 1e-8, 1e-8])],
                                        epsilon=1e-8)
-        _, scale = irls.prepare_input(d_mat, 2)
+        _, scale, *_ = irls.prepare_input(d_mat, 2)
         residuals = unfolded.layer_residuals(net, d_mat, init_state=(u, v / scale))
         assert residuals[0] <= 1e-6 * np.linalg.norm(d_mat)
 
@@ -259,7 +254,7 @@ class TestLoss:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in ("_init_state", "update_step"):
+        for name in ("prepare_input", "update_step"):
             monkeypatch.setattr(irls, name, spy(getattr(irls, name)))
         d_mat = lowrank_sparse(13, 22, 40).astype(np.complex64)
         cfg = irls.IrlsConfig(d=3, lambda_c=0.02, lambda_b=2.0)
@@ -350,8 +345,8 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     the loss summed in double.
     """
     from scipy.special import expit
-    work, scale = irls.prepare_input(d_mat, net.d)
-    u0, v0 = irls._init_state(work, net.d) if init_state is None else init_state
+    work, scale, *start = irls.prepare_input(d_mat, net.d)
+    u0, v0 = start if init_state is None else init_state
     # entry k holds layer k's input, entry k + 1 its output; irls.steps reuses its
     # buffers, so each B is copied before the next layer overwrites it
     states = [(u0, v0, np.zeros_like(work))] + [
@@ -428,7 +423,7 @@ def adjoint_cases():
     net = unfolded.init_network(d_mat, k=6, d=4, lambda_b_init=2.0, cfg=cfg)
     cases.append(pytest.param(net, d_mat, None, id="400x60"))
     cases.append(pytest.param(perturbed(net, 1), d_mat, None, id="perturbed"))
-    u0, v0 = irls._init_state(irls.prepare_input(d_mat, 4)[0], 4)
+    _, _, u0, v0 = irls.prepare_input(d_mat, 4)
     q, _ = np.linalg.qr(crandn(np.random.default_rng(26), (4, 4)))
     cases.append(pytest.param(net, d_mat, (u0 @ q, v0 @ q), id="init-state"))
     k1 = unfolded.init_network(d_mat, k=1, d=4, lambda_b_init=2.0, cfg=cfg)
@@ -643,9 +638,8 @@ class TestInfer:
         net = unfolded.init_network(d_mat, k=3, d=3, lambda_b_init=2.0, cfg=cfg_net)
         dec = unfolded.infer(net, d_mat)
         # the last layer in work units, which infer scales back
-        work, scale = irls.prepare_input(d_mat, 3)
-        *_, (u, v, b, _, _) = irls.steps(work, *irls._init_state(work, 3), net.penalties(),
-                                         net.epsilon)
+        work, scale, u0, v0 = irls.prepare_input(d_mat, 3)
+        *_, (u, v, b, _, _) = irls.steps(work, u0, v0, net.penalties(), net.epsilon)
         assert np.array_equal(dec.basis_u, u)
         assert np.array_equal(dec.coeffs_v, v * scale)
         assert np.array_equal(dec.blood_b, b * scale)
@@ -664,8 +658,10 @@ class TestInfer:
         d_mat = lowrank_sparse(23, 20, 15)
         cfg_net = irls.IrlsConfig(d=2, lambda_c=0.01, lambda_b=1.0)
         net = unfolded.init_network(d_mat, k=2, d=2, lambda_b_init=1.0, cfg=cfg_net)
-        with pytest.raises(ValueError):
-            unfolded.infer(net, lowrank_sparse(24, 30, 15))
+        # refused for its rows ahead of the start's QR, which finds ones rank deficient
+        for d_new in (lowrank_sparse(24, 30, 15), np.ones((30, 15), dtype=complex)):
+            with pytest.raises(ValueError, match="rows"):
+                unfolded.infer(net, d_new)
 
 
 class TestSharedNormalization:
