@@ -149,8 +149,8 @@ def _factor_solve(f, p, w_diag):
     x = p.astype(np.complex128, copy=False) @ gram_inverse(f, w_diag)
     info = np.finfo(f.dtype)
     floor = np.sqrt(info.tiny / info.eps)
-    for part in (x.real, x.imag):
-        part[np.abs(part) < floor] = 0.0
+    parts = x.view(np.float64)  # both parts in one pass, with no float temporary
+    parts[(parts < floor) & (parts > -floor)] = 0.0
     return x.astype(f.dtype, copy=False)
 
 
@@ -232,12 +232,15 @@ def steps(work, u, v, penalties, epsilon):
     The steps run in two complex buffers and one real one, made once per
     call, so everything yielded but u and v holds only until the generator
     resumes. The buffer holding resid becomes the next step's B, and the
-    other, B's, takes the step's scratch and then the next D - U V^H. |B|^2
-    and then the next s are formed in the real buffer after the next pair
-    is drawn, so a caller may read s beside b through the yield, and a
-    caller that stops drawing pays for no s it does not use. The products
-    write into C-ordered buffers as numpy's own temporaries are, so every
-    bit is the same as with a fresh array per pass.
+    other, B's, takes the step's scratch and then the next D - U V^H. The
+    next s is formed in the real buffer after the next pair is drawn, so a
+    caller may read s beside b through the yield, and a caller that stops
+    drawing pays for no s it does not use. It comes from |B|^2, formed
+    there too, unless the caller resumes the generator with send(b_sq):
+    b_sq is |B|^2 of the b just yielded, formed as np.square(np.abs(b))
+    forms it, and is read only during that send. The products write into
+    C-ordered buffers as numpy's own temporaries are, so every bit is the
+    same as with a fresh array per pass.
     """
     resid, spare = (np.empty(work.shape, work.dtype) for _ in range(2))
     real = np.empty(work.shape, work.real.dtype)
@@ -245,10 +248,12 @@ def steps(work, u, v, penalties, epsilon):
     s = blood_scale(np.zeros((1, 1), real.dtype), epsilon)
     for k, (lambda_b, w_diag) in enumerate(penalties):
         if k:  # the previous step's B is in spare
-            s = blood_scale(np.square(np.abs(spare, out=real), out=real), epsilon, out=real)
+            if b_sq is None:
+                b_sq = np.square(np.abs(spare, out=real), out=real)
+            s = blood_scale(b_sq, epsilon, out=real)
         u, v, b = update_step(work, u, resid, s, lambda_b, w_diag, spare)
         resid = np.subtract(work, np.matmul(u, v.conj().T, out=spare), out=spare)
-        yield u, v, b, resid, s
+        b_sq = yield u, v, b, resid, s
         spare = b
 
 
@@ -286,6 +291,10 @@ def prepare_input(d_mat, d):
         (work, scale, u0, v0). work = D / scale with scale = max|D|, or D
         and 1.0 for a zero matrix. work is C-ordered whatever D's layout, like
         every temporary it meets: a pass that mixes layouts takes twice as long or more.
+        It is one copy of D in the work precision, whose real and imaginary
+        parts are then multiplied by 1 / scale in that precision: the bits
+        of numpy's complex division by scale, except that a part of -0.0
+        stays -0.0.
         u0 is an orthonormal basis for work's leading d frames and
         v0 = work^H u0: the factors every solve and layer stack starts
         from. A zero matrix gets the canonical basis, so the zero
@@ -293,20 +302,25 @@ def prepare_input(d_mat, d):
         as rank deficient).
     """
     d_mat = np.asarray(d_mat)
-    if d_mat.dtype != np.complex64:
-        d_mat = d_mat.astype(np.complex128, copy=False)
     if d_mat.ndim != 2:
         raise ValueError("expected a 2-d Casorati matrix")
     if not 1 <= d <= min(d_mat.shape):
         raise ValueError(f"d={d} outside [1, {min(d_mat.shape)}] for shape {d_mat.shape}")
-    peak = float(np.abs(d_mat).max())
+    dtype = np.complex64 if d_mat.dtype == np.complex64 else np.complex128
+    work = np.array(d_mat, dtype=dtype, order="C")
+    peak = float(np.abs(work).max())
     if not np.isfinite(peak):
         raise ValueError("input matrix has non-finite entries")
     if peak > 0.0:
-        work, scale = np.divide(d_mat, peak, order="C"), peak
+        # times the reciprocal, over the real view: complex division by peak + 0j
+        # multiplies by the same reciprocal in its Smith loop, at four times the cost
+        parts = work.view(work.real.dtype)
+        rt = parts.dtype.type
+        np.multiply(parts, rt(1) / rt(peak), out=parts)
+        scale = peak
         u0 = orthonormal_columns(work, d)
     else:
-        work, scale = np.ascontiguousarray(d_mat), 1.0
+        scale = 1.0
         u0 = np.eye(work.shape[0], d, dtype=work.dtype)
     # work^H u0 as conj(work^T conj(u0)): the same bits without a full conjugate copy
     return work, scale, u0, (work.T @ u0.conj()).conj()
@@ -332,8 +346,9 @@ def run_irls(d_mat, cfg):
     Besides the steps' buffers, the loop runs in two complex ones made once
     per call: F, and a free one for F_k - F_(k-1), D - F_k and then, side by
     side in its real view, |B_k|^2 and its quotient by the s the step
-    yielded. The next iteration's pre-update penalty divides into that
-    |B_k|^2; B is scaled in place.
+    yielded. That |B_k|^2 is sent back into the steps, which form the next
+    s from it, and the next iteration's pre-update penalty divides into it;
+    B is scaled in place.
 
     Args:
         d_mat: complex Casorati matrix, shape (n_space, n_frames).
@@ -358,9 +373,12 @@ def run_irls(d_mat, cfg):
         return fit + cfg.lambda_c * float(np.dot(w_c, energy)) + cfg.lambda_b * penalty
 
     conv, obj, obj_pre = [], [], []
+    stepper = steps(work, u, v, rule, cfg.epsilon)
     # overflow and NaN in an iterate surface as a non-finite objective below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (u, v, b, resid, s) in enumerate(steps(work, u, v, rule, cfg.epsilon), 1):
+        for k in range(1, cfg.max_iter + 1):
+            # from the second step on, the steps form s from the |B|^2 formed here
+            u, v, b, resid, s = stepper.send(b_sq if k > 1 else None)
             obj_pre.append(objective(fit, energy, w_c, float(np.divide(b_sq, s, out=b_sq).sum())))
 
             f_prev, f = f, np.subtract(resid, b, out=free)

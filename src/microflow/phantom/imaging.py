@@ -49,7 +49,51 @@ class GroundTruth:
     axial_velocity: np.ndarray
 
 
-def _render_frame(positions, amplitudes, scene):
+def _gaussian_kernel(sigma):
+    """scipy.ndimage's truncated Gaussian kernel for sigma, in pixels.
+
+    exp(-0.5 / sigma^2 * k^2) over k = -r .. r with r = int(4 sigma + 0.5),
+    divided by its sum, formed as gaussian_filter forms it, so a blur with
+    it has gaussian_filter's bits.
+    """
+    r = int(4.0 * sigma + 0.5)
+    k = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * k ** 2)
+    return phi / phi.sum()
+
+
+def _psf_kernels(scene):
+    """(axial, lateral) PSF blur kernels of the scene."""
+    return tuple(_gaussian_kernel(fwhm * _FWHM_TO_SIGMA / scene.pixel_mm)
+                 for fwhm in psf_fwhm_mm(scene.center_freq))
+
+
+def _blur(img, kernel, axis):
+    """img correlated with a symmetric kernel along axis, zero outside the grid.
+
+    The loop is scipy.ndimage.correlate1d's for a symmetric kernel, in its
+    order: out = x w_0, then out += (x[i - j] + x[i + j]) w_j for
+    j = r .. 1, on a copy of img padded with r zeros at both ends. So each
+    output has the bits of gaussian_filter(..., mode="constant"), signed
+    zeros included. The copy holds the blur axis first, so every shifted
+    window is one contiguous block; windows along a last axis take about
+    four times as long per pass. The result is a view of it in img's axis
+    order.
+    """
+    r = len(kernel) // 2
+    x = np.moveaxis(img, axis, 0)
+    n = len(x)
+    padded = np.zeros((n + 2 * r,) + x.shape[1:])
+    padded[r:r + n] = x
+    out = padded[r:r + n] * kernel[r]
+    tmp = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=tmp)
+        out += np.multiply(tmp, kernel[r - j], out=tmp)
+    return np.moveaxis(out, 0, axis)
+
+
+def _render_frame(positions, amplitudes, scene, kernels):
     """Deposit scatterers bilinearly and blur with the separable PSF.
 
     The scatterers with no corner in the grid are dropped first, so every
@@ -57,9 +101,10 @@ def _render_frame(positions, amplitudes, scene):
     grid padded by that pixel on each side, with no per-corner masks, and
     the padding is cropped before the blur. np.bincount adds each bin's
     weights in input order, so each pixel's sum is the same as a masked
-    deposit's.
+    deposit's. The real and imaginary parts are blurred together, along z
+    with the axial kernel of _psf_kernels and then along x with the lateral
+    one, by _blur.
     """
-    from scipy import ndimage  # here, so importing microflow never loads scipy
     nz, nx = scene.nz, scene.nx
     nxp = nx + 2
     size = (nz + 2) * nxp
@@ -85,11 +130,8 @@ def _render_frame(positions, amplitudes, scene):
             flat = base + (dz * nxp + dx)
             acc[0] += np.bincount(flat, w * values.real, minlength=size)
             acc[1] += np.bincount(flat, w * values.imag, minlength=size)
-    fwhm_z, fwhm_x = psf_fwhm_mm(scene.center_freq)
-    sigma = (0.0, fwhm_z * _FWHM_TO_SIGMA / scene.pixel_mm,
-             fwhm_x * _FWHM_TO_SIGMA / scene.pixel_mm)
-    img = ndimage.gaussian_filter(acc.reshape(2, nz + 2, nxp)[:, 1:-1, 1:-1], sigma,
-                                  mode="constant")
+    kernel_z, kernel_x = kernels
+    img = _blur(_blur(acc.reshape(2, nz + 2, nxp)[:, 1:-1, 1:-1], kernel_z, 1), kernel_x, 2)
     return img[0] + 1j * img[1]
 
 
@@ -195,10 +237,11 @@ def synthesize_iq(scene, frames, frame_rate=None, noise_snr_db=None):
         raise ValueError(f"snr_db={snr_db} is too low: the noise power overflows") from None
 
     emitted = np.empty((scene.nz, scene.nx, frames), dtype=np.complex128)
+    kernels = _psf_kernels(scene)
     for k in range(frames):
         tissue_xy, flow_xy = scene.positions_at(k / rate)
-        np.add(_render_frame(tissue_xy, scene.tissue_amp, scene),
-               _render_frame(flow_xy, scene.flow_amp, scene), out=emitted[:, :, k])
+        np.add(_render_frame(tissue_xy, scene.tissue_amp, scene, kernels),
+               _render_frame(flow_xy, scene.flow_amp, scene, kernels), out=emitted[:, :, k])
         if (k + 1) % 200 == 0:
             _log.info("rendered %d/%d frames", k + 1, frames)
 

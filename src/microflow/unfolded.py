@@ -41,6 +41,22 @@ def softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
+def logistic(x):
+    """softplus's derivative 1 / (1 + exp(-x)), entry by entry, as a float array.
+
+    Each entry takes math.exp, the C library's exp, in the order
+    scipy.special.expit uses, so the bits are expit's; np.exp rounds some
+    entries differently. An exp(-x) beyond the double range gives 0.
+    """
+    def one(t):
+        try:
+            return 1.0 / (1.0 + math.exp(-t))
+        except OverflowError:
+            return 0.0
+    x = np.asarray(x, dtype=float)
+    return np.array([one(t) for t in x.flat]).reshape(x.shape)
+
+
 def inv_softplus(y):
     """Inverse of softplus; targets at or near zero clamp to a floor of -50.
 
@@ -195,7 +211,8 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     irls.blood_scale, as in the steps. Each backward step forms its B_k the
     same way, (D - U_in V_in^H) times blood_shrink(s_k, lambda_k). So the
     loss and gradient are bit-identical to an adjoint that keeps every
-    layer's B.
+    layer's B. The gradient with respect to theta takes softplus's
+    derivative from logistic, which has scipy.special.expit's bits.
 
     Passes. Each backward step forms its misfit E = (D - U V^H) - B_k as
     layer_residuals does, from the D - U V^H that the step above formed as
@@ -230,7 +247,6 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     irls._factor_solve multiplied by, from irls.gram_inverse in double, and
     are narrowed before use.
     """
-    from scipy.special import expit  # here, so importing microflow never loads scipy
     work, scale, *start = irls.prepare_input(d_mat, net.d)
     u0, v0 = start if init_state is None else init_state
     penalties = net.penalties()
@@ -319,7 +335,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         resid, spare = spare, resid
 
     scale_sq = scale * scale
-    return c * loss_norm * scale_sq, g_theta * (-c * scale_sq) * expit(net.theta)
+    return c * loss_norm * scale_sq, g_theta * (-c * scale_sq) * logistic(net.theta)
 
 
 def train(net, train_data, val_data, cfg):

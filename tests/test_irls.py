@@ -1,5 +1,6 @@
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -639,21 +640,29 @@ class TestWorkLayout:
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_prepare_input_returns_c_order_for_every_layout(self, dtype):
-        d_mat = crandn(np.random.default_rng(25), (40, 12)).astype(dtype)
-        starts = set()
-        for name, x in layouts(d_mat).items():
-            for data in (x, np.zeros_like(x)):
-                work, _, u0, v0 = irls.prepare_input(data, 3)
-                assert work.flags.c_contiguous, name
-                assert work.dtype == u0.dtype == v0.dtype == dtype
-                if np.any(data):
-                    starts.add((u0.tobytes(), v0.tobytes()))
-                    np.testing.assert_allclose(u0.conj().T @ u0, np.eye(3), rtol=0,
-                                               atol=10 * np.finfo(dtype).eps)
-                else:  # the canonical basis, so the zero decomposition is representable
-                    assert np.array_equal(u0, np.eye(40, 3)) and not np.any(v0), name
-        # the start, like the work matrix, does not depend on the input layout
-        assert len(starts) == 1
+        base = crandn(np.random.default_rng(25), (40, 12))
+        # complex128 work also comes from real input; peaks from 1e-30 to 1e25
+        sources = [base.astype(dtype)] + ([base.real] if dtype == np.complex128 else [])
+        for amplitude, src in itertools.product((1e-30, 1e-12, 1.0, 1e12, 1e25), sources):
+            starts = set()
+            for name, x in layouts(src * amplitude).items():
+                for data in (x, np.zeros_like(x)):
+                    work, scale, u0, v0 = irls.prepare_input(data, 3)
+                    assert work.flags.c_contiguous, name
+                    assert work.dtype == u0.dtype == v0.dtype == dtype
+                    if np.any(data):
+                        # the bytes of complex division by the peak
+                        want = data.astype(dtype)
+                        assert scale == float(np.abs(want).max())
+                        assert work.tobytes() == np.divide(want, scale).tobytes(), name
+                        starts.add((u0.tobytes(), v0.tobytes()))
+                        np.testing.assert_allclose(u0.conj().T @ u0, np.eye(3), rtol=0,
+                                                   atol=10 * np.finfo(dtype).eps)
+                    else:  # the canonical basis, so the zero decomposition is representable
+                        assert scale == 1.0 and not np.any(work), name
+                        assert np.array_equal(u0, np.eye(40, 3)) and not np.any(v0), name
+            # the start, like the work matrix, does not depend on the input layout
+            assert len(starts) == 1
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_solver_output_bytes_do_not_depend_on_the_input_layout(self, dtype):

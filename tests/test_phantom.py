@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microflow import casorati
 from microflow.phantom import geometry, hydraulics, imaging, scene
@@ -227,7 +229,6 @@ class TestSynthesizeIq:
 
     @pytest.mark.parametrize("snr_db", [25.0, np.inf])
     def test_synthesis_peak_is_at_most_three_times_the_output(self, snr_db):
-        from scipy import ndimage  # noqa: F401  loaded before tracing
         sc = mini_scene(snr_db=snr_db)
         imaging.synthesize_iq(sc, 1, sc.frame_rate, snr_db)
         tracemalloc.start()
@@ -249,12 +250,32 @@ class TestSynthesizeIq:
         """Scatterers outside the grid, near it or far from it, leave the
         deposit of those inside it bit for bit as it was."""
         sc = mini_scene(with_flow=False)
-        in_grid = imaging._render_frame(sc.tissue_pos, sc.tissue_amp, sc)
+        kernels = imaging._psf_kernels(sc)
+        in_grid = imaging._render_frame(sc.tissue_pos, sc.tissue_amp, sc, kernels)
         outside = np.array([[40.0, 0.0], [0.0, -40.0], [-4.3, 0.0], [0.0, 4.3]])
         masked = imaging._render_frame(np.vstack([sc.tissue_pos, outside]),
-                                       np.concatenate([sc.tissue_amp, np.ones(4)]), sc)
+                                       np.concatenate([sc.tissue_amp, np.ones(4)]), sc, kernels)
         assert np.array_equal(masked, in_grid)
         assert np.any(in_grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nz=st.integers(1, 80), nx=st.integers(1, 90),
+           sigma_z=st.floats(0.05, 8.0), sigma_x=st.floats(0.05, 8.0))
+    @example(seed=0, nz=1, nx=1, sigma_z=0.05, sigma_x=0.12)    # radius 0 on both axes
+    @example(seed=1, nz=3, nx=90, sigma_z=8.0, sigma_x=0.05)    # radius 32 across 3 rows
+    @example(seed=2, nz=80, nx=5, sigma_z=0.124, sigma_x=7.9)   # radius 0 and 32
+    def test_blur_is_scipy_gaussian_filter_bit_for_bit(self, seed, nz, nx, sigma_z, sigma_x):
+        """scipy is the reference only: the renderer's blur gives the bytes of
+        gaussian_filter(..., mode="constant"), zeros of both signs included."""
+        from scipy import ndimage
+        r = np.random.default_rng(seed)
+        img = r.standard_normal((2, nz, nx)) * 10.0 ** r.uniform(-20, 20, (2, nz, nx))
+        img[r.random(img.shape) < 0.2] = 0.0
+        img[r.random(img.shape) < 0.2] = -0.0
+        got = imaging._blur(imaging._blur(img, imaging._gaussian_kernel(sigma_z), 1),
+                            imaging._gaussian_kernel(sigma_x), 2)
+        want = ndimage.gaussian_filter(img, (0, sigma_z, sigma_x), mode="constant")
+        assert got.tobytes() == want.tobytes()
 
     def test_deterministic_noise(self):
         sc = mini_scene(snr_db=20.0)

@@ -55,6 +55,17 @@ class TestPositivityMap:
         theta = np.linspace(-60, 60, 25)
         assert np.all(unfolded.softplus(theta) > 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 20), d=st.integers(1, 12),
+           spread=st.sampled_from([1e-3, 1.0, 30.0, 700.0]))
+    def test_logistic_is_scipy_expit_bit_for_bit(self, seed, k, d, spread):
+        """scipy is the reference only: the gradient's softplus derivative has expit's bytes."""
+        from scipy.special import expit
+        theta = np.random.default_rng(seed).standard_normal((k, 1 + d)) * spread
+        assert unfolded.logistic(theta).tobytes() == expit(theta).tobytes()
+        edges = np.array([[0.0, -0.0, 50.0, -50.0, 700.0, -700.0, 1e-300, -1e-300, -800.0]])
+        assert unfolded.logistic(edges).tobytes() == expit(edges).tobytes()
+
 
 class TestInitNetwork:
     def test_simulation_scale_accepted(self):
@@ -478,8 +489,6 @@ class TestAdjointReference:
         d_mat = np.asfortranarray(lowrank_sparse(27, 2000, 100, rank=6)).astype(dtype)
         cfg = irls.IrlsConfig(d=10, lambda_c=0.01, lambda_b=6.0)
         net = unfolded.init_network(d_mat, k=k, d=10, lambda_b_init=6.0, cfg=cfg)
-        small, data = tiny_net_and_data()
-        unfolded._analytic_loss_grad(small, data)  # imports scipy.special outside the trace
         tracemalloc.start()
         try:
             unfolded._analytic_loss_grad(net, d_mat)
