@@ -264,7 +264,7 @@ def squared_norm(f):
     added in float64, so a complex64 norm errs by about one row's float32
     rounding. No BLAS call is made: the bits do not depend on threads.
     """
-    x = f.view(f.real.dtype) if np.iscomplexobj(f) else f
+    x = f.view(f.real.dtype)
     return float(np.einsum("ij,ij->i", x, x).sum(dtype=np.float64))
 
 

@@ -114,15 +114,13 @@ def edge_conductance(unit):
 def solve_pressures(a_h, a_nh, c, p_h):
     """Interior pressures from conservation at the non-hanging nodes.
 
-    Solves (a_nh^T C a_nh) p_nh = -a_nh^T C a_h p_h.
+    Solves (a_nh^T C a_nh) p_nh = -a_nh^T C a_h p_h, empty without interior nodes.
 
     Raises
     ------
     ValueError
         If the reduced system is singular (disconnected network).
     """
-    if a_nh.shape[1] == 0:
-        return np.zeros(0)
     weighted = c[:, None] * a_nh
     lhs = a_nh.T @ weighted
     rhs = -weighted.T @ (a_h @ p_h)

@@ -109,27 +109,26 @@ def _render_frame(positions, amplitudes, scene, kernels):
     nxp = nx + 2
     size = (nz + 2) * nxp
     acc = np.zeros((2, size))  # real and imaginary parts, blurred in one call
-    if len(positions):
-        gx = (positions[:, 0] - scene.x0) / scene.pixel_mm
-        gz = (positions[:, 1] - scene.z0) / scene.pixel_mm
-        ix0 = np.floor(gx).astype(int)
-        iz0 = np.floor(gz).astype(int)
-        near = (iz0 >= -1) & (iz0 < nz) & (ix0 >= -1) & (ix0 < nx)
-        if not near.all():
-            positions, amplitudes = positions[near], amplitudes[near]
-            gx, gz, ix0, iz0 = gx[near], gz[near], ix0[near], iz0[near]
-        phase = -4.0 * np.pi * scene.center_freq \
-            * (positions[:, 1] * 1e-3) / SOUND_SPEED
-        values = amplitudes * np.exp(1j * phase)
-        wx = gx - ix0
-        wz = gz - iz0
-        wx1, wz1 = 1.0 - wx, 1.0 - wz
-        base = (iz0 + 1) * nxp + ix0 + 1
-        for dz, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            w = (wz if dz else wz1) * (wx if dx else wx1)
-            flat = base + (dz * nxp + dx)
-            acc[0] += np.bincount(flat, w * values.real, minlength=size)
-            acc[1] += np.bincount(flat, w * values.imag, minlength=size)
+    gx = (positions[:, 0] - scene.x0) / scene.pixel_mm
+    gz = (positions[:, 1] - scene.z0) / scene.pixel_mm
+    ix0 = np.floor(gx).astype(int)
+    iz0 = np.floor(gz).astype(int)
+    near = (iz0 >= -1) & (iz0 < nz) & (ix0 >= -1) & (ix0 < nx)
+    if not near.all():
+        positions, amplitudes = positions[near], amplitudes[near]
+        gx, gz, ix0, iz0 = gx[near], gz[near], ix0[near], iz0[near]
+    phase = -4.0 * np.pi * scene.center_freq \
+        * (positions[:, 1] * 1e-3) / SOUND_SPEED
+    values = amplitudes * np.exp(1j * phase)
+    wx = gx - ix0
+    wz = gz - iz0
+    wx1, wz1 = 1.0 - wx, 1.0 - wz
+    base = (iz0 + 1) * nxp + ix0 + 1
+    for dz, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        w = (wz if dz else wz1) * (wx if dx else wx1)
+        flat = base + (dz * nxp + dx)
+        acc[0] += np.bincount(flat, w * values.real, minlength=size)
+        acc[1] += np.bincount(flat, w * values.imag, minlength=size)
     kernel_z, kernel_x = kernels
     img = _blur(_blur(acc.reshape(2, nz + 2, nxp)[:, 1:-1, 1:-1], kernel_z, 1), kernel_x, 2)
     return img[0] + 1j * img[1]

@@ -25,6 +25,7 @@ imaging adds (4, frame) for noise.
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class PhantomScene:
     Positions are (x, z) in mm with z the axial depth (away from the
     probe). Flow scatterers are parameterized by their vessel edge, the
     arc length s0 along it, and the signed radial offset r; the edge_*
-    arrays form a flat table over all vessels of all units. The first
-    positions_at call caches the flow terms that do not depend on time.
+    arrays form a flat table over all vessels of all units. Every scene
+    shares center_freq 7.5 MHz, prf 5 kHz, frame_rate 1 kHz, cycle_hz 1/3 Hz.
     """
 
     seed: int
@@ -75,11 +76,11 @@ class PhantomScene:
     edge_radius: np.ndarray
     edge_vmax: np.ndarray
     strain_max: float = 0.02
-    cycle_hz: float = 1.0 / 3.0
     snr_db: float = 25.0
-    frame_rate: float = 1000.0
-    prf: float = 5000.0
-    center_freq: float = 7.5e6
+    cycle_hz: ClassVar[float] = 1.0 / 3.0
+    frame_rate: ClassVar[float] = 1000.0
+    prf: ClassVar[float] = 5000.0
+    center_freq: ClassVar[float] = 7.5e6
 
     def strain_at(self, t):
         """Axial strain of the compression cycle at time t (seconds)."""
@@ -101,8 +102,6 @@ class PhantomScene:
         eps = self.strain_at(t)
         stretch = np.array([1.0 + 0.5 * eps, 1.0 - eps])
         tissue = self.tissue_pos * stretch
-        if len(self.flow_s0) == 0:
-            return tissue, np.zeros((0, 2))
         start, dirs, length, speed, offset = self._flow_paths
         s = (self.flow_s0 + speed * t) % length
         base = start + s[:, None] * dirs + offset

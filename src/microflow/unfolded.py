@@ -180,29 +180,28 @@ def init_network(d_mat, k, d, lambda_b_init, cfg):
     return UnfoldedNetwork(theta=theta, epsilon=cfg.epsilon, n_space=work.shape[0])
 
 
-def layer_residuals(net, d_mat, init_state=None):
+def layer_residuals(net, d_mat):
     """Each layer's norm ||D - B_k - U_k V_k^H||_F in input units, as K floats.
 
     The layers and the misfits run in the work matrix's precision on the
-    input scaled to peak 1; init_state is an optional (u0, v0) for that
+    input scaled to peak 1, from irls.prepare_input's start for that
     matrix. Layer k's misfit is ||(D - U_k V_k^H) - B_k|| * scale, from the
     D - U_k V_k^H that irls.steps yields, in one full temporary freed before
     the next layer runs. The training loss is the mean square of this list.
     Layer k's full decomposition is
     infer(dataclasses.replace(net, theta=net.theta[:k]), d_mat).
     """
-    work, scale, *start = irls.prepare_input(d_mat, net.d)
-    u, v = start if init_state is None else init_state
+    work, scale, u, v = irls.prepare_input(d_mat, net.d)
     return [float(np.linalg.norm(resid - b)) * scale
             for _, _, b, resid, _ in irls.steps(work, u, v, net.penalties(), net.epsilon)]
 
 
-def _analytic_loss_grad(net, d_mat, init_state=None):
+def _analytic_loss_grad(net, d_mat):
     """Loss and its gradient via the adjoint of the layer equations.
 
-    The pass runs on the input scaled to peak 1; since the loss is quadratic
-    in the data scale, the gradient (and loss) are multiplied by its square.
-    It keeps four things.
+    The pass runs on the input scaled to peak 1 from irls.prepare_input's
+    start; the loss is quadratic in the data scale, so the gradient (and
+    loss) are multiplied by its square. It keeps four things.
 
     Bits. Layer k's state is (U_in, V_in, s_k): its input factors and the
     blood scale s_k = sqrt(|B_(k-1)|^2 + epsilon) of the B entering it. The
@@ -247,8 +246,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
     irls._factor_solve multiplied by, from irls.gram_inverse in double, and
     are narrowed before use.
     """
-    work, scale, *start = irls.prepare_input(d_mat, net.d)
-    u0, v0 = start if init_state is None else init_state
+    work, scale, u0, v0 = irls.prepare_input(d_mat, net.d)
     penalties = net.penalties()
     n_layers = len(penalties)
     c = 1.0 / n_layers
@@ -291,7 +289,7 @@ def _analytic_loss_grad(net, d_mat, init_state=None):
         np.subtract(work, np.matmul(u_in, v_in.conj().T, out=spare), out=spare)
         b_k = np.multiply(spare, shrink, out=g)
         np.subtract(resid, b_k, out=e)
-        misfit = float(np.linalg.norm(e))  # not np.vdot, whose complex64 sum runs in float32
+        misfit = float(np.linalg.norm(e))  # complex64: float32 BLAS dots, ~1e-8 off; np.vdot 2e-6
         loss_norm += misfit * misfit
 
         # gradients times -1 / c (see Passes); g_theta is scaled back at the end
@@ -352,7 +350,7 @@ def train(net, train_data, val_data, cfg):
         train_data: (n_space, n_frames) matrix; its last 20% of frames validate,
             the rest form consecutive batches of cfg.batch_frames (remainder dropped).
         val_data: must be None, the slot kept for positional callers.
-        cfg: TrainConfig.
+        cfg: TrainConfig; training stops cfg.patience epochs after history.best_epoch.
 
     Returns:
         (trained network with the best-validation parameters, TrainHistory).
@@ -400,9 +398,7 @@ def train(net, train_data, val_data, cfg):
     history.val_loss.append(v0)
     if not np.isfinite(v0):
         abort("initial validation")
-    best = v0
     best_theta = theta.copy()
-    stall = 0
     rng = np.random.default_rng(cfg.seed)
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -425,14 +421,10 @@ def train(net, train_data, val_data, cfg):
             abort(f"epoch {epoch} validation")
         history.val_loss.append(vl)
         _log.info("epoch %3d  train %.6e  val %.6e", epoch, history.train_loss[-1], vl)
-        if vl < best:
-            best = vl
+        if vl < history.val_loss[history.best_epoch]:
             best_theta = theta.copy()
             history.best_epoch = epoch
-            stall = 0
-        else:
-            stall += 1
-        if stall >= cfg.patience:
+        if epoch - history.best_epoch >= cfg.patience:
             break
 
     return replace(net, theta=best_theta), history

@@ -10,7 +10,7 @@ run_irls draws them, for the tests that freeze a network to a solver run.
 
 unfolded.train steps on the adjoint gradient; finite_difference_gradient
 takes central differences of the same loss, the reference the adjoint is
-checked against.
+checked against. start_from makes every pass start from given factors.
 
 layouts gives one matrix in the three memory layouts the solvers meet; their
 outputs must not depend on which one they get.
@@ -100,13 +100,27 @@ def solver_weights(d_mat, cfg):
     return weights[:-1]
 
 
-def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):
+def start_from(monkeypatch, u0, v0):
+    """Make irls.prepare_input return (u0, v0) as the start of every solve.
+
+    The real function still checks and scales the input and returns its
+    work matrix and scale; only its start is replaced.
+    """
+    prepare = irls.prepare_input
+
+    def started(d_mat, d):
+        work, scale, _, _ = prepare(d_mat, d)
+        return work, scale, u0, v0
+
+    monkeypatch.setattr(irls, "prepare_input", started)
+
+
+def finite_difference_gradient(net, d_mat, fd_step=1e-5):
     """Central-difference gradient of the training loss over all parameters.
 
     Args:
         net: UnfoldedNetwork.
         d_mat: data matrix.
-        init_state: optional (u0, v0) override, forwarded to the passes.
         fd_step: base step; the per-parameter step is fd_step * (1 + |theta|).
 
     Returns:
@@ -114,7 +128,7 @@ def finite_difference_gradient(net, d_mat, init_state=None, fd_step=1e-5):
     """
     def loss(theta):
         net_at = dataclasses.replace(net, theta=theta)
-        return float(np.mean(np.square(unfolded.layer_residuals(net_at, d_mat, init_state))))
+        return float(np.mean(np.square(unfolded.layer_residuals(net_at, d_mat))))
 
     theta0 = net.theta
     grad = np.zeros_like(theta0)

@@ -166,6 +166,13 @@ class TestIncidence:
         np.testing.assert_array_equal(a, [[-1.0, 1.0]])
         assert a_h.shape == (1, 2)
         assert a_nh.shape == (1, 0)
+        # no interior node: the empty system solves to no pressures, and the one
+        # edge carries the 1 Pa drop from inlet to leaf
+        net = hydraulics.build_network(unit)
+        assert net.p_nh.shape == (0,) and net.p_nh.dtype == np.float64
+        c = hydraulics.edge_conductance(unit)
+        np.testing.assert_array_equal(net.q_e, -c)
+        np.testing.assert_array_equal(net.v_max, hydraulics.edge_velocities(c, 1.0, [1.0e-3]))
 
     def test_rows_sum_to_zero(self):
         for vid in range(1, 9):

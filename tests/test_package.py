@@ -61,6 +61,52 @@ def test_every_module_level_definition_has_a_caller():
     assert unused == []
 
 
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """Each parameter with a default on a function in src/microflow is passed,
+    by keyword, by position or through * or ** unpacking, by some call of that
+    name in src/microflow or perfbench/: no option only the tests set. cli.main's
+    argv, the console entry point, is exempt."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, name, position):
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        return position is not None and (len(call.args) > position or any(
+            isinstance(arg, ast.Starred) for arg in call.args))
+
+    unpassed = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # a method's call sites do not pass self or cls
+            bound = id(fn) in methods and not any(
+                isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                for dec in fn.decorator_list)
+            first = len(positional) - len(args.defaults)
+            params = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+            params += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            unpassed += [f"{path.relative_to(SRC).as_posix()}: {fn.name}({name})"
+                         for name, position in params
+                         if not any(passes(call, name, position)
+                                    for call in calls.get(fn.name, []))]
+    assert unpassed == ["cli.py: main(argv)"]
+
+
 def test_every_dataclass_field_is_read():
     """Each annotated class field in src/microflow is read as an attribute
     somewhere in src/microflow, perfbench/ or tests/: no write-only state."""

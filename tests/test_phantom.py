@@ -137,6 +137,11 @@ class TestAdvanceScene:
         np.testing.assert_array_equal(tissue0, tissue1)
         np.testing.assert_array_equal(flow0, flow1)
         np.testing.assert_array_equal(tissue0, sc.tissue_pos)
+        # a scene without scatterers has empty position tables at every time
+        empty = mini_scene(with_flow=False, n_tissue=0)
+        for t in (0.0, 0.7):
+            for pos in empty.positions_at(t):
+                assert pos.shape == (0, 2) and pos.dtype == np.float64
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -245,6 +250,9 @@ class TestSynthesizeIq:
         d = casorati.to_casorati(seq)
         for t in range(1, d.shape[1]):
             np.testing.assert_array_equal(d[:, t], d[:, 0])
+        empty = mini_scene(with_flow=False, strain_max=0.0, n_tissue=0)
+        seq, _ = imaging.synthesize_iq(empty, 2, empty.frame_rate, np.inf)
+        assert seq.voxels.tobytes() == bytes(seq.voxels.nbytes)
 
     def test_in_grid_and_masked_renders_agree(self):
         """Scatterers outside the grid, near it or far from it, leave the

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from microflow import irls, unfolded
 from solver_reference import (blood_scale, finite_difference_gradient, layouts, solver_weights,
-                              update_basis, update_blood, update_coeffs)
+                              start_from, update_basis, update_blood, update_coeffs)
 
 
 def crandn(r, shape, scale=1.0):
@@ -195,14 +195,16 @@ class TestNetworkForward:
         b1, b2 = (list(irls.steps(work, *init, net.penalties(), net.epsilon))[-1][2]
                   for init in inits)
         assert np.allclose(b1, b2, rtol=1e-9, atol=1e-12)
-        r1, r2 = (unfolded.layer_residuals(net, d_mat, init_state=init) for init in inits)
+        # each layer's misfit, as layer_residuals forms it on the work matrix
+        r1, r2 = ([np.linalg.norm(resid - b) for _, _, b, resid, _ in
+                   irls.steps(work, *init, net.penalties(), net.epsilon)] for init in inits)
         assert np.mean(np.square(r1)) == pytest.approx(np.mean(np.square(r2)), rel=1e-9)
 
 
 class TestLoss:
     """The training loss is the mean square of layer_residuals."""
 
-    def test_exact_decomposition_zero(self):
+    def test_exact_decomposition_zero(self, monkeypatch):
         r = np.random.default_rng(11)
         u = crandn(r, (10, 2))
         v = crandn(r, (6, 2))
@@ -212,16 +214,17 @@ class TestLoss:
         net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([0.5, 1e-8, 1e-8])],
                                        epsilon=1e-8)
         _, scale, *_ = irls.prepare_input(d_mat, 2)
-        residuals = unfolded.layer_residuals(net, d_mat, init_state=(u, v / scale))
+        start_from(monkeypatch, u, v / scale)
+        residuals = unfolded.layer_residuals(net, d_mat)
         assert residuals[0] <= 1e-6 * np.linalg.norm(d_mat)
 
-    def test_scalar_case(self):
+    def test_scalar_case(self, monkeypatch):
         # zero factors stay zero and a huge penalty keeps B near zero, so D is all misfit
         zero = np.zeros((1, 1), dtype=complex)
         net = unfolded.UnfoldedNetwork(theta=[unfolded.inv_softplus([1e12, 1.0])],
                                        epsilon=1e-8)
-        residuals = unfolded.layer_residuals(net, np.array([[1.0 + 0j]]),
-                                             init_state=(zero, zero))
+        start_from(monkeypatch, zero, zero)
+        residuals = unfolded.layer_residuals(net, np.array([[1.0 + 0j]]))
         assert residuals == [pytest.approx(1.0)]
 
     def test_matches_recompute(self):
@@ -327,7 +330,7 @@ class TestParameterGradient:
         assert np.count_nonzero(big) >= 2
         assert np.all(err_h2[big] <= 0.35 * err_h[big])
 
-    def test_flat_direction_is_zero(self):
+    def test_flat_direction_is_zero(self, monkeypatch):
         r = np.random.default_rng(15)
         ns, nt, d = 14, 9, 3
         d_mat = crandn(r, (ns, nt))
@@ -338,14 +341,15 @@ class TestParameterGradient:
         u0[1, 1] = 1.0
         # column 2 carries no energy: its weight cannot influence the loss
         v0 = irls.prepare_input(d_mat, d)[0].conj().T @ u0
-        g_fd = finite_difference_gradient(net, d_mat, init_state=(u0, v0))
-        g_an = unfolded._analytic_loss_grad(net, d_mat, init_state=(u0, v0))[1]
+        start_from(monkeypatch, u0, v0)
+        g_fd = finite_difference_gradient(net, d_mat)
+        g_an = unfolded._analytic_loss_grad(net, d_mat)[1]
         # weight 2 of each layer
         for grad in (g_fd[:, 3], g_an[:, 3]):
             assert np.all(np.abs(grad) <= 1e-6)
 
 
-def reference_analytic_loss_grad(net, d_mat, init_state=None):
+def reference_analytic_loss_grad(net, d_mat):
     """Reference adjoint that keeps every layer's complex B.
 
     It recomputes each layer's blood scale from the B entering it;
@@ -356,8 +360,7 @@ def reference_analytic_loss_grad(net, d_mat, init_state=None):
     the loss summed in double.
     """
     from scipy.special import expit
-    work, scale, *start = irls.prepare_input(d_mat, net.d)
-    u0, v0 = start if init_state is None else init_state
+    work, scale, u0, v0 = irls.prepare_input(d_mat, net.d)
     # entry k holds layer k's input, entry k + 1 its output; irls.steps reuses its
     # buffers, so each B is copied before the next layer overwrites it
     states = [(u0, v0, np.zeros_like(work))] + [
@@ -464,10 +467,12 @@ def adjoint_cases():
 
 
 class TestAdjointReference:
-    @pytest.mark.parametrize("net, d_mat, init_state", adjoint_cases())
-    def test_matches_stored_blood_adjoint(self, net, d_mat, init_state):
-        want_loss, want_grad = reference_analytic_loss_grad(net, d_mat, init_state)
-        got_loss, got_grad = unfolded._analytic_loss_grad(net, d_mat, init_state)
+    @pytest.mark.parametrize("net, d_mat, start", adjoint_cases())
+    def test_matches_stored_blood_adjoint(self, net, d_mat, start, monkeypatch):
+        if start is not None:
+            start_from(monkeypatch, *start)
+        want_loss, want_grad = reference_analytic_loss_grad(net, d_mat)
+        got_loss, got_grad = unfolded._analytic_loss_grad(net, d_mat)
         assert np.array_equal(got_loss, want_loss)
         assert np.array_equal(got_grad, want_grad)
 
