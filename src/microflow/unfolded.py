@@ -196,6 +196,17 @@ def layer_residuals(net, d_mat):
             for _, _, b, resid, _ in irls.steps(work, u, v, net.penalties(), net.epsilon)]
 
 
+def _checkpoints(n_layers):
+    """The adjoint's checkpoints: the first layers, ascending, of segments
+    1, 2, 3, ... layers long counted down from the top layer, the bottom one
+    possibly shorter. At 15 layers they are 0, 5, 9, 12 and 14.
+    """
+    starts = [n_layers - 1]
+    while starts[-1] > 0:
+        starts.append(max(starts[-1] - len(starts) - 1, 0))
+    return starts[::-1]
+
+
 def _analytic_loss_grad(net, d_mat):
     """Loss and its gradient via the adjoint of the layer equations.
 
@@ -219,76 +230,73 @@ def _analytic_loss_grad(net, d_mat):
     R read E, and no R is formed. Every gradient is carried times -1 / c,
     as the adjoint is linear in them, so the loss term's is E itself. The
     step reads the rest off the gradient G0 = G_B * shrink that reaches
-    D - U_in V_in^H, with tmp = Re(conj(G0) B_k): lambda_k's gradient is
+    D - U_in V_in^H, with tmp = Re(G0 conj(B_k)): lambda_k's gradient is
     -4 sum(tmp / s_k), and B_(k-1)'s gradient through s_k is the real factor
     2 lambda_k tmp / s_k^3 times B_(k-1), formed by two more divisions. No
     pass forms the divisor again, and none raises a full matrix to a power:
     numpy's generic pow loop costs about three sqrt passes.
 
-    Checkpoints. The forward pass keeps layer k's state only where
-    k % t == 0, t = ceil(sqrt(K)), and across the last segment
-    k >= floor((K - 1) / t) * t, plus the final output factors: about
-    2 sqrt(K) states instead of K. Layer 0's blood scale is one broadcast
+    Checkpoints. The forward pass keeps the states of _checkpoints' layers,
+    plus the final output factors. Layer 0's blood scale is one broadcast
     value, as its entering B is zero. On entering a segment whose states
-    were dropped, the backward sweep reruns it from its checkpoint.
+    were dropped, the backward sweep reruns it once from its checkpoint: at
+    K = 15 it reruns 10 layers and holds at most 4 full-size blood scales.
 
     Buffers. Besides the work matrix, the forward pass runs in the steps'
     two complex buffers and one real one. The backward sweep takes over the
-    complex ones, the last layer's B and D - U V^H, and adds two complex
-    buffers and two real ones of its own. No B is kept: each
-    backward step forms its own B_k, and B_k's gradient through the next
-    layer's blood scale is a real factor, left by that layer's step, times
-    B_k. All buffers are C-ordered, like the work matrix and numpy's own
-    temporaries: the order of a product's output changes its rounding, and
-    mixed orders are slow. A product X^H Y is formed as conj(X^T conj(Y)),
-    the same bits without a full-matrix conjugate copy. The buffers take the
-    work matrix's precision. The two d x d inverses per layer are the bits
-    irls._factor_solve multiplied by, from irls.gram_inverse in double, and
-    are narrowed before use.
+    complex ones, the last layer's B and D - U V^H, where E is formed, and
+    adds a complex scratch buffer and two real ones. No B is kept: each
+    backward step forms its own B_k in the scratch, twice, and B_k's
+    gradient through the next layer's blood scale is a real factor, left by
+    that layer's step, times B_k. All buffers are C-ordered, like the work
+    matrix and numpy's own temporaries: the order of a product's output
+    changes its rounding, and mixed orders are slow. A product X^H Y is
+    formed as conj(X^T conj(Y)), the same bits without a full-matrix
+    conjugate copy. The buffers take the work matrix's precision. The two
+    d x d inverses per layer are the bits irls._factor_solve multiplied by,
+    from irls.gram_inverse in double, and are narrowed before use.
     """
     work, scale, u0, v0 = irls.prepare_input(d_mat, net.d)
     penalties = net.penalties()
     n_layers = len(penalties)
     c = 1.0 / n_layers
-    stride = math.isqrt(n_layers - 1) + 1
-    last_segment = (n_layers - 1) // stride * stride
+    starts = _checkpoints(n_layers)
 
-    # layer k's state is kept where k % stride == 0 and across the last segment
     states, u, v = [], u0, v0
     for k, (u_out, v_out, b, resid, s) in enumerate(
             irls.steps(work, u0, v0, penalties, net.epsilon)):
-        states.append((u, v, s.copy()) if k % stride == 0 or k >= last_segment else None)
+        states.append((u, v, s.copy()) if k in starts else None)
         u, v = u_out, v_out
 
     # resid is D - U V^H for the output factors of the step's layer: the last layer's
     # first, from the steps, and then each step's D - U_in V_in^H. The steps' real
     # buffer, which s holds, is let go before the sweep's own buffers are made; no
-    # layer follows the last, so the factor starts at zero
+    # layer follows the last, so its step makes the first factor
     spare, s = b, None
-    e, g = (np.empty(work.shape, work.dtype) for _ in range(2))
+    scratch = np.empty(work.shape, work.dtype)
     shrink = np.empty(work.shape, work.real.dtype)
-    factor = np.zeros(work.shape, work.real.dtype)
+    factor = None
     loss_norm = 0.0
     g_theta = np.zeros(net.theta.shape)
     g_u_next = g_v_next = 0.0
     for k in range(n_layers - 1, -1, -1):
         if states[k] is None:
             # entering a segment whose states were dropped: rerun it from its checkpoint
-            for j in range(k - k % stride, k):
+            for j in range(max(i for i in starts if i < k), k):
                 u_j, v_j, s_j = states[j]
                 np.subtract(work, np.matmul(u_j, v_j.conj().T, out=spare), out=spare)
-                u_j, v_j, b_j = irls.update_step(work, u_j, spare, s_j, *penalties[j], e)
+                u_j, v_j, b_j = irls.update_step(work, u_j, spare, s_j, *penalties[j], scratch)
                 b_sq = np.square(np.abs(b_j, out=shrink), out=shrink)
                 states[j + 1] = u_j, v_j, irls.blood_scale(b_sq, net.epsilon)
+            del u_j, v_j, s_j, b_j, b_sq
         u_in, v_in, s = states.pop()
         lam, w_c = penalties[k]
-        # spare takes D - U_in V_in^H and g this layer's B = (D - U_in V_in^H) * shrink;
-        # e = (D - U V^H) - B, the misfit layer_residuals forms, and then resid's
-        # buffer is free
+        # spare takes D - U_in V_in^H and scratch this layer's B = (D - U_in V_in^H) * shrink;
+        # e = (D - U V^H) - B, the misfit layer_residuals forms, in resid's buffer
         irls.blood_shrink(s, lam, out=shrink)
         np.subtract(work, np.matmul(u_in, v_in.conj().T, out=spare), out=spare)
-        b_k = np.multiply(spare, shrink, out=g)
-        np.subtract(resid, b_k, out=e)
+        b_k = np.multiply(spare, shrink, out=scratch)
+        e = np.subtract(resid, b_k, out=resid)
         misfit = float(np.linalg.norm(e))  # complex64: float32 BLAS dots, ~1e-8 off; np.vdot 2e-6
         loss_norm += misfit * misfit
 
@@ -310,14 +318,16 @@ def _analytic_loss_grad(net, d_mat):
 
         # B's gradient into e: the loss term's, plus the factor from layer k + 1's step
         # times B, minus R's through both factor updates
-        np.add(e, np.multiply(factor, b_k, out=resid), out=e)
-        np.subtract(e, np.matmul(g_u @ q_u, v.conj().T, out=resid), out=e)
-        np.subtract(e, np.matmul(u_in, q_v @ g_v.conj().T, out=resid), out=e)
-        # B = (D - U_in V_in^H) * shrink
-        g_r0 = np.multiply(e, shrink, out=e)
-        # tmp = Re(conj(G0) B) in resid's buffer; lambda_k's gradient is -4 sum(tmp / s)
-        tmp = np.multiply(np.conj(g_r0, out=resid), b_k, out=resid).real
-        g_theta[k, 0] = -4.0 * float(np.sum(np.divide(tmp, s, out=factor)))
+        if factor is not None:
+            np.add(e, np.multiply(b_k, factor, out=b_k), out=e)
+        np.subtract(e, np.matmul(g_u @ q_u, v.conj().T, out=scratch), out=e)
+        np.subtract(e, np.matmul(u_in, q_v @ g_v.conj().T, out=scratch), out=e)
+        g_r0 = np.multiply(e, shrink, out=e)  # B = (D - U_in V_in^H) * shrink
+        # tmp = Re(G0 conj(B)), Re(conj(G0) B)'s bits; lambda_k's gradient is -4 sum(tmp / s)
+        b_k = np.multiply(spare, shrink, out=scratch)
+        tmp = np.multiply(g_r0, np.conj(b_k, out=scratch), out=scratch).real
+        factor = np.divide(tmp, s, out=factor)
+        g_theta[k, 0] = -4.0 * float(np.sum(factor))
         g_theta[k, 1:] = g_w
         if k:
             # the gradients of layer k - 1's outputs: its factors, and its B through s_k,
